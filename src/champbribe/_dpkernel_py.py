@@ -1,15 +1,11 @@
-"""NumPy fallback for the budget-DP row transition.
+"""The budget-DP row transition: the sweep's hot kernel, in NumPy.
 
-Same contract as the compiled `_dpkernel` extension; selected at import time
-by `champbribe.dp` when the extension is unavailable (or forced via the
-CHAMPBRIBE_KERNEL environment variable).
+`champbribe.dp` calls `transition_compact` once per challenger row.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "py"
 
 
 def transition_compact(prev, costs, rmap, n_candidates: int):

@@ -13,7 +13,7 @@ import csv
 import io
 import sys
 import time
-from fractions import Fraction
+import traceback
 
 from . import generators, jsonio, verify
 from .core import instance_from_dict, instance_to_dict
@@ -26,11 +26,9 @@ from .knapsack import (
     mpk_to_dict,
     pkp_from_dict,
     pkp_to_dict,
-    MpkInstance,
-    PkpItem,
 )
 from .rational import format_rational, parse_rational
-from .reductions import cbcct_to_cup, ksum_to_pkp, mpk_to_cbcct, shift_ksum
+from .reductions import cbcct_to_cup, ksum_to_pkp, mpk_to_cbcct, pkp_to_mpk, shift_ksum
 from .solvers import (
     bribe_value_set,
     probability_profile,
@@ -94,21 +92,6 @@ _DUMPERS = {
 }
 
 
-def _pkp_to_mpk_singletons(inst) -> MpkInstance:
-    """Singleton color classes, each padded with a zero-weight profit-1 item.
-
-    A color class forces one pick; the padding item makes "skip this item"
-    expressible, so selections correspond exactly to knapsack subsets.
-    """
-    items: list[PkpItem] = []
-    classes: list[tuple[int, ...]] = []
-    for item in inst.items:
-        items.append(item)
-        items.append(PkpItem(0, Fraction(1)))
-        classes.append((len(items) - 2, len(items) - 1))
-    return MpkInstance(tuple(items), tuple(classes), inst.capacity, inst.target)
-
-
 def _cmd_reduce(args) -> int:
     src_kind, dst_kind = args.source_kind, args.target_kind
     if src_kind not in _CHAIN or dst_kind not in _CHAIN:
@@ -128,9 +111,7 @@ def _cmd_reduce(args) -> int:
             provenance.append("ksum->pkp: weight s'_i, profit (1 - s'_i/T^2)^-1, C=T")
             kind = "pkp"
         elif kind == "pkp":
-            if args.partition != "singleton":
-                raise ChampBribeError("pkp->mpk requires --partition singleton")
-            inst = _pkp_to_mpk_singletons(inst)
+            inst = pkp_to_mpk(inst)
             provenance.append(
                 "pkp->mpk: singleton classes, each padded with a (0, 1) skip item"
             )
@@ -231,12 +212,9 @@ def _cmd_bench(args) -> int:
     algos = args.algo.split(",")
     sizes = [int(x) for x in args.n.split(",")]
     budgets = [int(x) for x in args.budget.split(",")]
-    backends = {"auto": [None], "ext": ["ext"], "py": ["py"], "both": ["ext", "py"]}[
-        args.backend
-    ]
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["algo", "n", "B", "v_#", "p_#", "wall_ms", "decision", "backend"])
+    writer.writerow(["algo", "n", "B", "v_#", "p_#", "wall_ms", "decision"])
     for n in sizes:
         for budget in budgets:
             inst = generators.gen_cbcct(
@@ -250,28 +228,20 @@ def _cmd_bench(args) -> int:
             )
             v_count, p_count = _distinct_counts(inst)
             for algo in algos:
-                for backend in backends:
-                    solver = _CBCCT_ALGOS[algo]
-                    start = time.perf_counter()
-                    if algo == "dp":
-                        result = solver(inst, backend=backend)
-                        shown = backend or "auto"
-                    else:
-                        result = solver(inst)
-                        shown = "-"
-                    wall_ms = (time.perf_counter() - start) * 1000
-                    writer.writerow(
-                        [
-                            algo,
-                            n,
-                            budget,
-                            v_count,
-                            p_count,
-                            f"{wall_ms:.3f}",
-                            "yes" if result.decision else "no",
-                            shown,
-                        ]
-                    )
+                start = time.perf_counter()
+                result = _CBCCT_ALGOS[algo](inst)
+                wall_ms = (time.perf_counter() - start) * 1000
+                writer.writerow(
+                    [
+                        algo,
+                        n,
+                        budget,
+                        v_count,
+                        p_count,
+                        f"{wall_ms:.3f}",
+                        "yes" if result.decision else "no",
+                    ]
+                )
     text = out.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
@@ -301,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("file")
     p_reduce.add_argument("--from", dest="source_kind", required=True)
     p_reduce.add_argument("--to", dest="target_kind", required=True)
-    p_reduce.add_argument("--partition", default="singleton", choices=["singleton"])
     p_reduce.add_argument("-o", "--output")
     p_reduce.set_defaults(fn=_cmd_reduce)
 
@@ -334,9 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--budget", default="1000,100000")
     p_bench.add_argument("--lmax", type=int, default=4)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--backend", default="auto", choices=["auto", "ext", "py", "both"]
-    )
     p_bench.add_argument("-o", "--output")
     p_bench.set_defaults(fn=_cmd_bench)
 
@@ -348,11 +314,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ChampBribeError as exc:
+    except (ChampBribeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an unexpected failure is still an error, never a "no"
+        traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -204,16 +204,19 @@ def instance_from_dict(data: dict) -> CbcctInstance:
         threshold = data["threshold"]
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"missing instance field: {exc}") from exc
+    if not isinstance(players, list):
+        raise InstanceError(f"'players' must be a list, got {players!r}")
     vectors = []
     for p in players:
-        try:
-            raw_entries = p["entries"]
-        except (KeyError, TypeError) as exc:
-            raise InstanceError("player record must contain 'entries'") from exc
-        entries = tuple(
-            BribeEntry(e["bribe"], parse_rational(e["p"])) for e in raw_entries
-        )
-        vectors.append(BribeVector(entries))
+        raw_entries = p.get("entries") if isinstance(p, dict) else None
+        if not isinstance(raw_entries, list):
+            raise InstanceError("player record must contain an 'entries' list")
+        entries = []
+        for e in raw_entries:
+            if not isinstance(e, dict) or "bribe" not in e or "p" not in e:
+                raise InstanceError(f"entry must be an object with 'bribe' and 'p', got {e!r}")
+            entries.append(BribeEntry(e["bribe"], parse_rational(e["p"])))
+        vectors.append(BribeVector(tuple(entries)))
     if not isinstance(budget, int):
         raise InstanceError(f"budget must be an integer, got {budget!r}")
     return CbcctInstance(tuple(vectors), budget, parse_rational(threshold))

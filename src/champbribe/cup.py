@@ -49,7 +49,7 @@ class CupInstance:
             raise InstanceError("seeding must be a bijection onto the leaf positions")
         if not 0 <= self.favorite < n:
             raise InstanceError(f"favorite {self.favorite} out of range")
-        if not isinstance(self.budget, int) or self.budget < 0:
+        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 0:
             raise InstanceError(f"budget must be a natural number, got {self.budget!r}")
         object.__setattr__(self, "threshold", Fraction(self.threshold))
         check_probability(self.threshold, "threshold")

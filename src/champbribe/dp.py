@@ -12,8 +12,8 @@ Exactness at scale comes from three layers:
   integer comparisons.
 * Within a row, distinct numerators are interned and sorted once, so the
   per-budget inner loop compares small integer *ranks* instead of big
-  integers.  That loop is the hot kernel: a compiled extension when built,
-  a NumPy twin otherwise (see `kernel_backend`).
+  integers.  That loop is the hot kernel, the NumPy row transition in
+  `_dpkernel_py`.
 * The interning sort orders candidates by float logarithms first and falls
   back to exact big-integer comparison inside any cluster whose float gap is
   below a certified error bound, so float error can never change a result.
@@ -22,7 +22,6 @@ Exactness at scale comes from three layers:
 from __future__ import annotations
 
 import math
-import os
 import sys
 from bisect import bisect_right
 from fractions import Fraction
@@ -33,31 +32,6 @@ from .core import BribePlan, CbcctInstance
 from .errors import CapExceededError
 
 from . import _dpkernel_py
-
-try:
-    from . import _dpkernel
-except ImportError:  # extension not built; NumPy twin takes over
-    _dpkernel = None
-
-_KERNELS = {"py": _dpkernel_py}
-if _dpkernel is not None:
-    _KERNELS["ext"] = _dpkernel
-
-_env_choice = os.environ.get("CHAMPBRIBE_KERNEL")
-if _env_choice in _KERNELS:
-    _DEFAULT_KERNEL = _env_choice
-else:
-    _DEFAULT_KERNEL = "ext" if "ext" in _KERNELS else "py"
-
-
-def kernel_backend(name: str | None = None):
-    """Resolve a kernel module by name ('ext'/'py'), or the import-time default."""
-    if name is None:
-        return _KERNELS[_DEFAULT_KERNEL]
-    if name not in _KERNELS:
-        available = ", ".join(sorted(_KERNELS))
-        raise ValueError(f"unknown kernel backend {name!r} (available: {available})")
-    return _KERNELS[name]
 
 
 class _Row:
@@ -77,12 +51,11 @@ class _Row:
 class BudgetSweep:
     """Exact optimal win probabilities for every budget 0..B, plus witnesses."""
 
-    def __init__(self, inst: CbcctInstance, rows, denominator_base: int, backend_name: str):
+    def __init__(self, inst: CbcctInstance, rows, denominator_base: int):
         self._inst = inst
         self._rows = rows  # rows[i] for i in 1..n+1 (suffix over challengers i..n)
         self._base = denominator_base
         self._denom = denominator_base ** inst.num_challengers
-        self.backend = backend_name
 
     @property
     def budget(self) -> int:
@@ -134,12 +107,7 @@ def _scaled_numerator(p: Fraction, base: int) -> int:
     return p.numerator * (base // p.denominator)
 
 
-def budget_sweep(
-    inst: CbcctInstance,
-    *,
-    cell_cap: int = 10**8,
-    backend: str | None = None,
-) -> BudgetSweep:
+def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
     """Run the suffix DP over (challenger, budget) and return the full sweep.
 
     Refuses instances with more than `cell_cap` table cells (B times n).
@@ -148,7 +116,6 @@ def budget_sweep(
     budget = inst.budget
     if n * budget > cell_cap:
         raise CapExceededError(f"DP table of {n * budget} cells exceeds the cap of {cell_cap}")
-    kern = kernel_backend(backend)
 
     base = 1
     for vec in inst.bribe_vectors:
@@ -184,7 +151,7 @@ def budget_sweep(
         rmap = np.empty((n_entries, num_prev + 1), dtype=np.int32)
         rmap[:, 0] = -1
         rmap[:, 1:] = rank_of.reshape(n_entries, num_prev)
-        new_ranks, used = kern.transition_compact(prev_ranks, costs, rmap, len(reps))
+        new_ranks, used = _dpkernel_py.transition_compact(prev_ranks, costs, rmap, len(reps))
         new_vals = []
         for u in used:
             cand = int(reps[u])
@@ -196,7 +163,7 @@ def budget_sweep(
         rows[i] = _compress_row(new_ranks, new_vals)
         prev_ranks, prev_vals, prev_logs = new_ranks, new_vals, new_logs
 
-    return BudgetSweep(inst, rows, base, kern.BACKEND)
+    return BudgetSweep(inst, rows, base)
 
 
 def _intern_candidates(cand_log, eps: float, prev_vals, nums, num_prev: int):

@@ -3,7 +3,7 @@
 The chain is
 
     small k-sum --shift--> shifted k-sum --> product knapsack
-    multicolored product knapsack --> challenge-the-champ bribery --> cup
+    --> multicolored product knapsack --> challenge-the-champ bribery --> cup
 
 Each transformer is a pure function from a source instance to a target
 instance, paired here with `verify_reduction`, which runs brute-force oracles
@@ -66,6 +66,21 @@ def ksum_to_pkp(inst: SmallKSumInstance) -> PkpInstance:
         items.append(PkpItem(s, Fraction(t_sq, t_sq - s)))
     target = 1 / (1 - Fraction(1, t) + Fraction(1, 2 * t_sq))
     return PkpInstance(tuple(items), t, target)
+
+
+def pkp_to_mpk(inst: PkpInstance) -> MpkInstance:
+    """Singleton color classes, each padded with a zero-weight profit-1 item.
+
+    A color class forces one pick; the padding item makes "skip this item"
+    expressible, so selections correspond exactly to knapsack subsets.
+    """
+    items: list[PkpItem] = []
+    classes: list[tuple[int, ...]] = []
+    for item in inst.items:
+        items.append(item)
+        items.append(PkpItem(0, Fraction(1)))
+        classes.append((len(items) - 2, len(items) - 1))
+    return MpkInstance(tuple(items), tuple(classes), inst.capacity, inst.target)
 
 
 def chain_preconditions_met(inst: SmallKSumInstance) -> bool:

@@ -9,12 +9,15 @@ exceed the budget there is no plan at all, which every solver reports as a
 The MILP routes group challengers by (probability profile, bribe-value set):
 under monotone vectors two players sharing both have identical vectors, so a
 solution only needs to say how many players of each group are bribed with
-each value.  The bribe-value model maximizes the formal-log win probability
-under the budget; the probability-value model minimizes the budget needed to
-reach the threshold.  In both, the constraint block over the per-group
-counting variables is an interval-free 0-1 matrix with exactly two ones per
-column (one in each row family), hence totally unimodular, which is what
-makes `milp.integralize_solution` applicable for witness extraction.
+each value.  The two routes share one model builder and one solve routine,
+oriented either way: the bribe-value model counts bribes per (value, value
+set) and maximizes the formal-log win probability under the budget; the
+probability-value model counts them per (probability, profile) and
+minimizes the budget needed to reach the threshold.  In both, the
+constraint block over the per-group counting variables is an interval-free
+0-1 matrix with exactly two ones per column (one in each row family), hence
+totally unimodular, which is what makes `milp.integralize_solution`
+applicable for witness extraction.
 """
 
 from __future__ import annotations
@@ -100,27 +103,26 @@ def solve_bruteforce(inst: CbcctInstance, plan_cap: int = 10**7) -> SolveResult:
     return SolveResult(best, best_plan, best >= inst.threshold, "brute")
 
 
-def solve_dp(
-    inst: CbcctInstance, cell_cap: int = 10**8, backend: str | None = None
-) -> SolveResult:
+def solve_dp(inst: CbcctInstance, cell_cap: int = 10**8) -> SolveResult:
     """Budget DP; exact agreement with `solve_bruteforce` including witnesses."""
-    sweep = dp.budget_sweep(inst, cell_cap=cell_cap, backend=backend)
+    sweep = dp.budget_sweep(inst, cell_cap=cell_cap)
     best = sweep.best_at()
     if best is None:
         return SolveResult(None, None, False, "dp")
     return SolveResult(best, sweep.witness(), best >= inst.threshold, "dp")
 
 
-# -- grouping for the FPT models -------------------------------------------------
+# -- the FPT models ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class VariableMap:
     """Column bookkeeping for the FPT models.
 
-    int_cols maps each counting variable's key to its column; frac_cols does
-    the same for the per-group variables.  group_players lists the challenger
-    indices (input order) of each (profile, value-set) group.
+    int_cols maps each counting variable's key to its column; frac_cols maps
+    each (profile, value, value set) per-group variable to its column.
+    group_players lists the challenger indices (input order) of each
+    (profile, value set) group.
     """
 
     int_cols: dict
@@ -128,41 +130,15 @@ class VariableMap:
     group_players: dict
     num_int: int
 
-    def group_count(self, key) -> int:
-        return len(self.group_players[key])
 
-
-def _grouping(inst: CbcctInstance):
-    """Realized value sets, profiles, and (profile, value set) groups."""
-    value_sets: list[BribeValueSet] = []
+def _grouping(inst: CbcctInstance) -> dict[tuple[ProbabilityProfile, BribeValueSet], list[int]]:
+    """Challenger indices of each realized (profile, value set) group, sorted by key."""
     groups: dict[tuple[ProbabilityProfile, BribeValueSet], list[int]] = {}
     for idx, v in enumerate(inst.bribe_vectors):
         if not v.monotone:
             raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
-        vs = bribe_value_set(v)
-        prof = probability_profile(v)
-        if vs not in value_sets:
-            value_sets.append(vs)
-        groups.setdefault((prof, vs), []).append(idx)
-    value_sets.sort()
-    return value_sets, dict(sorted(groups.items()))
-
-
-def profile_probability(
-    profile: ProbabilityProfile, value: int, value_set: BribeValueSet
-) -> Fraction:
-    """p(P, v', V'): the probability bought with `value` in a (P, V') group.
-
-    Monotone vectors align sorted bribe values with sorted probabilities.
-    """
-    return profile[value_set.index(value)]
-
-
-def profile_value(
-    prob: Fraction, profile: ProbabilityProfile, value_set: BribeValueSet
-) -> int:
-    """v(p, P, V'): the unique bribe value that buys `prob` in a (P, V') group."""
-    return value_set[profile.index(prob)]
+        groups.setdefault((probability_profile(v), bribe_value_set(v)), []).append(idx)
+    return dict(sorted(groups.items()))
 
 
 def _check_positive_probabilities(inst: CbcctInstance) -> None:
@@ -174,115 +150,91 @@ def _check_positive_probabilities(inst: CbcctInstance) -> None:
             )
 
 
-def build_bribe_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
-    """FPT model parameterized by the number of distinct bribe values.
+def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, VariableMap]:
+    """The FPT model in either orientation.
 
-    Integer variables count bribes per (value, value set); per-group variables
-    split them by probability profile.  The objective is the formal-log win
-    probability.  Only realized (value set, profile) combinations generate
-    variables.  Rows are ordered so that everything touching the per-group
-    columns forms the tail block: budget row, then the linking rows, then the
-    group-size rows.
+    Per-group variables y[P, v', V'] count the players of each (profile P,
+    value set V') group bribed with value v' (probability p(P, v', V'), the
+    matching entry of the sorted profile, since monotone vectors align sorted
+    values with sorted probabilities).  Integer variables sum them over the
+    groups sharing a value set (by_value: one per (value, value set)) or a
+    profile (otherwise: one per (probability, profile)).  The head row is
+    the budget row over integer columns (by_value) or the formal-log
+    threshold row; the objective maximizes the formal-log win probability
+    (by_value) or minimizes the spent budget.  Rows are ordered so that
+    everything touching the per-group columns forms the tail block: head
+    row, then the linking rows, then the group-size rows.
     """
     _check_positive_probabilities(inst)
-    value_sets, groups = _grouping(inst)
+    if not by_value and inst.threshold == 0:
+        raise ModelError("threshold 0 is trivially satisfiable; no model to build")
+    groups = _grouping(inst)
+    side = 1 if by_value else 0  # the half of a group key the integer columns count over
     n = inst.num_challengers
 
     variables: list[MilpVariable] = []
     int_cols: dict = {}
-    for vs in value_sets:
-        for value in vs:
-            int_cols[(value, vs)] = len(variables)
+    for counted in sorted({key[side] for key in groups}):
+        for item in counted:
+            int_cols[(item, counted)] = len(variables)
             variables.append(
-                MilpVariable(f"x[{value},{set(vs)}]", is_integer=True, upper=n)
+                MilpVariable(f"x[{item},{set(counted)}]", is_integer=True, upper=n)
             )
+    objective: list = [Fraction(0)] * len(variables)
     frac_cols: dict = {}
-    for (prof, vs), players in groups.items():
-        for value in vs:
+    linked: dict = {key: [] for key in int_cols}
+    for prof, vs in groups:
+        for prob, value in zip(prof, vs):
+            linked[(value, vs) if by_value else (prob, prof)].append(len(variables))
             frac_cols[(prof, value, vs)] = len(variables)
             variables.append(MilpVariable(f"y[{set(prof)},{value},{set(vs)}]"))
+            objective.append(FormalLog(prob) if by_value else Fraction(value))
     total = len(variables)
 
-    rows: list[MilpRow] = []
-    budget_coeffs = [Fraction(0)] * total
-    for (value, vs), col in int_cols.items():
-        budget_coeffs[col] = Fraction(value)
-    rows.append(MilpRow(tuple(budget_coeffs), "<=", Fraction(inst.budget)))
-    for (value, vs), col in int_cols.items():
-        coeffs = [Fraction(0)] * total
-        coeffs[col] = Fraction(-1)
-        for (prof2, vs2) in groups:
-            if vs2 == vs:
-                coeffs[frac_cols[(prof2, value, vs)]] = Fraction(1)
-        rows.append(MilpRow(tuple(coeffs), "==", Fraction(0)))
-    for (prof, vs), players in groups.items():
-        coeffs = [Fraction(0)] * total
-        for value in vs:
-            coeffs[frac_cols[(prof, value, vs)]] = Fraction(1)
-        rows.append(MilpRow(tuple(coeffs), "==", Fraction(len(players))))
+    def row(terms, relation: str, rhs) -> MilpRow:
+        coeffs: list = [Fraction(0)] * total
+        for col, coeff in terms:
+            coeffs[col] = coeff
+        return MilpRow(tuple(coeffs), relation, rhs)
 
-    objective = [Fraction(0)] * total
-    for (prof, value, vs), col in frac_cols.items():
-        objective[col] = FormalLog(profile_probability(prof, value, vs))
-    model = MilpModel(tuple(variables), tuple(rows), MilpObjective(tuple(objective), "max"))
-    return model, VariableMap(int_cols, frac_cols, {k: v for k, v in groups.items()}, len(int_cols))
+    if by_value:
+        head = [(col, Fraction(value)) for (value, _), col in int_cols.items()]
+        rows = [row(head, "<=", Fraction(inst.budget))]
+    else:
+        head = [(col, FormalLog(prob)) for (prob, _), col in int_cols.items()]
+        rows = [row(head, ">=", FormalLog(inst.threshold))]
+    for key, col in int_cols.items():
+        terms = [(col, Fraction(-1))] + [(c, Fraction(1)) for c in linked[key]]
+        rows.append(row(terms, "==", Fraction(0)))
+    for (prof, vs), players in groups.items():
+        terms = [(frac_cols[(prof, value, vs)], Fraction(1)) for value in vs]
+        rows.append(row(terms, "==", Fraction(len(players))))
+
+    sense = "max" if by_value else "min"
+    model = MilpModel(tuple(variables), tuple(rows), MilpObjective(tuple(objective), sense))
+    return model, VariableMap(int_cols, frac_cols, groups, len(int_cols))
+
+
+def build_bribe_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
+    """FPT model parameterized by the number of distinct bribe values.
+
+    Integer variables count bribes per (value, value set); the model
+    maximizes the formal-log win probability under the budget.
+    """
+    return _build_fpt_milp(inst, by_value=True)
 
 
 def build_prob_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
     """FPT model parameterized by the number of distinct probability values.
 
-    Budget and threshold swap roles relative to `build_bribe_value_milp`: the
-    objective minimizes the spent budget and one formal-log row demands that
-    the win probability reach the threshold.  Same tail-block row ordering.
+    Integer variables count bribes per (probability, profile); budget and
+    threshold swap roles relative to `build_bribe_value_milp`, so the model
+    minimizes the spent budget subject to a formal-log threshold row.
     """
-    _check_positive_probabilities(inst)
-    if inst.threshold == 0:
-        raise ModelError("threshold 0 is trivially satisfiable; no model to build")
-    value_sets, groups = _grouping(inst)
-    n = inst.num_challengers
-
-    profiles: list[ProbabilityProfile] = sorted({prof for prof, _ in groups})
-    variables: list[MilpVariable] = []
-    int_cols: dict = {}
-    for prof in profiles:
-        for prob in prof:
-            int_cols[(prob, prof)] = len(variables)
-            variables.append(
-                MilpVariable(f"x[{prob},{set(prof)}]", is_integer=True, upper=n)
-            )
-    frac_cols: dict = {}
-    for (prof, vs), players in groups.items():
-        for prob in prof:
-            frac_cols[(prob, prof, vs)] = len(variables)
-            variables.append(MilpVariable(f"y[{prob},{set(prof)},{set(vs)}]"))
-    total = len(variables)
-
-    rows: list[MilpRow] = []
-    log_coeffs: list = [Fraction(0)] * total
-    for (prob, prof), col in int_cols.items():
-        log_coeffs[col] = FormalLog(prob)
-    rows.append(MilpRow(tuple(log_coeffs), ">=", FormalLog(inst.threshold)))
-    for (prob, prof), col in int_cols.items():
-        coeffs = [Fraction(0)] * total
-        coeffs[col] = Fraction(-1)
-        for (prof2, vs2) in groups:
-            if prof2 == prof:
-                coeffs[frac_cols[(prob, prof, vs2)]] = Fraction(1)
-        rows.append(MilpRow(tuple(coeffs), "==", Fraction(0)))
-    for (prof, vs), players in groups.items():
-        coeffs = [Fraction(0)] * total
-        for prob in prof:
-            coeffs[frac_cols[(prob, prof, vs)]] = Fraction(1)
-        rows.append(MilpRow(tuple(coeffs), "==", Fraction(len(players))))
-
-    objective = [Fraction(0)] * total
-    for (prob, prof, vs), col in frac_cols.items():
-        objective[col] = Fraction(profile_value(prob, prof, vs))
-    model = MilpModel(tuple(variables), tuple(rows), MilpObjective(tuple(objective), "min"))
-    return model, VariableMap(int_cols, frac_cols, {k: v for k, v in groups.items()}, len(int_cols))
+    return _build_fpt_milp(inst, by_value=False)
 
 
-# -- witness extraction -----------------------------------------------------------
+# -- solving and witness extraction ----------------------------------------------
 
 
 def _drop_zero_entries(inst: CbcctInstance) -> CbcctInstance | None:
@@ -296,68 +248,61 @@ def _drop_zero_entries(inst: CbcctInstance) -> CbcctInstance | None:
     return CbcctInstance(tuple(vectors), inst.budget, inst.threshold)
 
 
-def _plan_from_group_counts(
-    original: CbcctInstance,
-    solved: CbcctInstance,
-    vmap: VariableMap,
-    bribes_per_group,
-) -> BribePlan:
-    """Assemble a plan from per-group bribe multisets.
+def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) -> BribePlan:
+    """Assemble a plan from the integral per-group counts.
 
     Within a group, ascending bribe values are assigned to players in input
     order (group members are interchangeable).  Entry indices are then looked
-    up in the original vectors by bribe value, which is unique per vector.
+    up in the original vectors by (bribe, probability), which is unique per
+    vector.
     """
-    choices = [0] * original.num_challengers
+    bought: dict = {key: [] for key in vmap.group_players}
+    for (prof, value, vs), col in vmap.frac_cols.items():
+        bought[(prof, vs)] += [(value, prof[vs.index(value)])] * int(assignment[col])
+    choices = [0] * inst.num_challengers
     for key, players in vmap.group_players.items():
-        bribes = bribes_per_group[key]
-        assert len(bribes) == len(players)
-        for player, value in zip(players, sorted(bribes)):
-            vec = original.bribe_vectors[player]
-            solved_vec = solved.bribe_vectors[player]
-            prob = next(
-                e.losing_probability for e in solved_vec.entries if e.bribe == value
-            )
+        assert len(bought[key]) == len(players)
+        for player, (value, prob) in zip(players, sorted(bought[key])):
             choices[player] = next(
                 j
-                for j, e in enumerate(vec.entries, start=1)
+                for j, e in enumerate(inst.bribe_vectors[player].entries, start=1)
                 if e.bribe == value and e.losing_probability == prob
             )
     return BribePlan(tuple(choices))
 
 
-def solve_fpt_bribe_values(inst: CbcctInstance) -> SolveResult:
-    """MILP route whose integer-variable count depends on distinct bribe values."""
-    algorithm = "fpt-bribes"
+def _solve_fpt(inst: CbcctInstance, by_value: bool) -> SolveResult:
+    """Normalize, restrict to positive probabilities, solve, integralize, extract."""
+    algorithm = "fpt-bribes" if by_value else "fpt-probs"
     if inst.num_challengers == 0:
         return _result(inst, BribePlan(()), algorithm)
+    no = SolveResult(None, None, False, algorithm)
     if _min_cost(inst) > inst.budget:
-        return SolveResult(None, None, False, algorithm)
-    normalized = normalize_instance(inst)
-    restricted = _drop_zero_entries(normalized)
-    if restricted is None:
-        # Some challenger only offers probability 0: every plan wins with 0.
+        return no
+    if not by_value and inst.threshold == 0:
         return _result(inst, _first_entries_plan(inst), algorithm)
-    model, vmap = build_bribe_value_milp(restricted)
-    solution = solve_milp(model)
-    if solution.status == INFEASIBLE:
-        # No all-positive plan fits the budget, so every feasible plan has a
-        # zero-probability entry and the optimum is 0.
-        return _result(inst, _first_entries_plan(inst), algorithm)
+    restricted = _drop_zero_entries(normalize_instance(inst))
+    if restricted is not None:
+        # Through the public builders: perfbench/tracing.py times them by name.
+        build = build_bribe_value_milp if by_value else build_prob_value_milp
+        model, vmap = build(restricted)
+        solution = solve_milp(model)
+    if restricted is None or solution.status == INFEASIBLE:
+        # No all-positive plan exists within the budget, so every feasible plan
+        # wins with probability 0: below the probability route's threshold,
+        # which is positive here.
+        return _result(inst, _first_entries_plan(inst), algorithm) if by_value else no
     if solution.status != OPTIMAL:
-        raise SolverError(f"bribe-value MILP ended with status {solution.status}")
+        raise SolverError(f"{algorithm} MILP ended with status {solution.status}")
+    if not by_value and solution.objective_value > inst.budget:
+        return no
     integral = integralize_solution(model, solution)
-    bribes_per_group = {
-        key: [
-            value
-            for (prof, value, vs), col in vmap.frac_cols.items()
-            if (prof, vs) == key
-            for _ in range(int(integral.assignment[col]))
-        ]
-        for key in vmap.group_players
-    }
-    plan = _plan_from_group_counts(inst, restricted, vmap, bribes_per_group)
-    return _result(inst, plan, algorithm)
+    return _result(inst, _plan_from_assignment(inst, vmap, integral.assignment), algorithm)
+
+
+def solve_fpt_bribe_values(inst: CbcctInstance) -> SolveResult:
+    """MILP route whose integer-variable count depends on distinct bribe values."""
+    return _solve_fpt(inst, by_value=True)
 
 
 def solve_fpt_prob_values(inst: CbcctInstance) -> SolveResult:
@@ -368,34 +313,4 @@ def solve_fpt_prob_values(inst: CbcctInstance) -> SolveResult:
     extracted cheapest plan (its probability, which is at least the
     threshold, is reported); on a no, no probability is reported.
     """
-    algorithm = "fpt-probs"
-    if inst.num_challengers == 0:
-        return _result(inst, BribePlan(()), algorithm)
-    if _min_cost(inst) > inst.budget:
-        return SolveResult(None, None, False, algorithm)
-    if inst.threshold == 0:
-        return _result(inst, _first_entries_plan(inst), algorithm)
-    normalized = normalize_instance(inst)
-    restricted = _drop_zero_entries(normalized)
-    if restricted is None:
-        return SolveResult(None, None, False, algorithm)
-    model, vmap = build_prob_value_milp(restricted)
-    solution = solve_milp(model)
-    if solution.status == INFEASIBLE:
-        return SolveResult(None, None, False, algorithm)
-    if solution.status != OPTIMAL:
-        raise SolverError(f"probability-value MILP ended with status {solution.status}")
-    if solution.objective_value > inst.budget:
-        return SolveResult(None, None, False, algorithm)
-    integral = integralize_solution(model, solution)
-    bribes_per_group = {
-        key: [
-            profile_value(prob, prof, vs)
-            for (prob, prof, vs), col in vmap.frac_cols.items()
-            if (prof, vs) == key
-            for _ in range(int(integral.assignment[col]))
-        ]
-        for key in vmap.group_players
-    }
-    plan = _plan_from_group_counts(inst, restricted, vmap, bribes_per_group)
-    return _result(inst, plan, algorithm)
+    return _solve_fpt(inst, by_value=False)

@@ -160,14 +160,13 @@ def suite_dp_scale(
     budget: int = 10**5,
     lmax: int = 4,
     seed: int = 2,
-    backend: str | None = None,
 ) -> SuiteReport:
     """One large DP solve; exactness spot-checked through the witness."""
     report = SuiteReport("dp-scale", total=1)
     inst = generators.gen_cbcct(
         seed, n, lmax, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True
     )
-    sweep = budget_sweep(inst, backend=backend)
+    sweep = budget_sweep(inst)
     best = sweep.best_at()
     witness = sweep.witness()
     if best is None or witness is None:
@@ -181,7 +180,6 @@ def suite_dp_scale(
     smaller = sweep.best_at(budget // 2)
     if smaller is not None and smaller > best:
         report.failures.append("sweep is not monotone in the budget")
-    report.details["backend"] = sweep.backend
     report.details["digits"] = len(str(best.numerator))
     return report
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from champbribe import cli
 from champbribe.cli import main
 from champbribe.jsonio import load_json, save_json
 
@@ -57,6 +58,25 @@ class TestSolve:
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json"), "--algo", "dp"]) == 2
+
+    @pytest.mark.parametrize(
+        "players",
+        [[{"entries": [{"bribe": 0}]}], [{"entries": "x"}], "x"],
+        ids=["entry-without-p", "entries-not-a-list", "players-not-a-list"],
+    )
+    def test_malformed_record_exit_two(self, tmp_path, capsys, players):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"players": players, "budget": 0, "threshold": "0"}))
+        assert main(["solve", str(path), "--algo", "dp"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unexpected_exception_exit_two(self, cbcct_file, monkeypatch, capsys):
+        def broken(inst):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._CBCCT_ALGOS, "dp", broken)
+        assert main(["solve", str(cbcct_file), "--algo", "dp"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
 
     def test_cup_brute(self, cbcct_file, tmp_path, capsys):
         cup_path = tmp_path / "cup.json"
@@ -170,15 +190,13 @@ class TestBench:
                     "8",
                     "--lmax",
                     "3",
-                    "--backend",
-                    "auto",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["algo", "n", "B", "v_#", "p_#", "wall_ms", "decision", "backend"]
+        assert rows[0] == ["algo", "n", "B", "v_#", "p_#", "wall_ms", "decision"]
         assert len(rows) == 1 + 2 * 2  # two algos, two sizes, one budget
         for row in rows[1:]:
             assert row[6] in ("yes", "no")

@@ -182,3 +182,6 @@ class TestJson:
             instance_from_dict({"players": [], "budget": "x", "threshold": "1/2"})
         with pytest.raises(InstanceError):
             instance_from_dict({"players": [{}], "budget": 1, "threshold": "1/2"})
+        for players in ([{"entries": [{"bribe": 0}]}], [{"entries": "x"}], "x"):
+            with pytest.raises(InstanceError):
+                instance_from_dict({"players": players, "budget": 1, "threshold": "1/2"})

@@ -148,3 +148,5 @@ class TestJson:
     def test_bad_record(self):
         with pytest.raises(InstanceError):
             cup_from_dict({"players": 2})
+        with pytest.raises(InstanceError):
+            cup_from_dict({**cup_to_dict(gen_cup(53, 2)), "budget": True})

@@ -1,15 +1,11 @@
-"""Budget sweep internals: kernel backends, row compression, exactness."""
+"""Budget sweep internals: row compression, exactness, witnesses."""
 
 from fractions import Fraction
 
-import pytest
-
 from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce
 from champbribe.core import vector
-from champbribe.dp import budget_sweep, kernel_backend
+from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
-
-HAVE_EXT = "ext" in __import__("champbribe.dp", fromlist=["_KERNELS"])._KERNELS
 
 
 def F(*args):
@@ -68,38 +64,6 @@ class TestBudgetSweep:
             F(1, 4),
         )
         assert budget_sweep(inst).probabilities() == brute_sweep(inst)
-
-
-@pytest.mark.skipif(not HAVE_EXT, reason="compiled kernel not built")
-class TestKernelBackends:
-    def test_backends_agree_on_random_instances(self):
-        rng = split_rng(47, "backends")
-        for idx in range(20):
-            inst = gen_cbcct(47, rng.randint(0, 5), 3, rng.randint(0, 30), index=idx)
-            ext = budget_sweep(inst, backend="ext")
-            py = budget_sweep(inst, backend="py")
-            assert ext.probabilities() == py.probabilities()
-            assert ext.witness() == py.witness()
-
-    def test_backend_names(self):
-        assert kernel_backend("ext").BACKEND == "ext"
-        assert kernel_backend("py").BACKEND == "py"
-        with pytest.raises(ValueError):
-            kernel_backend("jit")
-
-    def test_env_var_forces_fallback(self):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, CHAMPBRIBE_KERNEL="py")
-        out = subprocess.run(
-            [sys.executable, "-c", "from champbribe import dp; print(dp.kernel_backend().BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.stdout.strip() == "py"
 
 
 class TestScaleSmoke:

@@ -26,7 +26,8 @@ from champbribe import (
 )
 from champbribe.core import vector
 from champbribe.cup import bracket_distribution
-from champbribe.reductions import chain_preconditions_met, cup_choices_from_plan
+from champbribe.generators import gen_pkp
+from champbribe.reductions import chain_preconditions_met, cup_choices_from_plan, pkp_to_mpk
 
 
 def F(*args):
@@ -95,6 +96,19 @@ class TestKsumToPkp:
         assert not chain_preconditions_met(SmallKSumInstance((-1, 1, 2), 2))
         big = SmallKSumInstance(tuple([0] * 5), 4)
         assert chain_preconditions_met(big)
+
+
+class TestPkpToMpk:
+    def test_decision_preserved_on_seeded_instances(self):
+        decisions = set()
+        for idx in range(40):
+            src = gen_pkp(61, 1 + idx % 6, index=idx)
+            report = verify_reduction(
+                src, pkp_to_mpk(src), solve_pkp_bruteforce, solve_mpk_bruteforce
+            )
+            assert report.equivalent, idx
+            decisions.add(report.source_decision)
+        assert decisions == {True, False}
 
 
 class TestMpkToCbcct:
