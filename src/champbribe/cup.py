@@ -203,6 +203,8 @@ def cup_from_dict(data: dict) -> CupInstance:
     from .core import BribeEntry
 
     try:
+        if not isinstance(data["pairwise"], dict):
+            raise InstanceError(f"'pairwise' must be an object, got {data['pairwise']!r}")
         pairwise = {}
         for key, entries in data["pairwise"].items():
             i, j = (int(part) for part in key.split(","))

@@ -100,13 +100,17 @@ class SmallKSumInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "numbers", tuple(self.numbers))
-        if not isinstance(self.k, int) or self.k < 0:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise InstanceError(f"k must be a natural number, got {self.k!r}")
         if not all(isinstance(s, int) and not isinstance(s, bool) for s in self.numbers):
             raise InstanceError("numbers must be integers")
-        if not self.shifted:
-            bound = len(self.numbers) ** (2 * self.k)
-            if any(abs(s) > bound for s in self.numbers):
+        n = len(self.numbers)
+        top = max((abs(s) for s in self.numbers), default=0)
+        # For n >= 2, n^2k >= 2^2k exceeds every |s_i| once 2k passes top's bit
+        # length, so n^2k is only built when it has at most n^bits(top) size.
+        if not self.shifted and (n < 2 or 2 * self.k <= top.bit_length()):
+            bound = n ** (2 * self.k)
+            if top > bound:
                 raise InstanceError(
                     f"unshifted numbers must lie in [-n^2k, n^2k] = [-{bound}, {bound}]"
                 )

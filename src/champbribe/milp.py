@@ -1,11 +1,13 @@
 """Exact rational LP/MILP engine with formal-logarithm cost handling.
 
 Everything here is exact: tableaux hold rationals (gmpy2.mpq when available,
-`fractions.Fraction` otherwise), and logarithmic quantities are never
-evaluated numerically.  A coefficient ``log q`` is carried as `FormalLog(q)`;
-linear combinations of formal logs (`LogSum`) are ordered by comparing the
-corresponding rational products exactly, so every pivoting and bounding
-decision that involves logarithms reduces to big-integer arithmetic.
+`fractions.Fraction` otherwise) in sparse rows, each a map from column to
+nonzero entry, so a pivot touches nonzeros only.  Logarithmic quantities
+are never evaluated numerically.  A coefficient ``log q`` is carried as
+`FormalLog(q)`; linear combinations of formal logs (`LogSum`) are ordered by
+comparing the corresponding rational products exactly, so every pivoting
+and bounding decision that involves logarithms reduces to big-integer
+arithmetic.
 
 Formal logs are allowed in objectives, where only *comparisons* of log
 combinations are ever needed.  They are rejected inside LP constraint rows:
@@ -330,42 +332,41 @@ def _objective_mode(coeffs: Sequence) -> str:
 
 
 class _Tableau:
-    """Dense simplex tableau over exact rationals with Bland's rule."""
+    """Sparse simplex tableau over exact rationals with Bland's rule.
+
+    Each row is a dict from column index to its nonzero entry; a column
+    absent from a row holds zero there.  Reduced costs stay a dense list.
+    """
 
     def __init__(self, rows, num_structural: int):
         # rows: list of (coeffs list[_rat] over structural cols, relation, rhs _rat)
         self.n = num_structural
         norm = []
         for coeffs, rel, rhs in rows:
-            coeffs = list(coeffs)
+            entries = {j: _rat(c) for j, c in enumerate(coeffs) if c}
             if rhs < 0:
-                coeffs = [-c for c in coeffs]
+                entries = {j: -c for j, c in entries.items()}
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            norm.append((coeffs, rel, rhs))
+            norm.append((entries, rel, rhs))
         num_slack = sum(1 for _, rel, _ in norm if rel != EQ)
         num_art = sum(1 for _, rel, _ in norm if rel != LE)
-        total = self.n + num_slack + num_art
         self.art_start = self.n + num_slack
-        self.total = total
-        self.body: list[list] = []
+        self.total = self.art_start + num_art
+        self.body: list[dict] = []
         self.rhs: list = []
         self.basis: list[int] = []
         s = self.n
         a = self.art_start
-        for coeffs, rel, rhs in norm:
-            row = [_rat(c) for c in coeffs] + [_ZERO] * (total - self.n)
+        for row, rel, rhs in norm:
             if rel == LE:
                 row[s] = _ONE
                 self.basis.append(s)
                 s += 1
-            elif rel == GE:
-                row[s] = -_ONE
-                s += 1
-                row[a] = _ONE
-                self.basis.append(a)
-                a += 1
             else:
+                if rel == GE:
+                    row[s] = -_ONE
+                    s += 1
                 row[a] = _ONE
                 self.basis.append(a)
                 a += 1
@@ -377,29 +378,26 @@ class _Tableau:
         piv = body[i][j]
         if piv != 1:
             inv = _ONE / piv
-            body[i] = [x * inv for x in body[i]]
+            body[i] = {l: x * inv for l, x in body[i].items()}
             rhs[i] *= inv
         row_i = body[i]
-        for k in range(len(body)):
-            if k == i:
+        for k, row in enumerate(body):
+            f = row.get(j)
+            if f is None or k == i:
                 continue
-            f = body[k][j]
-            if f:
-                body[k] = [x - f * y for x, y in zip(body[k], row_i)]
-                rhs[k] -= f * rhs[i]
-        cf = cost[j]
-        nonzero = cf.sign() != 0 if isinstance(cf, LogSum) else cf != 0
-        if nonzero:
-            if isinstance(cf, LogSum):
-                for l in range(self.total):
-                    if row_i[l]:
-                        cost[l] = cost[l] - cf.scaled(row_i[l])
-                zbox[0] = zbox[0] + cf.scaled(rhs[i])
-            else:
-                for l in range(self.total):
-                    if row_i[l]:
-                        cost[l] -= cf * row_i[l]
-                zbox[0] += cf * rhs[i]
+            f = -f
+            for l, y in row_i.items():
+                x = row.get(l)
+                if x is None:
+                    row[l] = f * y
+                else:
+                    x += f * y
+                    if x:
+                        row[l] = x
+                    else:
+                        del row[l]
+            rhs[k] += f * rhs[i]
+        _eliminate(cost, zbox, cost[j], row_i, rhs[i])
         self.basis[i] = j
 
     def run(self, cost, zbox, allowed: int) -> str:
@@ -417,9 +415,9 @@ class _Tableau:
                 return OPTIMAL
             leave = -1
             best = None
-            for i in range(len(body)):
-                a = body[i][enter]
-                if a > 0:
+            for i, row in enumerate(body):
+                a = row.get(enter)
+                if a is not None and a > 0:
                     ratio = rhs[i] / a
                     if best is None or ratio < best or (
                         ratio == best and self.basis[i] < self.basis[leave]
@@ -431,26 +429,26 @@ class _Tableau:
             self._pivot(leave, enter, cost, zbox)
 
 
+def _eliminate(cost, zbox, cb, row: dict, rhs) -> None:
+    """Subtract cb times a basic row from the reduced costs and objective."""
+    if isinstance(cb, LogSum):
+        if cb.sign() == 0:
+            return
+        for l, x in row.items():
+            cost[l] = cost[l] - cb.scaled(x)
+        zbox[0] = zbox[0] + cb.scaled(rhs)
+    elif cb != 0:
+        for l, x in row.items():
+            cost[l] -= cb * x
+        zbox[0] += cb * rhs
+
+
 def _reduced_costs(tab: _Tableau, raw_cost: list, log_mode: bool):
     """Reduced costs and objective for the current basis (identity columns)."""
     cost = list(raw_cost)
     zbox = [LogSum.zero() if log_mode else _ZERO]
     for i, b in enumerate(tab.basis):
-        cb = cost[b]
-        nonzero = cb.sign() != 0 if isinstance(cb, LogSum) else cb != 0
-        if not nonzero:
-            continue
-        row = tab.body[i]
-        if isinstance(cb, LogSum):
-            for l in range(tab.total):
-                if row[l]:
-                    cost[l] = cost[l] - cb.scaled(row[l])
-            zbox[0] = zbox[0] + cb.scaled(tab.rhs[i])
-        else:
-            for l in range(tab.total):
-                if row[l]:
-                    cost[l] -= cb * row[l]
-            zbox[0] += cb * tab.rhs[i]
+        _eliminate(cost, zbox, cost[b], tab.body[i], tab.rhs[i])
     return cost, zbox
 
 
@@ -477,9 +475,9 @@ def _simplex(rows, objective, sense: str, num_vars: int):
         zbox = [_ZERO]
         for i, b in enumerate(tab.basis):
             if b >= tab.art_start:
-                row = tab.body[i]
-                for l in range(tab.art_start):
-                    cost[l] += row[l]
+                for l, x in tab.body[i].items():
+                    if l < tab.art_start:
+                        cost[l] += x
                 zbox[0] -= tab.rhs[i]
         status = tab.run(cost, zbox, tab.art_start)
         if status != OPTIMAL or zbox[0] != 0:
@@ -488,9 +486,7 @@ def _simplex(rows, objective, sense: str, num_vars: int):
         for i in range(len(tab.body) - 1, -1, -1):
             if tab.basis[i] < tab.art_start:
                 continue
-            pivot_col = next(
-                (l for l in range(tab.art_start) if tab.body[i][l] != 0), None
-            )
+            pivot_col = min((l for l in tab.body[i] if l < tab.art_start), default=None)
             if pivot_col is None:
                 del tab.body[i], tab.rhs[i], tab.basis[i]
             else:

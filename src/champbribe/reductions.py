@@ -24,8 +24,11 @@ from typing import Callable
 
 from .core import BribeEntry, BribePlan, BribeVector, CbcctInstance
 from .cup import CupInstance, Pair
-from .errors import ReductionError
+from .errors import CapExceededError, ReductionError
 from .knapsack import MpkInstance, PkpInstance, PkpItem, SmallKSumInstance
+
+
+SHIFT_BITS_CAP = 1 << 16
 
 
 def shift_ksum(inst: SmallKSumInstance) -> SmallKSumInstance:
@@ -33,6 +36,9 @@ def shift_ksum(inst: SmallKSumInstance) -> SmallKSumInstance:
 
     Input must be unshifted with target 0 and numbers within [-n^2k, n^2k];
     the shifted numbers then land in [n^2k + n^(k^2), 3n^2k + n^(k^2)].
+    A shift longer than `SHIFT_BITS_CAP` bits raises `CapExceededError`; n^e
+    has more than e*(bits(n) - 1) bits, so a shift far over the cap is
+    refused before any power is built.
     """
     if inst.shifted:
         raise ReductionError("instance is already shifted")
@@ -40,10 +46,16 @@ def shift_ksum(inst: SmallKSumInstance) -> SmallKSumInstance:
         raise ReductionError("shift applies to zero-target instances only")
     n = len(inst.numbers)
     k = inst.k
+    if max(2 * k, k * k) * (n.bit_length() - 1) > SHIFT_BITS_CAP:
+        raise CapExceededError(f"the k-sum shift for n={n}, k={k} exceeds {SHIFT_BITS_CAP} bits")
     bound = n ** (2 * k)
     if any(abs(s) > bound for s in inst.numbers):
         raise ReductionError(f"numbers must lie in [-{bound}, {bound}]")
     shift = 2 * n ** (2 * k) + n ** (k * k)
+    if shift.bit_length() > SHIFT_BITS_CAP:
+        raise CapExceededError(
+            f"the k-sum shift has {shift.bit_length()} bits, over {SHIFT_BITS_CAP}"
+        )
     shifted = tuple(s + shift for s in inst.numbers)
     lo, hi = n ** (2 * k) + n ** (k * k), 3 * n ** (2 * k) + n ** (k * k)
     assert all(lo <= s <= hi for s in shifted)
@@ -87,8 +99,8 @@ def chain_preconditions_met(inst: SmallKSumInstance) -> bool:
     """Whether the k-sum chain's size assumptions (k >= 4 and T >= 4) hold."""
     if inst.shifted:
         return inst.k >= 4 and inst.target >= 4
-    n, k = len(inst.numbers), inst.k
-    return k >= 4 and k * (2 * n ** (2 * k) + n ** (k * k)) >= 4
+    # T = k * (2n^2k + n^(k^2)) is 0 for n = 0 and at least 12 for n >= 1.
+    return inst.k >= 4 and len(inst.numbers) >= 1
 
 
 def mpk_to_cbcct(inst: MpkInstance) -> CbcctInstance:

@@ -184,6 +184,60 @@ def suite_dp_scale(
     return report
 
 
+@_timed
+def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
+    """Optimal values of both FPT routes against the DP sweep, past brute force.
+
+    Scale-pool instances.  Every fourth one has n in 100..150 and B = 50n;
+    the rest have n in 20..40, a threshold drawn at B = 1000n and a budget
+    cut to a random B <= 200n, so both decisions occur.  On every instance
+    the fpt-bribes optimum must equal `best_at(B)`.  On the small ones the
+    fpt-probs witness must cost exactly min{b : best_at(b) >= threshold},
+    and on a "no" no b <= B may reach the threshold.
+    """
+    report = SuiteReport("value-agreement", total=count)
+    rng = generators.split_rng(seed, "value-params")
+    yes = no = 0
+    for idx in range(count):
+        large = idx % 4 == 0
+        n = rng.randint(100, 150) if large else rng.randint(20, 40)
+        inst = generators.gen_cbcct(
+            seed, n, 4, (50 if large else 1000) * n, SCALE_VALUE_POOL, SCALE_PROB_POOL,
+            canonical=True, index=idx,
+        )
+        if not large:
+            inst = CbcctInstance(inst.bribe_vectors, rng.randint(0, 200 * n), inst.threshold)
+        label = f"instance {idx} (n={n}, B={inst.budget})"
+        sweep = budget_sweep(inst)
+        bribes = solve_fpt_bribe_values(inst)
+        if bribes.best_probability != sweep.best_at():
+            report.failures.append(
+                f"{label}: fpt-bribes optimum {bribes.best_probability} != dp {sweep.best_at()}"
+            )
+        _check_witness(report, f"{label} fpt-bribes", inst, bribes)
+        if large:
+            continue
+        need = next(
+            (b for b, p in enumerate(sweep.probabilities()) if p is not None and p >= inst.threshold),
+            None,
+        )
+        probs = solve_fpt_prob_values(inst)
+        yes += probs.decision
+        no += not probs.decision
+        if probs.decision != (need is not None):
+            report.failures.append(
+                f"{label}: fpt-probs decision {probs.decision}, dp minimum budget {need}"
+            )
+        elif probs.decision:
+            cost = evaluate_plan(inst, probs.witness).cost
+            if cost != need:
+                report.failures.append(f"{label}: fpt-probs witness costs {cost}, dp needs {need}")
+        _check_witness(report, f"{label} fpt-probs", inst, probs)
+    report.details["yes"] = yes
+    report.details["no"] = no
+    return report
+
+
 def _fractional_submatrix(model: MilpModel) -> list[list[Fraction]]:
     frac = model.fractional_columns()
     rows = []
@@ -494,6 +548,7 @@ SUITES = {
     "normalization": suite_normalization,
     "dp-scale": suite_dp_scale,
     "milp-integrality": suite_milp_integrality,
+    "value-agreement": suite_value_agreement,
     "ksum-chain": suite_ksum_chain,
     "mpk-chain": suite_mpk_chain,
     "cup-chain": suite_cup_chain,

@@ -86,3 +86,14 @@ def test_criterion_9_bracket_normalization():
     """100 random cups: win probabilities sum to exactly 1; < 30 s."""
     report = verify.suite_bracket_normalization(count=100, seed=7)
     _assert_report("criterion-9 bracket-normalization", report, 30.0)
+
+
+def test_criterion_10_value_agreement():
+    """FPT optima equal the DP sweep's at n = 100-150 and n = 20-40; < 60 s.
+
+    fpt-bribes must reach best_at(B); the fpt-probs witness must cost exactly
+    the least budget at which the sweep reaches the threshold.
+    """
+    report = verify.suite_value_agreement(count=8, seed=8)
+    _assert_report("criterion-10 value-agreement", report, 60.0)
+    assert report.details["yes"] > 0 and report.details["no"] > 0

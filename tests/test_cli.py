@@ -3,13 +3,19 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from champbribe import cli
 from champbribe.cli import main
 from champbribe.jsonio import load_json, save_json
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -115,6 +121,20 @@ class TestReduce:
             profits = [Fraction(data["items"][i]["profit"]) for i in cls]
             weights = [data["items"][i]["weight"] for i in cls]
             assert Fraction(1) in profits and 0 in weights
+
+    def test_huge_k_exits_two_promptly(self, tmp_path):
+        # n^(2k) and n^(k^2) for this k have billions of digits; neither the
+        # loader nor the shift may build them.
+        src = tmp_path / "ks.json"
+        src.write_text(json.dumps({"numbers": [1, 2, 3], "k": 1000000000}))
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "champbribe.cli", "reduce", str(src), "--from", "ksum",
+             "--to", "pkp"],
+            capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_invalid_direction(self, tmp_path, capsys):
         src = tmp_path / "x.json"

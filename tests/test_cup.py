@@ -150,3 +150,6 @@ class TestJson:
             cup_from_dict({"players": 2})
         with pytest.raises(InstanceError):
             cup_from_dict({**cup_to_dict(gen_cup(53, 2)), "budget": True})
+        for pairwise in ([], "x", None):
+            with pytest.raises(InstanceError):
+                cup_from_dict({**cup_to_dict(gen_cup(53, 2)), "pairwise": pairwise})

@@ -172,6 +172,14 @@ class TestSmallKSum:
     def test_range_invariant_enforced(self):
         with pytest.raises(InstanceError):
             SmallKSumInstance((100,), 1)  # 1^2 = 1 < 100
+        with pytest.raises(InstanceError):
+            SmallKSumInstance((-10, 0), 1)  # 2^2 = 4 < 10
+        assert SmallKSumInstance((-4, 0), 1).k == 1  # 4 is on the bound
+        assert SmallKSumInstance((1, 2, 3), 10**9).k == 10**9  # bound never built
+
+    def test_rejects_bool_k(self):
+        with pytest.raises(InstanceError):
+            SmallKSumInstance((0, 1), True)
 
     def test_cap(self):
         inst = SmallKSumInstance(tuple([0] * 30), 15)

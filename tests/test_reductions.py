@@ -6,6 +6,7 @@ import pytest
 
 from champbribe import (
     BribePlan,
+    CapExceededError,
     CbcctInstance,
     MpkInstance,
     PkpItem,
@@ -27,7 +28,12 @@ from champbribe import (
 from champbribe.core import vector
 from champbribe.cup import bracket_distribution
 from champbribe.generators import gen_pkp
-from champbribe.reductions import chain_preconditions_met, cup_choices_from_plan, pkp_to_mpk
+from champbribe.reductions import (
+    SHIFT_BITS_CAP,
+    chain_preconditions_met,
+    cup_choices_from_plan,
+    pkp_to_mpk,
+)
 
 
 def F(*args):
@@ -60,6 +66,22 @@ class TestShiftKsum:
     def test_rejects_nonzero_target(self):
         with pytest.raises(ReductionError):
             shift_ksum(SmallKSumInstance((0, 1), 1, target=1))
+
+    def test_bit_cap(self):
+        # The shift for n = 3 has about 1.58 k^2 bits: 65 315 at k = 203 and
+        # 65 960 at k = 204, on either side of the 65 536-bit cap.
+        assert SHIFT_BITS_CAP == 1 << 16
+        assert shift_ksum(SmallKSumInstance((0, 1, -1), 203)).shifted
+        with pytest.raises(CapExceededError):
+            shift_ksum(SmallKSumInstance((0, 1, -1), 204))
+        with pytest.raises(CapExceededError):
+            shift_ksum(SmallKSumInstance((1, 2, 3), 10**9))
+
+    def test_chain_preconditions(self):
+        assert not chain_preconditions_met(SmallKSumInstance((), 4))
+        assert not chain_preconditions_met(SmallKSumInstance((0, 1, 2), 3))
+        assert chain_preconditions_met(SmallKSumInstance((0,), 4))
+        assert chain_preconditions_met(SmallKSumInstance((1, 2, 3), 10**9))
 
 
 class TestKsumToPkp:
