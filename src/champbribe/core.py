@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import InstanceError, PlanError
-from .rational import check_probability, format_rational, parse_rational
+from .rational import check_field, check_probability, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,9 @@ class BribeEntry:
     losing_probability: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bribe, int) or isinstance(self.bribe, bool) or self.bribe < 0:
-            raise InstanceError(f"bribe must be a natural number, got {self.bribe!r}")
-        object.__setattr__(self, "losing_probability", Fraction(self.losing_probability))
+        check_field(self.bribe, "bribe")
+        if type(self.losing_probability) is not Fraction:
+            object.__setattr__(self, "losing_probability", Fraction(self.losing_probability))
         check_probability(self.losing_probability, "losing probability")
 
 
@@ -97,8 +97,7 @@ class CbcctInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bribe_vectors", tuple(self.bribe_vectors))
-        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 0:
-            raise InstanceError(f"budget must be a natural number, got {self.budget!r}")
+        check_field(self.budget, "budget")
         object.__setattr__(self, "threshold", Fraction(self.threshold))
         check_probability(self.threshold, "threshold")
 
@@ -181,17 +180,22 @@ def best_purchasable(v: BribeVector, budget: int) -> Fraction | None:
 #  "budget": nat, "threshold": "num/den"}
 
 
+def vector_to_json(v: BribeVector) -> list[dict]:
+    return [{"bribe": e.bribe, "p": format_rational(e.losing_probability)} for e in v.entries]
+
+
+def vector_from_json(raw: list) -> BribeVector:
+    if not isinstance(raw, list):
+        raise InstanceError(f"bribe vector must be a list of entries, got {raw!r}")
+    try:
+        return vector((e["bribe"], e["p"]) for e in raw)
+    except (KeyError, TypeError) as exc:
+        raise InstanceError(f"entry must be an object with 'bribe' and 'p': {exc!r}") from exc
+
+
 def instance_to_dict(inst: CbcctInstance) -> dict:
     return {
-        "players": [
-            {
-                "entries": [
-                    {"bribe": e.bribe, "p": format_rational(e.losing_probability)}
-                    for e in v.entries
-                ]
-            }
-            for v in inst.bribe_vectors
-        ],
+        "players": [{"entries": vector_to_json(v)} for v in inst.bribe_vectors],
         "budget": inst.budget,
         "threshold": format_rational(inst.threshold),
     }
@@ -206,17 +210,7 @@ def instance_from_dict(data: dict) -> CbcctInstance:
         raise InstanceError(f"missing instance field: {exc}") from exc
     if not isinstance(players, list):
         raise InstanceError(f"'players' must be a list, got {players!r}")
-    vectors = []
-    for p in players:
-        raw_entries = p.get("entries") if isinstance(p, dict) else None
-        if not isinstance(raw_entries, list):
-            raise InstanceError("player record must contain an 'entries' list")
-        entries = []
-        for e in raw_entries:
-            if not isinstance(e, dict) or "bribe" not in e or "p" not in e:
-                raise InstanceError(f"entry must be an object with 'bribe' and 'p', got {e!r}")
-            entries.append(BribeEntry(e["bribe"], parse_rational(e["p"])))
-        vectors.append(BribeVector(tuple(entries)))
-    if not isinstance(budget, int):
-        raise InstanceError(f"budget must be an integer, got {budget!r}")
-    return CbcctInstance(tuple(vectors), budget, parse_rational(threshold))
+    vectors = tuple(
+        vector_from_json(p.get("entries") if isinstance(p, dict) else None) for p in players
+    )
+    return CbcctInstance(vectors, budget, parse_rational(threshold))

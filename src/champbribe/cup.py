@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, NamedTuple
 
-from .core import BribeVector
+from .core import BribeVector, vector_from_json, vector_to_json
 from .errors import CapExceededError, InstanceError
-from .rational import check_probability, format_rational, parse_rational
+from .rational import check_field, check_probability, format_rational, parse_rational
 
 Pair = tuple[int, int]
 
@@ -41,16 +41,16 @@ class CupInstance:
     threshold: Fraction
 
     def __post_init__(self) -> None:
-        n = self.num_players
-        if n < 1 or n & (n - 1):
+        n = check_field(self.num_players, "player count", 1)
+        if n & (n - 1):
             raise InstanceError(f"player count must be a power of two, got {n}")
-        object.__setattr__(self, "seeding", tuple(self.seeding))
-        if sorted(self.seeding) != list(range(n)):
+        seeding = tuple(check_field(p, "seeded player") for p in self.seeding)
+        if len(seeding) != n or sorted(seeding) != list(range(n)):
             raise InstanceError("seeding must be a bijection onto the leaf positions")
-        if not 0 <= self.favorite < n:
+        object.__setattr__(self, "seeding", seeding)
+        if check_field(self.favorite, "favorite") >= n:
             raise InstanceError(f"favorite {self.favorite} out of range")
-        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 0:
-            raise InstanceError(f"budget must be a natural number, got {self.budget!r}")
+        check_field(self.budget, "budget")
         object.__setattr__(self, "threshold", Fraction(self.threshold))
         check_probability(self.threshold, "threshold")
         pairs = dict(self.pairwise)
@@ -188,11 +188,7 @@ def cup_to_dict(inst: CupInstance) -> dict:
         "favorite": inst.favorite,
         "seeding": list(inst.seeding),
         "pairwise": {
-            f"{i},{j}": [
-                {"bribe": e.bribe, "p": format_rational(e.losing_probability)}
-                for e in vec.entries
-            ]
-            for (i, j), vec in sorted(inst.pairwise.items())
+            f"{i},{j}": vector_to_json(vec) for (i, j), vec in sorted(inst.pairwise.items())
         },
         "budget": inst.budget,
         "threshold": format_rational(inst.threshold),
@@ -200,21 +196,17 @@ def cup_to_dict(inst: CupInstance) -> dict:
 
 
 def cup_from_dict(data: dict) -> CupInstance:
-    from .core import BribeEntry
-
     try:
         if not isinstance(data["pairwise"], dict):
             raise InstanceError(f"'pairwise' must be an object, got {data['pairwise']!r}")
         pairwise = {}
         for key, entries in data["pairwise"].items():
             i, j = (int(part) for part in key.split(","))
-            pairwise[(i, j)] = BribeVector(
-                tuple(BribeEntry(e["bribe"], parse_rational(e["p"])) for e in entries)
-            )
+            pairwise[(i, j)] = vector_from_json(entries)
         return CupInstance(
             data["players"],
             data["favorite"],
-            tuple(data["seeding"]),
+            data["seeding"],
             pairwise,
             data["budget"],
             parse_rational(data["threshold"]),

@@ -18,8 +18,13 @@ from typing import Sequence
 
 from .core import BribeEntry, BribePlan, BribeVector, CbcctInstance, evaluate_plan, normalize_bribe_vector
 from .cup import CupInstance
-from .errors import InstanceError
-from .knapsack import MpkInstance, PkpInstance, PkpItem, SmallKSumInstance
+from .errors import CapExceededError, InstanceError
+from .knapsack import MpkInstance, PkpInstance, PkpItem, SmallKSumInstance, ksum_bound
+from .rational import check_field
+
+# Largest default k-sum magnitude n^2k, in bits, that `gen_ksum` draws from;
+# 8192 bits is 2467 digits, inside Python's default int-to-str digit limit.
+KSUM_BITS_CAP = 1 << 13
 
 DEFAULT_VALUE_POOL: tuple[int, ...] = (0, 1, 2, 3, 5)
 DEFAULT_PROB_POOL: tuple[Fraction, ...] = (
@@ -160,10 +165,17 @@ def gen_ksum(
     planted: bool = False,
     index: int = 0,
 ) -> SmallKSumInstance:
-    """Random small k-sum instance with |s_i| <= magnitude (default n^2k)."""
-    bound = n ** (2 * k)
-    mag = bound if magnitude is None else magnitude
-    if mag > bound:
+    """Random small k-sum instance with |s_i| <= magnitude (default n^2k).
+
+    A default n^2k of more than `KSUM_BITS_CAP` bits raises `CapExceededError`.
+    """
+    mag = 1 << KSUM_BITS_CAP if magnitude is None else check_field(magnitude, "magnitude")
+    bound = ksum_bound(n, check_field(k, "k"), mag)
+    if magnitude is None:
+        if bound is None or bound >= mag:
+            raise CapExceededError(f"n^2k for n={n}, k={k} exceeds {KSUM_BITS_CAP} bits")
+        mag = bound
+    elif bound is not None and mag > bound:
         raise InstanceError(f"magnitude {mag} violates the n^2k bound of {bound}")
     rng = split_rng(seed, "ksum", index)
     numbers = [rng.randint(-mag, mag) for _ in range(n)]

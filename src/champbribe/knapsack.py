@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CapExceededError, InstanceError
-from .rational import format_rational, parse_rational
+from .rational import check_field, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class PkpItem:
     profit: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 0:
-            raise InstanceError(f"item weight must be a natural number, got {self.weight!r}")
+        check_field(self.weight, "item weight")
         object.__setattr__(self, "profit", Fraction(self.profit))
         if self.profit <= 0:
             raise InstanceError(f"item profit must be positive, got {self.profit}")
@@ -41,12 +40,7 @@ class PkpInstance:
     target: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        if not isinstance(self.capacity, int) or self.capacity <= 0:
-            raise InstanceError(f"capacity must be positive, got {self.capacity!r}")
-        object.__setattr__(self, "target", Fraction(self.target))
-        if self.target <= 0:
-            raise InstanceError(f"target value must be positive, got {self.target}")
+        _check_knapsack(self)
 
 
 @dataclass(frozen=True)
@@ -59,19 +53,14 @@ class MpkInstance:
     target: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
+        _check_knapsack(self)
         object.__setattr__(self, "classes", tuple(tuple(c) for c in self.classes))
-        if not isinstance(self.capacity, int) or self.capacity <= 0:
-            raise InstanceError(f"capacity must be positive, got {self.capacity!r}")
-        object.__setattr__(self, "target", Fraction(self.target))
-        if self.target <= 0:
-            raise InstanceError(f"target value must be positive, got {self.target}")
         seen: set[int] = set()
         for cls in self.classes:
             if not cls:
                 raise InstanceError("color classes must be nonempty")
             for idx in cls:
-                if not 0 <= idx < len(self.items):
+                if check_field(idx, "class item index") >= len(self.items):
                     raise InstanceError(f"class item index {idx} out of range")
                 if idx in seen:
                     raise InstanceError(f"item {idx} appears in two classes")
@@ -82,6 +71,15 @@ class MpkInstance:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
+
+
+def _check_knapsack(inst: PkpInstance | MpkInstance) -> None:
+    """The item, capacity and target rules shared by both knapsack variants."""
+    object.__setattr__(inst, "items", tuple(inst.items))
+    check_field(inst.capacity, "capacity", 1)
+    object.__setattr__(inst, "target", Fraction(inst.target))
+    if inst.target <= 0:
+        raise InstanceError(f"target value must be positive, got {inst.target}")
 
 
 @dataclass(frozen=True)
@@ -99,21 +97,28 @@ class SmallKSumInstance:
     shifted: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "numbers", tuple(self.numbers))
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
-            raise InstanceError(f"k must be a natural number, got {self.k!r}")
-        if not all(isinstance(s, int) and not isinstance(s, bool) for s in self.numbers):
-            raise InstanceError("numbers must be integers")
-        n = len(self.numbers)
-        top = max((abs(s) for s in self.numbers), default=0)
-        # For n >= 2, n^2k >= 2^2k exceeds every |s_i| once 2k passes top's bit
-        # length, so n^2k is only built when it has at most n^bits(top) size.
-        if not self.shifted and (n < 2 or 2 * self.k <= top.bit_length()):
-            bound = n ** (2 * self.k)
-            if top > bound:
-                raise InstanceError(
-                    f"unshifted numbers must lie in [-n^2k, n^2k] = [-{bound}, {bound}]"
-                )
+        numbers = tuple(check_field(s, "k-sum number", None) for s in self.numbers)
+        object.__setattr__(self, "numbers", numbers)
+        check_field(self.k, "k")
+        check_field(self.target, "k-sum target", None)
+        check_field(self.shifted, "shifted", flag=True)
+        top = max((abs(s) for s in numbers), default=0)
+        bound = None if self.shifted else ksum_bound(len(numbers), self.k, top)
+        if bound is not None and top > bound:
+            raise InstanceError(
+                f"unshifted numbers must lie in [-n^2k, n^2k] = [-{bound}, {bound}]"
+            )
+
+
+def ksum_bound(n: int, k: int, top: int) -> int | None:
+    """n^2k, or None when it certainly exceeds `top` and so is never built.
+
+    For n >= 2, n^2k >= 2^2k exceeds every value of at most 2k bits, so the
+    power is built only when it has at most n^bits(top) size.
+    """
+    if n >= 2 and 2 * k > top.bit_length():
+        return None
+    return n ** (2 * k)
 
 
 class PkpResult(NamedTuple):
@@ -219,7 +224,11 @@ def solve_small_ksum_bruteforce(inst: SmallKSumInstance, combo_cap: int = 10**6)
 # -- JSON schemas ---------------------------------------------------------------
 
 
-def pkp_to_dict(inst: PkpInstance) -> dict:
+def _items_from_json(raw: list) -> tuple[PkpItem, ...]:
+    return tuple(PkpItem(it["weight"], parse_rational(it["profit"])) for it in raw)
+
+
+def pkp_to_dict(inst: PkpInstance | MpkInstance) -> dict:
     return {
         "items": [
             {"weight": it.weight, "profit": format_rational(it.profit)} for it in inst.items
@@ -231,27 +240,25 @@ def pkp_to_dict(inst: PkpInstance) -> dict:
 
 def pkp_from_dict(data: dict) -> PkpInstance:
     try:
-        items = tuple(
-            PkpItem(it["weight"], parse_rational(it["profit"])) for it in data["items"]
+        return PkpInstance(
+            _items_from_json(data["items"]), data["capacity"], parse_rational(data["target"])
         )
-        return PkpInstance(items, data["capacity"], parse_rational(data["target"]))
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"bad product-knapsack record: {exc}") from exc
 
 
 def mpk_to_dict(inst: MpkInstance) -> dict:
-    out = pkp_to_dict(PkpInstance(inst.items, inst.capacity, inst.target))
-    out["classes"] = [list(c) for c in inst.classes]
-    return out
+    return {**pkp_to_dict(inst), "classes": [list(c) for c in inst.classes]}
 
 
 def mpk_from_dict(data: dict) -> MpkInstance:
     try:
-        items = tuple(
-            PkpItem(it["weight"], parse_rational(it["profit"])) for it in data["items"]
+        return MpkInstance(
+            _items_from_json(data["items"]),
+            data["classes"],
+            data["capacity"],
+            parse_rational(data["target"]),
         )
-        classes = tuple(tuple(c) for c in data["classes"])
-        return MpkInstance(items, classes, data["capacity"], parse_rational(data["target"]))
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"bad multicolored-knapsack record: {exc}") from exc
 
@@ -268,10 +275,7 @@ def ksum_to_dict(inst: SmallKSumInstance) -> dict:
 def ksum_from_dict(data: dict) -> SmallKSumInstance:
     try:
         return SmallKSumInstance(
-            tuple(data["numbers"]),
-            data["k"],
-            data.get("target", 0),
-            data.get("shifted", False),
+            data["numbers"], data["k"], data.get("target", 0), data.get("shifted", False)
         )
     except (KeyError, TypeError) as exc:
         raise InstanceError(f"bad k-sum record: {exc}") from exc

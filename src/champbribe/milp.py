@@ -452,8 +452,8 @@ def _reduced_costs(tab: _Tableau, raw_cost: list, log_mode: bool):
     return cost, zbox
 
 
-def _simplex(rows, objective, sense: str, num_vars: int):
-    """Two-phase exact simplex.
+def _simplex(rows, objective, num_vars: int):
+    """Two-phase exact simplex, maximizing.
 
     rows: (rational coeff list, relation, rational rhs) triples.
     objective: list of Fraction (rational mode) or LogSum (log mode).
@@ -563,13 +563,18 @@ def solve_lp_exact(model: MilpModel) -> MilpSolution:
     """
     rows = _model_lp_rows(model)
     objective, mode = _objective_vector(model, negate=model.objective.sense == "min")
-    status, assignment = _simplex(rows, objective, "max", model.num_variables)
+    status, assignment = _simplex(rows, objective, model.num_variables)
     if status != OPTIMAL:
         return MilpSolution(status)
     return MilpSolution(OPTIMAL, assignment, _objective_value(model, assignment))
 
 
 # -- branch and bound ----------------------------------------------------------
+
+# Bits of the first log-row approximation, doubled per restart, and the most
+# restarts before `solve_milp` gives up.
+LOG_START_BITS = 128
+LOG_MAX_ROUNDS = 24
 
 
 class _NeedsMorePrecision(Exception):
@@ -619,7 +624,7 @@ def _log_row_satisfied(support, rhs_arg: Fraction, assignment) -> bool:
     return product >= rhs_arg
 
 
-def solve_milp(model: MilpModel, *, start_bits: int = 128, max_rounds: int = 24) -> MilpSolution:
+def solve_milp(model: MilpModel) -> MilpSolution:
     """Exact branch-and-bound over LP relaxations.
 
     Integer variables must carry finite upper bounds.  Branching is
@@ -631,8 +636,8 @@ def solve_milp(model: MilpModel, *, start_bits: int = 128, max_rounds: int = 24)
             raise ModelError(f"integer variable {v.name} needs a finite upper bound")
     plain_rows, log_rows = _split_log_rows(model)
     base_model = MilpModel(model.variables, tuple(plain_rows), model.objective)
-    bits = start_bits
-    for _ in range(max_rounds):
+    bits = LOG_START_BITS
+    for _ in range(LOG_MAX_ROUNDS):
         try:
             return _branch_and_bound(model, base_model, log_rows, bits)
         except _NeedsMorePrecision:
@@ -659,7 +664,7 @@ def _branch_and_bound(model, base_model, log_rows, bits: int) -> MilpSolution:
     while stack:
         bound_rows = stack.pop()
         rows = base_rows + [r for r in bound_rows]
-        status, assignment = _simplex(rows, objective, "max", n)
+        status, assignment = _simplex(rows, objective, n)
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:

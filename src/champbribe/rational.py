@@ -1,4 +1,4 @@
-"""Exact rational arithmetic conventions.
+"""Exact rational arithmetic conventions, and the rules for record fields.
 
 All probabilities, thresholds, and LP data in this package are
 `fractions.Fraction` values: arbitrary precision, always in lowest terms,
@@ -6,6 +6,12 @@ denominator positive.  No floating point ever enters a decision path.
 
 JSON interchange encodes a rational as the string ``"num/den"`` (``"num"``
 when the denominator is 1), which `parse_rational` reads back losslessly.
+
+This module owns the validation of every scalar field of the five instance
+schemas, and every constructor and loader calls it: `parse_rational` and
+`check_probability` for rationals, `check_field` for naturals, integers and
+flags.  A natural or an integer is a JSON integer: a bool (JSON ``true`` is
+not the number 1) and a float are refused.  A flag is a JSON bool.
 """
 
 from __future__ import annotations
@@ -37,6 +43,23 @@ def parse_rational(value: str | int) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical ``num/den`` string (lowest terms; bare ``num`` for integers)."""
     return str(Fraction(value))
+
+
+def check_field(value, what: str, least: int | None = 0, *, flag: bool = False):
+    """Validate one integer or flag field of an instance record and return it.
+
+    An integer field must be an `int` that is not a `bool` and, unless
+    `least` is None, at least `least` (so the default is a natural number).
+    A flag field (``flag=True``) must be a `bool`.
+    """
+    if isinstance(value, bool):
+        ok = flag
+    else:
+        ok = not flag and isinstance(value, int) and (least is None or value >= least)
+    if not ok:
+        kind = "a bool" if flag else "an integer" if least is None else f"an integer >= {least}"
+        raise InstanceError(f"{what} must be {kind}, got {value!r}")
+    return value
 
 
 def check_probability(value: Fraction, what: str = "probability") -> Fraction:

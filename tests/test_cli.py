@@ -181,6 +181,23 @@ class TestGen:
             data = load_json(path)
             assert all(key in data for key in checks)
 
+    def test_huge_ksum_bound_exits_two_promptly(self, tmp_path):
+        # The default magnitude n^2k has billions of digits and is refused
+        # unbuilt; an explicit small magnitude at the same k still generates.
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        gen = [sys.executable, "-m", "champbribe.cli", "gen", "ksum", "--seed", "1", "--n", "3",
+               "--k", "1000000000"]
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(gen, capture_output=True, text=True, timeout=10, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr
+        out = tmp_path / "ks.json"
+        proc = subprocess.run(gen + ["--magnitude", "5", "-o", str(out)], capture_output=True,
+                              text=True, timeout=10, env=env)
+        assert proc.returncode == 0, proc.stderr
+        data = load_json(out)
+        assert data["k"] == 10**9 and all(abs(s) <= 5 for s in data["numbers"])
+
 
 class TestVerify:
     def test_pass_line(self, capsys):

@@ -153,3 +153,5 @@ class TestJson:
         for pairwise in ([], "x", None):
             with pytest.raises(InstanceError):
                 cup_from_dict({**cup_to_dict(gen_cup(53, 2)), "pairwise": pairwise})
+        with pytest.raises(InstanceError):  # seeding length is checked before range(n)
+            cup_from_dict({**cup_to_dict(gen_cup(53, 1)), "players": 2**40})

@@ -99,3 +99,43 @@ def test_mutated_records_load_or_raise_instance_error(schema):
                     faults.setdefault(key, f"{type(exc).__name__}: {exc}")
     assert mutants > 50
     assert not faults, f"{schema}: " + "; ".join(f"{k} -> {v}" for k, v in faults.items())
+
+
+# A one-player cup: the one bracket where `"players": true` (equal to 1) fits
+# the seeding, so only the type rule can refuse it.
+EXTRA_RECORDS = {"cup": [cup_to_dict(generators.gen_cup(22, 0))]}
+
+
+def _at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+@pytest.mark.parametrize("schema", sorted(SCHEMAS))
+def test_int_and_flag_fields_refuse_other_types(schema):
+    """An int field refuses a bool and a float; a bool field refuses every non-bool."""
+    draw, load = SCHEMAS[schema]
+    accepted = set()
+    checked = 0
+    for record in [draw(i) for i in range(3)] + EXTRA_RECORDS.get(schema, []):
+        load(record)  # the unmutated record is valid
+        for path in _paths(record):
+            value = _at(record, path)
+            if type(value) is int:
+                junks = (True, 1.5)
+            elif type(value) is bool:
+                junks = tuple(j for j in JUNK if type(j) is not bool)
+            else:
+                continue
+            for junk in junks:
+                checked += 1
+                try:
+                    with _deadline(DEADLINE_S):
+                        load(_replaced(record, path, junk))
+                except InstanceError:
+                    continue
+                name = next(key for key in reversed(path) if isinstance(key, str))
+                accepted.add(f"{name}{'' if path[-1] == name else '[i]'} = {junk!r}")
+    assert checked > 10
+    assert not accepted, f"{schema} accepted: " + ", ".join(sorted(accepted))
