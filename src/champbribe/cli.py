@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import sys
 import time
@@ -140,6 +141,11 @@ def _parse_pool(text: str):
     return tuple(parse_rational(part) for part in text.split(","))
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """A comma-separated list of integers (an argparse type: bad text is a usage error)."""
+    return tuple(int(part) for part in text.split(","))
+
+
 def _cmd_gen(args) -> int:
     if args.family == "cbcct":
         inst = generators.gen_cbcct(
@@ -147,7 +153,7 @@ def _cmd_gen(args) -> int:
             args.n,
             args.lmax,
             args.budget,
-            tuple(int(v) for v in args.value_pool.split(",")),
+            args.value_pool,
             _parse_pool(args.prob_pool),
             index=args.index,
         )
@@ -158,8 +164,9 @@ def _cmd_gen(args) -> int:
         )
         payload = ksum_to_dict(inst)
     elif args.family == "mpk":
-        sizes = tuple(int(s) for s in args.class_sizes.split(","))
-        inst = generators.gen_mpk(args.seed, sizes, planted=args.planted, index=args.index)
+        inst = generators.gen_mpk(
+            args.seed, args.class_sizes, planted=args.planted, index=args.index
+        )
         payload = mpk_to_dict(inst)
     elif args.family == "pkp":
         inst = generators.gen_pkp(args.seed, args.n, index=args.index)
@@ -184,12 +191,9 @@ def _cmd_verify(args) -> int:
                 f"unknown suite {name!r}; available: {', '.join(verify.SUITES)}"
             )
         suite = verify.SUITES[name]
-        kwargs = {}
-        if args.count is not None and name not in ("dp-scale", "ksum-chain", "lp-unit"):
-            kwargs["count"] = args.count
-        if args.seed is not None and name not in ("ksum-chain",):
-            kwargs["seed"] = args.seed
-        report = suite(**kwargs)
+        params = inspect.signature(suite).parameters
+        flags = {"count": args.count, "seed": args.seed}
+        report = suite(**{k: v for k, v in flags.items() if v is not None and k in params})
         print(report.summary())
         for failure in report.failures[:10]:
             print(f"  {failure}")
@@ -281,11 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=4)
     p_gen.add_argument("--lmax", type=int, default=3)
     p_gen.add_argument("--budget", type=int, default=10)
-    p_gen.add_argument("--value-pool", default="0,1,2,3,5")
+    p_gen.add_argument("--value-pool", type=_int_list, default="0,1,2,3,5")
     p_gen.add_argument("--prob-pool", default="1/4,1/2,3/4,1")
     p_gen.add_argument("--k", type=int, default=2)
     p_gen.add_argument("--magnitude", type=int, default=None)
-    p_gen.add_argument("--class-sizes", default="2,2")
+    p_gen.add_argument("--class-sizes", type=_int_list, default="2,2")
     p_gen.add_argument("--rounds", type=int, default=2)
     p_gen.add_argument("--planted", action="store_true")
     p_gen.add_argument("-o", "--output")

@@ -1,13 +1,15 @@
 """Exact rational LP/MILP engine with formal-logarithm cost handling.
 
-Everything here is exact: tableaux hold rationals (gmpy2.mpq when available,
-`fractions.Fraction` otherwise) in sparse rows, each a map from column to
-nonzero entry, so a pivot touches nonzeros only.  Logarithmic quantities
-are never evaluated numerically.  A coefficient ``log q`` is carried as
-`FormalLog(q)`; linear combinations of formal logs (`LogSum`) are ordered by
-comparing the corresponding rational products exactly, so every pivoting
-and bounding decision that involves logarithms reduces to big-integer
-arithmetic.
+Everything here is exact: tableaux hold `fractions.Fraction` entries in
+sparse rows, each a map from column to nonzero entry, so a pivot touches
+nonzeros only.  LP rows are in that form from the model on.  Logarithmic
+quantities are never evaluated numerically.  A coefficient ``log q`` is
+carried as `FormalLog(q)`; linear combinations of formal logs (`LogSum`) are
+ordered by comparing the corresponding rational products exactly, so every
+pivoting and bounding decision that involves logarithms reduces to
+big-integer arithmetic.  A `LogSum` supports the arithmetic and comparisons
+the simplex needs, so one simplex and one branch and bound serve rational
+and formal-log objectives alike.
 
 Formal logs are allowed in objectives, where only *comparisons* of log
 combinations are ever needed.  They are rejected inside LP constraint rows:
@@ -28,6 +30,7 @@ fractional integer column first, floor branch first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,25 +38,8 @@ from typing import Sequence
 
 from .errors import CapExceededError, ModelError, SolverError
 
-try:
-    from gmpy2 import mpq as _rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _rat = Fraction
-
-_ZERO = _rat(0)
-_ONE = _rat(1)
-
 LE, EQ, GE = "<=", "==", ">="
 _RELATIONS = (LE, EQ, GE)
-
-
-def _to_fraction(x) -> Fraction:
-    """Fraction with plain-int internals (gmpy2 values convert via int)."""
-    if type(x) is Fraction:
-        return x
-    if hasattr(x, "numerator"):
-        return Fraction(int(x.numerator), int(x.denominator))
-    return Fraction(x)
 
 
 # -- formal logarithms --------------------------------------------------------
@@ -81,18 +67,19 @@ class LogSum:
     Comparisons reduce to exact rational product comparisons: after clearing
     denominators, sum(m_i * log(q_i)) >= 0 holds iff the product of q_i**m_i
     over positive m_i is at least the product over negative m_i.
+
+    As a number it supports ``+``, ``-``, unary ``-``, ``*`` by a rational,
+    ``bool``, ``==`` and ``>`` against another `LogSum` or against 0; every
+    comparison and truth test costs one `sign` call.
     """
 
     __slots__ = ("terms",)
+    __hash__ = None
 
     def __init__(self, terms: dict[Fraction, Fraction] | None = None):
-        clean: dict[Fraction, Fraction] = {}
-        if terms:
-            for arg, coeff in terms.items():
-                if arg == 1 or coeff == 0:
-                    continue
-                clean[_to_fraction(arg)] = _to_fraction(coeff)
-        self.terms = clean
+        self.terms = {
+            arg: coeff for arg, coeff in (terms or {}).items() if arg != 1 and coeff != 0
+        }
 
     @classmethod
     def zero(cls) -> "LogSum":
@@ -101,9 +88,6 @@ class LogSum:
     @classmethod
     def of(cls, argument: Fraction, coeff: Fraction | int = 1) -> "LogSum":
         return cls({Fraction(argument): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return self.sign() == 0
 
     def __add__(self, other: "LogSum") -> "LogSum":
         merged = dict(self.terms)
@@ -120,19 +104,14 @@ class LogSum:
     def __neg__(self) -> "LogSum":
         return LogSum({a: -c for a, c in self.terms.items()})
 
-    def scaled(self, factor) -> "LogSum":
-        f = _to_fraction(factor)
-        if f == 0:
-            return LogSum()
-        return LogSum({a: c * f for a, c in self.terms.items()})
+    def __mul__(self, factor) -> "LogSum":
+        return LogSum({a: c * factor for a, c in self.terms.items()})
 
     def sign(self) -> int:
         """Exact sign of the represented real number."""
         if not self.terms:
             return 0
-        denom_lcm = 1
-        for coeff in self.terms.values():
-            denom_lcm = denom_lcm * coeff.denominator // _gcd(denom_lcm, coeff.denominator)
+        denom_lcm = math.lcm(*(coeff.denominator for coeff in self.terms.values()))
         up = Fraction(1)
         down = Fraction(1)
         for arg, coeff in self.terms.items():
@@ -150,17 +129,28 @@ class LogSum:
     def compare(self, other: "LogSum") -> int:
         return (self - other).sign()
 
+    def __bool__(self) -> bool:
+        return self.sign() != 0
+
+    def __gt__(self, other) -> bool:
+        if isinstance(other, LogSum):
+            return self.compare(other) > 0
+        if other == 0:
+            return self.sign() > 0
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LogSum):
+            return self.compare(other) == 0
+        if other == 0:
+            return self.sign() == 0
+        return NotImplemented
+
     def __repr__(self) -> str:
         if not self.terms:
             return "LogSum(0)"
         parts = [f"{c}*log({a})" for a, c in sorted(self.terms.items())]
         return "LogSum(" + " + ".join(parts) + ")"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -319,18 +309,6 @@ def _is_log(c) -> bool:
     return isinstance(c, FormalLog)
 
 
-def _objective_mode(coeffs: Sequence) -> str:
-    """'log' when any coefficient is a FormalLog (then all others must be 0)."""
-    if any(_is_log(c) for c in coeffs):
-        for c in coeffs:
-            if not _is_log(c) and c != 0:
-                raise ModelError(
-                    "objective mixes nonzero rational and formal-log coefficients"
-                )
-        return "log"
-    return "rational"
-
-
 class _Tableau:
     """Sparse simplex tableau over exact rationals with Bland's rule.
 
@@ -339,15 +317,18 @@ class _Tableau:
     """
 
     def __init__(self, rows, num_structural: int):
-        # rows: list of (coeffs list[_rat] over structural cols, relation, rhs _rat)
+        # rows: (sparse coeffs {col: nonzero} over structural cols, relation,
+        # Fraction rhs).  Pivots mutate rows in place, and the caller's rows
+        # are shared by every branch-and-bound node, so each is copied here.
         self.n = num_structural
         norm = []
         for coeffs, rel, rhs in rows:
-            entries = {j: _rat(c) for j, c in enumerate(coeffs) if c}
             if rhs < 0:
-                entries = {j: -c for j, c in entries.items()}
+                entries = {j: -c for j, c in coeffs.items()}
                 rhs = -rhs
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            else:
+                entries = dict(coeffs)
             norm.append((entries, rel, rhs))
         num_slack = sum(1 for _, rel, _ in norm if rel != EQ)
         num_art = sum(1 for _, rel, _ in norm if rel != LE)
@@ -358,26 +339,27 @@ class _Tableau:
         self.basis: list[int] = []
         s = self.n
         a = self.art_start
+        one = Fraction(1)
         for row, rel, rhs in norm:
             if rel == LE:
-                row[s] = _ONE
+                row[s] = one
                 self.basis.append(s)
                 s += 1
             else:
                 if rel == GE:
-                    row[s] = -_ONE
+                    row[s] = -one
                     s += 1
-                row[a] = _ONE
+                row[a] = one
                 self.basis.append(a)
                 a += 1
             self.body.append(row)
-            self.rhs.append(_rat(rhs))
+            self.rhs.append(rhs)
 
     def _pivot(self, i: int, j: int, cost, zbox) -> None:
         body, rhs = self.body, self.rhs
         piv = body[i][j]
         if piv != 1:
-            inv = _ONE / piv
+            inv = 1 / Fraction(piv)
             body[i] = {l: x * inv for l, x in body[i].items()}
             rhs[i] *= inv
         row_i = body[i]
@@ -406,9 +388,7 @@ class _Tableau:
         while True:
             enter = -1
             for j in range(allowed):
-                c = cost[j]
-                positive = c.sign() > 0 if isinstance(c, LogSum) else c > 0
-                if positive:
+                if cost[j] > 0:
                     enter = j
                     break
             if enter < 0:
@@ -431,35 +411,20 @@ class _Tableau:
 
 def _eliminate(cost, zbox, cb, row: dict, rhs) -> None:
     """Subtract cb times a basic row from the reduced costs and objective."""
-    if isinstance(cb, LogSum):
-        if cb.sign() == 0:
-            return
-        for l, x in row.items():
-            cost[l] = cost[l] - cb.scaled(x)
-        zbox[0] = zbox[0] + cb.scaled(rhs)
-    elif cb != 0:
-        for l, x in row.items():
-            cost[l] -= cb * x
-        zbox[0] += cb * rhs
-
-
-def _reduced_costs(tab: _Tableau, raw_cost: list, log_mode: bool):
-    """Reduced costs and objective for the current basis (identity columns)."""
-    cost = list(raw_cost)
-    zbox = [LogSum.zero() if log_mode else _ZERO]
-    for i, b in enumerate(tab.basis):
-        _eliminate(cost, zbox, cost[b], tab.body[i], tab.rhs[i])
-    return cost, zbox
+    if not cb:
+        return
+    for l, x in row.items():
+        cost[l] -= cb * x
+    zbox[0] += cb * rhs
 
 
 def _simplex(rows, objective, num_vars: int):
     """Two-phase exact simplex, maximizing.
 
-    rows: (rational coeff list, relation, rational rhs) triples.
-    objective: list of Fraction (rational mode) or LogSum (log mode).
+    rows: (sparse coeffs {col: nonzero}, relation, Fraction rhs) triples.
+    objective: list of Fraction, or of LogSum for a formal-log objective.
     Returns (status, assignment tuple of Fraction or None).
     """
-    log_mode = objective and isinstance(objective[0], LogSum)
     if num_vars == 0:
         for coeffs, rel, rhs in rows:
             ok = {LE: 0 <= rhs, GE: 0 >= rhs, EQ: rhs == 0}[rel]
@@ -471,8 +436,8 @@ def _simplex(rows, objective, num_vars: int):
 
     if tab.art_start < tab.total:
         # Phase 1: maximize -sum(artificials).
-        cost = [_ZERO] * tab.total
-        zbox = [_ZERO]
+        cost = [Fraction(0)] * tab.total
+        zbox = [Fraction(0)]
         for i, b in enumerate(tab.basis):
             if b >= tab.art_start:
                 for l, x in tab.body[i].items():
@@ -493,66 +458,60 @@ def _simplex(rows, objective, num_vars: int):
                 tab._pivot(i, pivot_col, cost, zbox)
         # Artificial columns stay but are barred from entering below.
 
-    if log_mode:
-        raw = [objective[j] if j < num_vars else LogSum.zero() for j in range(tab.total)]
-    else:
-        raw = [_rat(objective[j]) if j < num_vars else _ZERO for j in range(tab.total)]
-    cost, zbox = _reduced_costs(tab, raw, log_mode)
+    # Phase 2: reduced costs of the objective for the current basis.
+    zero = objective[0] * 0
+    cost = list(objective) + [zero] * (tab.total - num_vars)
+    zbox = [zero]
+    for i, b in enumerate(tab.basis):
+        _eliminate(cost, zbox, cost[b], tab.body[i], tab.rhs[i])
     status = tab.run(cost, zbox, tab.art_start)
     if status == UNBOUNDED:
         return UNBOUNDED, None
     values = [Fraction(0)] * num_vars
     for i, b in enumerate(tab.basis):
         if b < num_vars:
-            values[b] = _to_fraction(tab.rhs[i])
+            values[b] = tab.rhs[i]
     return OPTIMAL, tuple(values)
 
 
 def _model_lp_rows(model: MilpModel, extra_rows=()):
-    """Model rows plus upper-bound rows, as rational triples for the simplex."""
+    """Model rows plus upper-bound rows, as sparse rational triples for the simplex."""
     rows = []
     for row in model.rows:
         if any(_is_log(c) for c in row.coeffs) or _is_log(row.rhs):
             raise ModelError("constraint rows with formal-log coefficients are not LP-solvable")
-        rows.append(([Fraction(c) for c in row.coeffs], row.relation, Fraction(row.rhs)))
-    n = model.num_variables
+        coeffs = {j: Fraction(c) for j, c in enumerate(row.coeffs) if c}
+        rows.append((coeffs, row.relation, Fraction(row.rhs)))
     for j, v in enumerate(model.variables):
         if v.upper is not None:
-            coeffs = [Fraction(0)] * n
-            coeffs[j] = Fraction(1)
-            rows.append((coeffs, LE, Fraction(v.upper)))
+            rows.append(({j: 1}, LE, Fraction(v.upper)))
     rows.extend(extra_rows)
     return rows
 
 
-def _objective_vector(model: MilpModel, negate: bool = False):
-    mode = _objective_mode(model.objective.coeffs)
-    if mode == "log":
-        vec = [
-            LogSum.of(c.argument) if _is_log(c) else LogSum.zero()
-            for c in model.objective.coeffs
-        ]
-        if negate:
-            vec = [-c for c in vec]
+def _objective_vector(model: MilpModel, negate: bool = False) -> list:
+    """The objective as Fractions, or as LogSums when any coefficient is a formal log."""
+    coeffs = model.objective.coeffs
+    if any(_is_log(c) for c in coeffs):
+        if any(not _is_log(c) and c != 0 for c in coeffs):
+            raise ModelError("objective mixes nonzero rational and formal-log coefficients")
+        vec = [LogSum.of(c.argument) if _is_log(c) else LogSum.zero() for c in coeffs]
     else:
-        vec = [Fraction(c) for c in model.objective.coeffs]
-        if negate:
-            vec = [-c for c in vec]
-    return vec, mode
+        vec = [Fraction(c) for c in coeffs]
+    return [-c for c in vec] if negate else vec
+
+
+def _dot(vec: list, assignment: Sequence[Fraction]):
+    """sum(c * x), a Fraction or a LogSum like the entries of `vec`."""
+    total = vec[0] * 0 if vec else Fraction(0)
+    for c, x in zip(vec, assignment):
+        if x:
+            total += c * x
+    return total
 
 
 def _objective_value(model: MilpModel, assignment: Sequence[Fraction]):
-    mode = _objective_mode(model.objective.coeffs)
-    if mode == "log":
-        total = LogSum.zero()
-        for c, x in zip(model.objective.coeffs, assignment):
-            if _is_log(c) and x:
-                total = total + LogSum.of(c.argument, x)
-        return total
-    return sum(
-        (Fraction(c) * x for c, x in zip(model.objective.coeffs, assignment)),
-        Fraction(0),
-    )
+    return _dot(_objective_vector(model), assignment)
 
 
 def solve_lp_exact(model: MilpModel) -> MilpSolution:
@@ -562,7 +521,7 @@ def solve_lp_exact(model: MilpModel) -> MilpSolution:
     carry formal-log coefficients; constraint rows must be rational.
     """
     rows = _model_lp_rows(model)
-    objective, mode = _objective_vector(model, negate=model.objective.sense == "min")
+    objective = _objective_vector(model, negate=model.objective.sense == "min")
     status, assignment = _simplex(rows, objective, model.num_variables)
     if status != OPTIMAL:
         return MilpSolution(status)
@@ -605,13 +564,10 @@ def _split_log_rows(model: MilpModel):
     return plain, log_rows
 
 
-def _approx_log_row(support, rhs_arg: Fraction, bits: int, n: int):
-    """Rational outer approximation of sum(x_j * ln q_j) >= ln(rhs_arg)."""
-    coeffs = [Fraction(0)] * n
-    for j, arg in support:
-        coeffs[j] = ln_bounds(arg, bits)[1]
-    rhs = ln_bounds(rhs_arg, bits)[0]
-    return coeffs, GE, rhs
+def _approx_log_row(support, rhs_arg: Fraction, bits: int):
+    """Sparse rational outer approximation of sum(x_j * ln q_j) >= ln(rhs_arg)."""
+    coeffs = {j: hi for j, arg in support if (hi := ln_bounds(arg, bits)[1])}
+    return coeffs, GE, ln_bounds(rhs_arg, bits)[0]
 
 
 def _log_row_satisfied(support, rhs_arg: Fraction, assignment) -> bool:
@@ -647,45 +603,29 @@ def solve_milp(model: MilpModel) -> MilpSolution:
 
 def _branch_and_bound(model, base_model, log_rows, bits: int) -> MilpSolution:
     n = model.num_variables
-    negate = model.objective.sense == "min"
-    objective, mode = _objective_vector(base_model, negate=negate)
-    approx = [_approx_log_row(sup, rhs, bits, n) for sup, rhs in log_rows]
+    objective = _objective_vector(base_model, negate=model.objective.sense == "min")
+    approx = [_approx_log_row(sup, rhs, bits) for sup, rhs in log_rows]
     base_rows = _model_lp_rows(base_model, extra_rows=approx)
     int_cols = model.integer_columns()
-
-    def better(a, b) -> bool:
-        if isinstance(a, LogSum):
-            return a.compare(b) > 0
-        return a > b
 
     incumbent = None
     incumbent_val = None
     stack: list[tuple] = [()]
     while stack:
         bound_rows = stack.pop()
-        rows = base_rows + [r for r in bound_rows]
-        status, assignment = _simplex(rows, objective, n)
+        status, assignment = _simplex(base_rows + list(bound_rows), objective, n)
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:
             return MilpSolution(UNBOUNDED)
-        if mode == "log":
-            node_val = LogSum.zero()
-            for c, x in zip(objective, assignment):
-                if x:
-                    node_val = node_val + c.scaled(x)
-        else:
-            node_val = sum((c * x for c, x in zip(objective, assignment)), Fraction(0))
-        if incumbent_val is not None and not better(node_val, incumbent_val):
+        node_val = _dot(objective, assignment)
+        if incumbent_val is not None and not node_val > incumbent_val:
             continue
         frac_col = next((j for j in int_cols if assignment[j].denominator != 1), None)
         if frac_col is not None:
             v = assignment[frac_col] // 1
-            lo = [Fraction(0)] * n
-            lo[frac_col] = Fraction(1)
-            hi = list(lo)
-            stack.append(bound_rows + ((hi, GE, Fraction(v + 1)),))
-            stack.append(bound_rows + ((lo, LE, Fraction(v)),))
+            stack.append(bound_rows + (({frac_col: 1}, GE, Fraction(v + 1)),))
+            stack.append(bound_rows + (({frac_col: 1}, LE, Fraction(v)),))
             continue
         if not all(_log_row_satisfied(sup, rhs, assignment) for sup, rhs in log_rows):
             raise _NeedsMorePrecision

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InstanceError
+from .errors import CapExceededError, InstanceError
 
 Rational = Fraction
 
@@ -41,8 +41,16 @@ def parse_rational(value: str | int) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical ``num/den`` string (lowest terms; bare ``num`` for integers)."""
-    return str(Fraction(value))
+    """Canonical ``num/den`` string (lowest terms; bare ``num`` for integers).
+
+    A numerator or denominator over Python's int-to-str digit limit raises
+    `CapExceededError`.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise CapExceededError(f"rational cannot be written as text: {exc}") from exc
 
 
 def check_field(value, what: str, least: int | None = 0, *, flag: bool = False):

@@ -7,6 +7,7 @@ Failures carry human-readable descriptions of the offending instance.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,6 +76,7 @@ class SuiteReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> SuiteReport:
         start = time.perf_counter()
         report = fn(*args, **kwargs)
@@ -286,12 +288,7 @@ def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) ->
             integral = integralize_solution(model, mixed)
             if any(x.denominator != 1 for x in integral.assignment):
                 report.failures.append(f"{label}: integralized solution is not integral")
-            same = (
-                integral.objective_value.compare(mixed.objective_value) == 0
-                if isinstance(integral.objective_value, LogSum)
-                else integral.objective_value == mixed.objective_value
-            )
-            if not same:
+            if integral.objective_value != mixed.objective_value:
                 report.failures.append(
                     f"{label}: integralized objective {integral.objective_value} "
                     f"!= mixed optimum {mixed.objective_value}"

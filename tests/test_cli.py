@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from champbribe import cli
+from champbribe import CapExceededError, cli, verify
 from champbribe.cli import main
-from champbribe.jsonio import load_json, save_json
+from champbribe.jsonio import dump_json, load_json, save_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -76,6 +76,14 @@ class TestSolve:
         assert main(["solve", str(path), "--algo", "dp"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_too_long_integer_exit_two(self, tmp_path, capsys):
+        # Python reads no integer of more than 4300 digits from text.
+        path = tmp_path / "long.json"
+        path.write_text('{"players": [], "budget": ' + "9" * 5000 + ', "threshold": "0"}')
+        assert main(["solve", str(path), "--algo", "dp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unexpected_exception_exit_two(self, cbcct_file, monkeypatch, capsys):
         def broken(inst):
             raise RuntimeError("boom")
@@ -135,6 +143,15 @@ class TestReduce:
         )
         assert proc.returncode == 2, proc.stderr
         assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_too_long_result_exit_two(self, tmp_path, capsys):
+        # The shift for n=3, k=100 has 4772 digits: within the shift cap, but
+        # over Python's 4300-digit limit for writing an integer as text.
+        src = tmp_path / "ks.json"
+        src.write_text(json.dumps({"numbers": [0, 1, -1], "k": 100}))
+        assert main(["reduce", str(src), "--from", "ksum", "--to", "pkp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_invalid_direction(self, tmp_path, capsys):
         src = tmp_path / "x.json"
@@ -198,6 +215,16 @@ class TestGen:
         data = load_json(out)
         assert data["k"] == 10**9 and all(abs(s) <= 5 for s in data["numbers"])
 
+    @pytest.mark.parametrize(
+        "argv", [["cbcct", "--value-pool", "x"], ["mpk", "--class-sizes", "1,x"]]
+    )
+    def test_malformed_list_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_pass_line(self, capsys):
@@ -211,6 +238,23 @@ class TestVerify:
     def test_count_flag(self, capsys):
         assert main(["verify", "--suite", "mpk-chain", "--count", "10", "--seed", "4"]) == 0
         assert "10/10 pass" in capsys.readouterr().out
+
+    def test_flags_follow_suite_signature(self, monkeypatch, capsys):
+        seen = {}
+
+        @verify._timed
+        def seeded(count=1, seed=0):
+            seen["seeded"] = (count, seed)
+            return verify.SuiteReport("seeded", total=count)
+
+        @verify._timed
+        def exhaustive(n_max=2):
+            seen["exhaustive"] = n_max
+            return verify.SuiteReport("exhaustive", total=1)
+
+        monkeypatch.setattr(verify, "SUITES", {"seeded": seeded, "exhaustive": exhaustive})
+        assert main(["verify", "--count", "3", "--seed", "9"]) == 0
+        assert seen == {"seeded": (3, 9), "exhaustive": 2}
 
 
 class TestBench:
@@ -247,3 +291,11 @@ class TestJsonIo:
         text = path.read_text()
         assert text.startswith("# first line\n# second line\n")
         assert load_json(path) == {"a": 1}
+
+    def test_too_long_integer_refused(self, tmp_path):
+        with pytest.raises(CapExceededError):
+            dump_json({"a": 10**5000})
+        path = tmp_path / "x.json"
+        with pytest.raises(CapExceededError):
+            save_json(path, {"a": 10**5000})
+        assert not path.exists()

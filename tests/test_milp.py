@@ -465,6 +465,41 @@ class TestFormalLog:
         assert (lhs.compare(rhs) == 0) == (p1 == p2)
 
     @given(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value="1/9", max_value=9, max_denominator=9),
+                st.integers(-4, 4),
+                st.integers(-4, 4),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    def test_number_protocol(self, triples, f):
+        # a = log(pa) and b = log(pb); every operation the simplex uses must
+        # agree with the exact rational products.
+        a = LogSum.zero()
+        b = LogSum.zero()
+        pa = F(1)
+        pb = F(1)
+        for q, i, j in triples:
+            a = a + LogSum.of(q, i)
+            b = b + LogSum.of(q, j)
+            pa *= q**i
+            pb *= q**j
+        assert (a > b) == (pa > pb)
+        assert (a == b) == (pa == pb)
+        assert (a > 0) == (pa > 1)
+        assert (-a > 0) == (pa < 1)
+        assert bool(a) == (pa != 1)
+        assert ((a + b) > 0) == (pa * pb > 1)
+        assert ((a - b) > b) == (pa > pb * pb)
+        # f = n/d with d > 0: f*a > b iff n*a > d*b iff pa^n > pb^d.
+        assert (a * f > b) == (pa**f.numerator > pb**f.denominator)
+        assert bool(a * f) == (f != 0 and pa != 1)
+
+    @given(
         st.fractions(min_value="1/100", max_value=100, max_denominator=100),
         st.integers(8, 64),
     )
