@@ -1,6 +1,8 @@
 """The budget-DP row transition: the sweep's hot kernel, in NumPy.
 
-`champbribe.dp` calls `transition_compact` once per challenger row.
+`champbribe.dp` calls `transition_compact` once per challenger row.  Rows go
+in and come out as breakpoints (the budgets where the row's optimum rises),
+so its cost follows the breakpoint count, not the budget.
 """
 
 from __future__ import annotations
@@ -8,27 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def transition_compact(prev, costs, rmap, n_candidates: int):
-    """One DP row update plus rank compaction.
+def transition_compact(prev_starts, costs, rmap, budget: int):
+    """One DP row update on breakpoints.
 
-    prev: int32[B+1], rank of each budget in the previous row (-1 infeasible).
+    prev_starts: int64[K], ascending budgets where the next row's optimum
+                 rises; its value from prev_starts[r] on has rank r.
     costs: int64[L], entry prices of the current challenger.
-    rmap: int32[L, K+1], candidate rank for (entry j, previous rank r) at
-          rmap[j, r+1]; column 0 maps infeasible to -1.
-    Returns (new int32[B+1] with ranks remapped to 0..M-1, used int32[M] of
-    surviving candidate ranks in increasing order).
+    rmap: int32[L, K+1], candidate rank for (entry j, next-row rank r) at
+          rmap[j, r+1]; ranks never fall as r grows.
+    Returns (starts int64[M], used int32[M]): the new row's breakpoints and
+    the candidate rank reached at each, both strictly increasing.
     """
-    nb = prev.shape[0]
-    out = np.full(nb, -1, dtype=np.int32)
-    shifted = prev + 1
-    for j in range(costs.shape[0]):
-        c = int(costs[j])
-        if c >= nb:
-            continue
-        cand = rmap[j, shifted[: nb - c]]
-        np.maximum(out[c:], cand, out=out[c:])
-    used = np.unique(out)
-    used = used[used >= 0].astype(np.int32)
-    lut = np.full(n_candidates + 1, -1, dtype=np.int32)
-    lut[used + 1] = np.arange(len(used), dtype=np.int32)
-    return lut[out + 1], used
+    budgets = (costs[:, None] + prev_starts[None, :]).ravel()
+    ranks = rmap[:, 1:].ravel()  # column 0 (-1, infeasible) is never a candidate
+    fits = budgets <= budget
+    budgets, ranks = budgets[fits], ranks[fits]
+    order = np.lexsort((-ranks, budgets))
+    budgets, ranks = budgets[order], ranks[order]
+    rises = np.diff(np.maximum.accumulate(ranks), prepend=-1) > 0
+    return budgets[rises], ranks[rises]

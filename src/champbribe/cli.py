@@ -146,6 +146,17 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _algo_list(text: str) -> tuple[str, ...]:
+    """A comma-separated list of CBCCT solver names (an argparse type)."""
+    algos = tuple(text.split(","))
+    unknown = [a for a in algos if a not in _CBCCT_ALGOS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {', '.join(unknown)} (choose from {', '.join(_CBCCT_ALGOS)})"
+        )
+    return algos
+
+
 def _cmd_gen(args) -> int:
     if args.family == "cbcct":
         inst = generators.gen_cbcct(
@@ -213,14 +224,11 @@ def _distinct_counts(inst) -> tuple[int, int]:
 
 
 def _cmd_bench(args) -> int:
-    algos = args.algo.split(",")
-    sizes = [int(x) for x in args.n.split(",")]
-    budgets = [int(x) for x in args.budget.split(",")]
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["algo", "n", "B", "v_#", "p_#", "wall_ms", "decision"])
-    for n in sizes:
-        for budget in budgets:
+    for n in args.n:
+        for budget in args.budget:
             inst = generators.gen_cbcct(
                 args.seed,
                 n,
@@ -231,7 +239,7 @@ def _cmd_bench(args) -> int:
                 canonical=True,
             )
             v_count, p_count = _distinct_counts(inst)
-            for algo in algos:
+            for algo in args.algo:
                 start = time.perf_counter()
                 result = _CBCCT_ALGOS[algo](inst)
                 wall_ms = (time.perf_counter() - start) * 1000
@@ -302,9 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="benchmark solvers, CSV output")
-    p_bench.add_argument("--algo", default="dp")
-    p_bench.add_argument("--n", default="100,1000")
-    p_bench.add_argument("--budget", default="1000,100000")
+    p_bench.add_argument("--algo", type=_algo_list, default="dp")
+    p_bench.add_argument("--n", type=_int_list, default="100,1000")
+    p_bench.add_argument("--budget", type=_int_list, default="1000,100000")
     p_bench.add_argument("--lmax", type=int, default=4)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("-o", "--output")

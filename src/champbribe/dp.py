@@ -1,19 +1,21 @@
 """Pseudo-polynomial budget sweep for challenge-the-champ bribery.
 
 Computes, for every budget 0..B at once, the exact optimal champ win
-probability, in O(n * B * l_max) kernel steps.  The table is a suffix DP
-(row i covers challengers i..n), so a forward greedy pass afterwards
-reconstructs the lexicographically smallest optimal plan.
+probability.  The table is a suffix DP (row i covers challengers i..n), so a
+forward greedy pass afterwards reconstructs the lexicographically smallest
+optimal plan.  Each row is kept as breakpoints: the budgets where its optimum
+rises, with the value from there on.  Row i is built from the l_max shifted
+copies of row i+1's breakpoints, so the work per row is set by the breakpoint
+count of the row below times l_max, not by B.
 
 Exactness at scale comes from three layers:
 
-* All probabilities are rescaled to a common denominator L, so every cell of
-  row i is an integer numerator over L**(n-i+1) and cell comparisons are
+* All probabilities are rescaled to a common denominator L, so every value of
+  row i is an integer numerator over L**(n-i+1) and value comparisons are
   integer comparisons.
-* Within a row, distinct numerators are interned and sorted once, so the
-  per-budget inner loop compares small integer *ranks* instead of big
-  integers.  That loop is the hot kernel, the NumPy row transition in
-  `_dpkernel_py`.
+* Within a row, distinct candidate numerators are interned and sorted once,
+  so the row transition compares small integer *ranks* instead of big
+  integers.  That transition is the hot kernel, `_dpkernel_py`.
 * The interning sort orders candidates by float logarithms first and falls
   back to exact big-integer comparison inside any cluster whose float gap is
   below a certified error bound, so float error can never change a result.
@@ -108,9 +110,9 @@ def _scaled_numerator(p: Fraction, base: int) -> int:
 
 
 def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
-    """Run the suffix DP over (challenger, budget) and return the full sweep.
+    """Run the suffix DP over the challengers and return the full sweep.
 
-    Refuses instances with more than `cell_cap` table cells (B times n).
+    Refuses instances whose n times B exceeds `cell_cap`.
     """
     n = inst.num_challengers
     budget = inst.budget
@@ -126,7 +128,8 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
     chall = []
     max_log_total = 0.0
     for vec in inst.bribe_vectors:
-        costs = np.array([e.bribe for e in vec.entries], dtype=np.int64)
+        # A price above B never fits, so B + 1 stands for it (and stays in int64).
+        costs = np.array([min(e.bribe, budget + 1) for e in vec.entries], dtype=np.int64)
         nums = [_scaled_numerator(e.losing_probability, base) for e in vec.entries]
         logs = [math.log(v) if v else -math.inf for v in nums]
         finite = [abs(x) for x in logs if x != -math.inf]
@@ -135,10 +138,9 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
 
     eps = 8.0 * (n + 2) * sys.float_info.epsilon * (max_log_total + 1.0)
 
-    width = budget + 1
     rows: list = [None] * (n + 2)
     rows[n + 1] = _Row([0], [1])
-    prev_ranks = np.zeros(width, dtype=np.int32)
+    prev_starts = np.zeros(1, dtype=np.int64)
     prev_vals = [1]
     prev_logs = np.array([0.0])
 
@@ -149,9 +151,9 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
         cand_log = (np.array(lognums)[:, None] + prev_logs[None, :]).ravel()
         rank_of, reps, products = _intern_candidates(cand_log, eps, prev_vals, nums, num_prev)
         rmap = np.empty((n_entries, num_prev + 1), dtype=np.int32)
-        rmap[:, 0] = -1
+        rmap[:, 0] = -1  # kernel skips it; perfbench counts rmap.shape[1] - 1 candidates
         rmap[:, 1:] = rank_of.reshape(n_entries, num_prev)
-        new_ranks, used = _dpkernel_py.transition_compact(prev_ranks, costs, rmap, len(reps))
+        starts, used = _dpkernel_py.transition_compact(prev_starts, costs, rmap, budget)
         new_vals = []
         for u in used:
             cand = int(reps[u])
@@ -160,8 +162,8 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
                 value = prev_vals[cand % num_prev] * nums[cand // num_prev]
             new_vals.append(value)
         new_logs = cand_log[[int(reps[u]) for u in used]]
-        rows[i] = _compress_row(new_ranks, new_vals)
-        prev_ranks, prev_vals, prev_logs = new_ranks, new_vals, new_logs
+        rows[i] = _Row(starts.tolist(), new_vals)
+        prev_starts, prev_vals, prev_logs = starts, new_vals, new_logs
 
     return BudgetSweep(inst, rows, base)
 
@@ -210,15 +212,3 @@ def _intern_candidates(cand_log, eps: float, prev_vals, nums, num_prev: int):
         start = stop
     return rank_of, reps, products
 
-
-def _compress_row(ranks, values) -> _Row:
-    change = np.flatnonzero(np.diff(ranks)) + 1
-    starts = np.concatenate(([0], change))
-    out_starts = []
-    out_values = []
-    for s in starts:
-        r = int(ranks[s])
-        if r >= 0:
-            out_starts.append(int(s))
-            out_values.append(values[r])
-    return _Row(out_starts, out_values)

@@ -16,7 +16,10 @@ from .errors import CapExceededError, InstanceError
 
 def load_json(path: str | Path) -> dict:
     """Read a JSON instance file, skipping leading '#' comment lines."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text ({exc})") from exc
     lines = text.splitlines()
     body_start = 0
     for i, line in enumerate(lines):

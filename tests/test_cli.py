@@ -84,6 +84,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["solve", str(path), "--algo", "dp"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_unexpected_exception_exit_two(self, cbcct_file, monkeypatch, capsys):
         def broken(inst):
             raise RuntimeError("boom")
@@ -282,6 +290,14 @@ class TestBench:
         for row in rows[1:]:
             assert row[6] in ("yes", "no")
             assert float(row[5]) >= 0
+
+    @pytest.mark.parametrize("argv", [["--n", "x"], ["--algo", "dp,foo"]])
+    def test_malformed_list_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
 
 
 class TestJsonIo:

@@ -1,9 +1,9 @@
-"""Budget sweep internals: row compression, exactness, witnesses."""
+"""Budget sweep internals: breakpoint rows, exactness, witnesses."""
 
 from fractions import Fraction
 
 from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce
-from champbribe.core import vector
+from champbribe.core import normalize_bribe_vector, vector
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
 
@@ -29,12 +29,53 @@ def brute_sweep(inst):
     return out
 
 
+def fraction_sweep(inst):
+    """Oracle: the per-budget suffix DP in plain Fraction arithmetic."""
+    row = [Fraction(1)] * (inst.budget + 1)
+    for vec in reversed(inst.bribe_vectors):
+        new = []
+        for budget in range(inst.budget + 1):
+            options = [
+                e.losing_probability * row[budget - e.bribe]
+                for e in vec.entries
+                if e.bribe <= budget and row[budget - e.bribe] is not None
+            ]
+            new.append(max(options, default=None))
+        row = new
+    return row
+
+
 class TestBudgetSweep:
     def test_matches_enumeration_per_budget(self):
         rng = split_rng(41, "sweep")
         for idx in range(25):
             inst = gen_cbcct(41, rng.randint(0, 4), 3, rng.randint(0, 12), index=idx)
             assert budget_sweep(inst).probabilities() == brute_sweep(inst)
+
+    def test_matches_fraction_dp_beyond_brute_force(self):
+        # First prices are often nonzero, so low budgets are infeasible; the
+        # 400 and 10**6 steps lie above most or all budgets; a zero first
+        # probability (always with a cheap step above it) gives equal-value
+        # ties.  Every other instance is normalized.
+        rng = split_rng(47, "fraction-dp")
+        first_probs = ("0", "1/3", "1/2", "2/3", "5/7", "3/4", "4/5", "9/10", "1")
+        step_probs = ("1/3", "1/2", "5/7", "9/10", "1")
+        for idx in range(8):
+            vectors = []
+            for _ in range(rng.randint(20, 60)):
+                first, p0 = rng.choice((0, 0, 1, 2, 3)), rng.choice(first_probs)
+                cheap = rng.sample((5, 8, 13, 21), rng.randint(p0 == "0", 2))
+                dear = rng.sample((400, 10**6), rng.randint(0, 1))
+                vec = vector(
+                    [(first, p0)] + [(first + s, rng.choice(step_probs)) for s in sorted(cheap + dear)]
+                )
+                vectors.append(normalize_bribe_vector(vec) if idx % 2 else vec)
+            inst = CbcctInstance(tuple(vectors), rng.randint(50, 300), F(1, 2))
+            sweep = budget_sweep(inst)
+            assert sweep.probabilities() == fraction_sweep(inst)
+            for row in sweep._rows[1:]:  # one breakpoint per strict rise
+                assert all(a < b for a, b in zip(row.starts, row.starts[1:]))
+                assert all(a < b for a, b in zip(row.values, row.values[1:]))
 
     def test_non_monotone_vectors_supported(self):
         inst = CbcctInstance(

@@ -127,6 +127,17 @@ class TestDp:
         assert b.best_probability == d.best_probability == F(1, 4)
         assert b.witness == d.witness
 
+    def test_price_beyond_int64(self):
+        inst = CbcctInstance(
+            (vector([(0, "1/2"), (10**30, "1")]), vector([(1, "1/3"), (10**30, "1")])),
+            5,
+            F(1, 6),
+        )
+        b = solve_bruteforce(inst)
+        d = solve_dp(inst)
+        assert b.best_probability == d.best_probability == F(1, 6)
+        assert b.witness == d.witness == BribePlan((1, 1))
+
 
 class TestPermutationInvariance:
     def test_decision_and_value_invariant(self):
