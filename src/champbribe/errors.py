@@ -18,7 +18,7 @@ class ModelError(ChampBribeError, ValueError):
 
 
 class CapExceededError(ChampBribeError, RuntimeError):
-    """An input exceeds a configured size cap of a brute-force or DP routine."""
+    """An input exceeds a configured size or work cap of a brute-force, DP or MILP routine."""
 
 
 class ReductionError(ChampBribeError, ValueError):

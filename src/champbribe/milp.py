@@ -22,9 +22,13 @@ re-checked exactly (as a rational product inequality) whenever a candidate
 incumbent has integral values; if the approximation ever admits a spurious
 candidate, its precision is doubled and the search restarts.
 
-Simplex uses Bland's rule throughout (termination over speed), and
-branch-and-bound is depth-first with deterministic branching: lowest
-fractional integer column first, floor branch first.
+Branch and bound is depth-first with deterministic branching: lowest
+fractional integer column first, floor branch first.  Each precision
+round solves its root cold, by two-phase primal simplex with Bland's rule
+(termination over speed).  A child starts from its parent's final
+tableau with the branching bound appended as one row, which leaves the
+basis dual feasible, and is re-optimised by a dual simplex with a
+Bland-type rule.  `PIVOT_CAP` bounds the pivots of one solve.
 """
 
 from __future__ import annotations
@@ -309,18 +313,42 @@ def _is_log(c) -> bool:
     return isinstance(c, FormalLog)
 
 
+class _Pivots:
+    """Simplex pivots spent by one solve, shared by all of its tableaux."""
+
+    __slots__ = ("spent", "cap")
+
+    def __init__(self, cap: int):
+        self.spent = 0
+        self.cap = cap
+
+    def spend(self) -> None:
+        self.spent += 1
+        if self.spent > self.cap:
+            raise CapExceededError(f"the exact solve needs more than {self.cap} simplex pivots")
+
+
 class _Tableau:
-    """Sparse simplex tableau over exact rationals with Bland's rule.
+    """Sparse simplex tableau over exact rationals, maximizing.
 
     Each row is a dict from column index to its nonzero entry; a column
-    absent from a row holds zero there.  Reduced costs stay a dense list.
+    absent from a row holds zero there.  Columns are the structural ones,
+    then one slack per inequality row, then one artificial per ``>=`` or
+    ``==`` row; phase 1 drops the artificials, and each branching bound
+    appends one more slack.  `cost` holds the reduced costs (dense) and `z`
+    the objective value of the current basis; both are None until
+    `_simplex` first prices the tableau.  Every pivot is charged to
+    `pivots`, which the tableaux of one solve share.
     """
 
-    def __init__(self, rows, num_structural: int):
+    def __init__(self, rows, num_structural: int, pivots: _Pivots):
         # rows: (sparse coeffs {col: nonzero} over structural cols, relation,
-        # Fraction rhs).  Pivots mutate rows in place, and the caller's rows
-        # are shared by every branch-and-bound node, so each is copied here.
+        # Fraction rhs).  Pivots mutate rows in place, so each is copied here
+        # and the caller's rows stay as they were.
         self.n = num_structural
+        self.pivots = pivots
+        self.cost = None
+        self.z = None
         norm = []
         for coeffs, rel, rhs in rows:
             if rhs < 0:
@@ -355,7 +383,17 @@ class _Tableau:
             self.body.append(row)
             self.rhs.append(rhs)
 
-    def _pivot(self, i: int, j: int, cost, zbox) -> None:
+    def copy(self) -> "_Tableau":
+        twin = object.__new__(_Tableau)
+        twin.__dict__.update(self.__dict__)
+        twin.body = [dict(row) for row in self.body]
+        twin.rhs = self.rhs[:]
+        twin.basis = self.basis[:]
+        twin.cost = self.cost[:]
+        return twin
+
+    def _pivot(self, i: int, j: int) -> None:
+        self.pivots.spend()
         body, rhs = self.body, self.rhs
         piv = body[i][j]
         if piv != 1:
@@ -379,12 +417,29 @@ class _Tableau:
                     else:
                         del row[l]
             rhs[k] += f * rhs[i]
-        _eliminate(cost, zbox, cost[j], row_i, rhs[i])
+        self._eliminate(self.cost[j], row_i, rhs[i])
         self.basis[i] = j
 
-    def run(self, cost, zbox, allowed: int) -> str:
-        """Maximize; `cost` holds reduced costs over columns < allowed."""
-        body, rhs = self.body, self.rhs
+    def _eliminate(self, cb, row: dict, rhs) -> None:
+        """Subtract cb times a basic row from the reduced costs and objective."""
+        if not cb:
+            return
+        cost = self.cost
+        for l, x in row.items():
+            cost[l] -= cb * x
+        self.z += cb * rhs
+
+    def price(self, objective) -> None:
+        """Reduced costs of `objective` (zero past it) for the current basis."""
+        zero = objective[0] * 0 if objective else Fraction(0)
+        self.cost = list(objective) + [zero] * (self.total - len(objective))
+        self.z = zero
+        for i, b in enumerate(self.basis):
+            self._eliminate(self.cost[b], self.body[i], self.rhs[i])
+
+    def primal(self, allowed: int) -> str:
+        """Primal simplex with Bland's rule; columns >= allowed never enter."""
+        body, rhs, cost = self.body, self.rhs, self.cost
         while True:
             enter = -1
             for j in range(allowed):
@@ -406,70 +461,100 @@ class _Tableau:
                         leave = i
             if leave < 0:
                 return UNBOUNDED
-            self._pivot(leave, enter, cost, zbox)
+            self._pivot(leave, enter)
 
+    def dual(self) -> str:
+        """Dual simplex from a dual feasible basis, with a Bland-type rule.
 
-def _eliminate(cost, zbox, cb, row: dict, rhs) -> None:
-    """Subtract cb times a basic row from the reduced costs and objective."""
-    if not cb:
-        return
-    for l, x in row.items():
-        cost[l] -= cb * x
-    zbox[0] += cb * rhs
+        The leaving row is the one with a negative rhs whose basic column is
+        lowest; the entering column has a negative entry there and the least
+        ratio cost / entry, the lowest column winning ties.  A leaving row
+        with no such column proves the LP infeasible.
+        """
+        body, rhs, basis, cost = self.body, self.rhs, self.basis, self.cost
+        while True:
+            leave = -1
+            for i, b in enumerate(rhs):
+                if b < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                return OPTIMAL
+            row = body[leave]
+            enter = -1
+            best = None
+            for l in sorted(l for l, a in row.items() if a < 0):
+                ratio = cost[l] * (1 / row[l])
+                if best is None or best > ratio:
+                    best = ratio
+                    enter = l
+            if enter < 0:
+                return INFEASIBLE
+            self._pivot(leave, enter)
 
-
-def _simplex(rows, objective, num_vars: int):
-    """Two-phase exact simplex, maximizing.
-
-    rows: (sparse coeffs {col: nonzero}, relation, Fraction rhs) triples.
-    objective: list of Fraction, or of LogSum for a formal-log objective.
-    Returns (status, assignment tuple of Fraction or None).
-    """
-    if num_vars == 0:
-        for coeffs, rel, rhs in rows:
-            ok = {LE: 0 <= rhs, GE: 0 >= rhs, EQ: rhs == 0}[rel]
-            if not ok:
-                return INFEASIBLE, None
-        return OPTIMAL, ()
-
-    tab = _Tableau(rows, num_vars)
-
-    if tab.art_start < tab.total:
-        # Phase 1: maximize -sum(artificials).
-        cost = [Fraction(0)] * tab.total
-        zbox = [Fraction(0)]
-        for i, b in enumerate(tab.basis):
-            if b >= tab.art_start:
-                for l, x in tab.body[i].items():
-                    if l < tab.art_start:
-                        cost[l] += x
-                zbox[0] -= tab.rhs[i]
-        status = tab.run(cost, zbox, tab.art_start)
-        if status != OPTIMAL or zbox[0] != 0:
-            return INFEASIBLE, None
-        # Drive leftover artificials out of the basis (or drop redundant rows).
-        for i in range(len(tab.body) - 1, -1, -1):
-            if tab.basis[i] < tab.art_start:
+    def end_phase_one(self) -> None:
+        """Drive leftover artificials out of the basis (or drop their redundant
+        rows), then drop the artificial columns."""
+        art = self.art_start
+        for i in range(len(self.body) - 1, -1, -1):
+            if self.basis[i] < art:
                 continue
-            pivot_col = min((l for l in tab.body[i] if l < tab.art_start), default=None)
+            pivot_col = min((l for l in self.body[i] if l < art), default=None)
             if pivot_col is None:
-                del tab.body[i], tab.rhs[i], tab.basis[i]
+                del self.body[i], self.rhs[i], self.basis[i]
             else:
-                tab._pivot(i, pivot_col, cost, zbox)
-        # Artificial columns stay but are barred from entering below.
+                self._pivot(i, pivot_col)
+        for row in self.body:
+            for l in [l for l in row if l >= art]:
+                del row[l]
+        self.total = art
 
-    # Phase 2: reduced costs of the objective for the current basis.
-    zero = objective[0] * 0
-    cost = list(objective) + [zero] * (tab.total - num_vars)
-    zbox = [zero]
+    def add_bound(self, j: int, relation: str, value: Fraction) -> None:
+        """Append x_j <= value (LE) or x_j >= value (GE) for a basic column j.
+
+        The row is written in the current basis: x_j's row substituted for
+        x_j, plus a new slack, which is basic and may be negative.  Reduced
+        costs do not change, so an optimal tableau stays dual feasible.
+        """
+        sign = 1 if relation == LE else -1
+        r = self.basis.index(j)
+        s = self.total
+        self.total += 1
+        self.cost.append(self.z * 0)
+        row = {l: -sign * x for l, x in self.body[r].items() if l != j}
+        row[s] = Fraction(1)
+        self.body.append(row)
+        self.rhs.append(sign * (value - self.rhs[r]))
+        self.basis.append(s)
+
+
+def _simplex(tab: _Tableau, objective):
+    """Optimise `tab` in place, maximizing; return (status, assignment or None).
+
+    A fresh tableau (slack and artificial basis, not yet priced) is solved
+    cold: phase 1, then phase 2 on `objective` (a list of Fraction, or of
+    LogSum for a formal-log objective), both by primal simplex with Bland's
+    rule.  A tableau that has been solved to optimality and then given a
+    bound by `add_bound` keeps its reduced costs, which are still dual
+    feasible, and is re-optimised by the dual simplex; `objective` is
+    already priced into it.
+    """
+    if tab.cost is not None:
+        status = tab.dual()
+    else:
+        if tab.art_start < tab.total:
+            # Phase 1: maximize -sum(artificials).
+            num_art = tab.total - tab.art_start
+            tab.price([Fraction(0)] * tab.art_start + [Fraction(-1)] * num_art)
+            if tab.primal(tab.art_start) != OPTIMAL or tab.z != 0:
+                return INFEASIBLE, None
+            tab.end_phase_one()
+        tab.price(objective)
+        status = tab.primal(tab.total)
+    if status != OPTIMAL:
+        return status, None
+    values = [Fraction(0)] * tab.n
     for i, b in enumerate(tab.basis):
-        _eliminate(cost, zbox, cost[b], tab.body[i], tab.rhs[i])
-    status = tab.run(cost, zbox, tab.art_start)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None
-    values = [Fraction(0)] * num_vars
-    for i, b in enumerate(tab.basis):
-        if b < num_vars:
+        if b < tab.n:
             values[b] = tab.rhs[i]
     return OPTIMAL, tuple(values)
 
@@ -517,12 +602,13 @@ def _objective_value(model: MilpModel, assignment: Sequence[Fraction]):
 def solve_lp_exact(model: MilpModel) -> MilpSolution:
     """Optimal vertex of the LP relaxation (integrality flags ignored).
 
-    Exact two-phase simplex with Bland's anti-cycling rule.  Objectives may
-    carry formal-log coefficients; constraint rows must be rational.
+    Exact two-phase simplex with Bland's anti-cycling rule, within
+    `PIVOT_CAP` pivots.  Objectives may carry formal-log coefficients;
+    constraint rows must be rational.
     """
-    rows = _model_lp_rows(model)
+    tab = _Tableau(_model_lp_rows(model), model.num_variables, _Pivots(PIVOT_CAP))
     objective = _objective_vector(model, negate=model.objective.sense == "min")
-    status, assignment = _simplex(rows, objective, model.num_variables)
+    status, assignment = _simplex(tab, objective)
     if status != OPTIMAL:
         return MilpSolution(status)
     return MilpSolution(OPTIMAL, assignment, _objective_value(model, assignment))
@@ -531,9 +617,12 @@ def solve_lp_exact(model: MilpModel) -> MilpSolution:
 # -- branch and bound ----------------------------------------------------------
 
 # Bits of the first log-row approximation, doubled per restart, and the most
-# restarts before `solve_milp` gives up.
+# restarts before `solve_milp` gives up.  One `solve_milp` (or
+# `solve_lp_exact`) call spends at most `PIVOT_CAP` simplex pivots over all
+# its rounds and nodes, then raises `CapExceededError`.
 LOG_START_BITS = 128
 LOG_MAX_ROUNDS = 24
+PIVOT_CAP = 10**5
 
 
 class _NeedsMorePrecision(Exception):
@@ -586,6 +675,7 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     Integer variables must carry finite upper bounds.  Branching is
     deterministic: depth-first, lowest fractional integer column first,
     floor branch first.  An unbounded relaxation is reported as unbounded.
+    More than `PIVOT_CAP` pivots in all raise `CapExceededError`.
     """
     for v in model.variables:
         if v.is_integer and v.upper is None:
@@ -593,15 +683,17 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     plain_rows, log_rows = _split_log_rows(model)
     base_model = MilpModel(model.variables, tuple(plain_rows), model.objective)
     bits = LOG_START_BITS
+    pivots = _Pivots(PIVOT_CAP)
     for _ in range(LOG_MAX_ROUNDS):
         try:
-            return _branch_and_bound(model, base_model, log_rows, bits)
+            return _branch_and_bound(model, base_model, log_rows, bits, pivots)
         except _NeedsMorePrecision:
             bits *= 2
     raise SolverError("log-row approximation failed to converge")
 
 
-def _branch_and_bound(model, base_model, log_rows, bits: int) -> MilpSolution:
+def _branch_and_bound(model, base_model, log_rows, bits: int, pivots: _Pivots) -> MilpSolution:
+    """One precision round: a cold root, then children re-optimised warm."""
     n = model.num_variables
     objective = _objective_vector(base_model, negate=model.objective.sense == "min")
     approx = [_approx_log_row(sup, rhs, bits) for sup, rhs in log_rows]
@@ -610,27 +702,30 @@ def _branch_and_bound(model, base_model, log_rows, bits: int) -> MilpSolution:
 
     incumbent = None
     incumbent_val = None
-    stack: list[tuple] = [()]
-    while stack:
-        bound_rows = stack.pop()
-        status, assignment = _simplex(base_rows + list(bound_rows), objective, n)
+    nodes = [_Tableau(base_rows, n, pivots)]
+    while nodes:
+        tab = nodes.pop()
+        status, assignment = _simplex(tab, objective)
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:
             return MilpSolution(UNBOUNDED)
-        node_val = _dot(objective, assignment)
-        if incumbent_val is not None and not node_val > incumbent_val:
+        if incumbent_val is not None and not tab.z > incumbent_val:
             continue
         frac_col = next((j for j in int_cols if assignment[j].denominator != 1), None)
         if frac_col is not None:
+            # Both children start from this optimal tableau: the ceiling one
+            # from a copy, the floor one (explored first) in place.
             v = assignment[frac_col] // 1
-            stack.append(bound_rows + (({frac_col: 1}, GE, Fraction(v + 1)),))
-            stack.append(bound_rows + (({frac_col: 1}, LE, Fraction(v)),))
+            ceil = tab.copy()
+            ceil.add_bound(frac_col, GE, Fraction(v + 1))
+            tab.add_bound(frac_col, LE, Fraction(v))
+            nodes += (ceil, tab)
             continue
         if not all(_log_row_satisfied(sup, rhs, assignment) for sup, rhs in log_rows):
             raise _NeedsMorePrecision
         incumbent = assignment
-        incumbent_val = node_val
+        incumbent_val = tab.z
     if incumbent is None:
         return MilpSolution(INFEASIBLE)
     return MilpSolution(OPTIMAL, incumbent, _objective_value(model, incumbent))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from champbribe import CapExceededError, cli, verify
+from champbribe import CapExceededError, cli, milp, verify
 from champbribe.cli import main
 from champbribe.jsonio import dump_json, load_json, save_json
 
@@ -99,6 +99,14 @@ class TestSolve:
         monkeypatch.setitem(cli._CBCCT_ALGOS, "dp", broken)
         assert main(["solve", str(cbcct_file), "--algo", "dp"]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == "error: RuntimeError: boom"
+
+    def test_pivot_cap_exit_two(self, cbcct_file, monkeypatch, capsys):
+        monkeypatch.setattr(milp, "PIVOT_CAP", 1)
+        assert main(["solve", str(cbcct_file), "--algo", "fpt-probs"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "pivots" in captured.err
 
     def test_cup_brute(self, cbcct_file, tmp_path, capsys):
         cup_path = tmp_path / "cup.json"

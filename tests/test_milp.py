@@ -20,7 +20,8 @@ from champbribe import (
     solve_lp_exact,
     solve_milp,
 )
-from champbribe.milp import ln_bounds
+from champbribe import milp
+from champbribe.milp import EQ, GE, LE, _dot, _Pivots, _simplex, _Tableau, ln_bounds
 
 
 def F(*args):
@@ -417,6 +418,129 @@ class TestSolveMilp:
             else:
                 assert got.status == "optimal"
                 assert got.objective_value == best
+
+    def test_lattice_oracle_log_objective(self):
+        # Deeper pure-integer models (n <= 5) with a formal-log objective:
+        # the optimum must be the largest product prod(q_j ** x_j) over the
+        # feasible lattice points, compared exactly.
+        import itertools
+        import math
+        import random
+
+        rng = random.Random(78)
+        pool = (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(1), F(4, 3), F(3, 2))
+        for _ in range(30):
+            n = rng.randint(3, 5)
+            ub = rng.randint(1, 3)
+            rows = [
+                (
+                    tuple(F(rng.randint(-3, 3)) for _ in range(n)),
+                    rng.choice(("<=", "<=", ">=")),
+                    F(rng.randint(-3, 9), rng.randint(1, 2)),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            qs = [rng.choice(pool) for _ in range(n)]
+            m = model(
+                [(f"x{j}", True, ub) for j in range(n)], rows, tuple(FormalLog(q) for q in qs)
+            )
+            got = solve_milp(m)
+            best = None
+            for point in itertools.product(range(ub + 1), repeat=n):
+                if _feasible([(dict(enumerate(c)), rel, rhs) for c, rel, rhs in rows], point):
+                    value = math.prod((q**v for q, v in zip(qs, point)), start=F(1))
+                    best = value if best is None else max(best, value)
+            if best is None:
+                assert got.status == "infeasible"
+                continue
+            assert got.status == "optimal"
+            assert all(x.denominator == 1 for x in got.assignment)
+            value = math.prod((q ** int(x) for q, x in zip(qs, got.assignment)), start=F(1))
+            assert value == best
+            assert got.objective_value == LogSum.of(best)
+
+    def test_pivot_cap(self, monkeypatch):
+        # The LP relaxation takes 3 pivots from the slack basis and its
+        # optimum y = 5/2 needs branching, whose dual pivots count as well.
+        m = model(
+            [("x", True, 10), ("y", True, 10)],
+            [((F(2), F(2)), "<=", F(5)), ((F(3), F(-2)), "<=", F(2))],
+            (F(1), F(2)),
+        )
+        assert solve_milp(m).assignment == (0, 2)
+        monkeypatch.setattr(milp, "PIVOT_CAP", 3)
+        assert solve_lp_exact(m).assignment == (0, F(5, 2))
+        with pytest.raises(CapExceededError):
+            solve_milp(m)
+        monkeypatch.setattr(milp, "PIVOT_CAP", 2)
+        with pytest.raises(CapExceededError):
+            solve_lp_exact(m)
+
+
+class TestWarmStart:
+    """A child re-optimised by dual simplex from its parent's final tableau
+    agrees with a cold two-phase solve of the same rows plus its bounds."""
+
+    def _check(self, seed, objective_of, cases):
+        import random
+
+        rng = random.Random(seed)
+        seen = {"artificials": 0, "infeasible": 0, "warm": 0}
+        for _ in range(cases):
+            n = rng.randint(1, 4)
+            rows = [
+                (
+                    {j: c for j in range(n) if (c := F(rng.randint(-3, 3)))},
+                    rng.choice((LE, LE, GE, EQ)),
+                    F(rng.randint(-2, 8), rng.randint(1, 2)),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            rows += [({j: F(1)}, LE, F(rng.randint(1, 6))) for j in range(n)]
+            objective = objective_of(rng, n)
+            tab = _Tableau(rows, n, _Pivots(milp.PIVOT_CAP))
+            seen["artificials"] += tab.art_start < tab.total
+            status, x = _simplex(tab, objective)
+            bounds = []
+            while status == "optimal" and len(bounds) < 4:
+                basic = [b for b in tab.basis if b < n]
+                if not basic:
+                    break
+                j = rng.choice(basic)
+                if rng.random() < 0.5:
+                    bound = ({j: F(1)}, LE, x[j] // 1 - rng.randint(0, 1))
+                else:
+                    bound = ({j: F(1)}, GE, -(-x[j] // 1) + rng.randint(0, 1))
+                bound = (bound[0], bound[1], F(bound[2]))
+                bounds.append(bound)
+                tab.add_bound(j, bound[1], bound[2])
+                status, x = _simplex(tab, objective)
+                cold = _Tableau(rows + bounds, n, _Pivots(milp.PIVOT_CAP))
+                cold_status, cold_x = _simplex(cold, objective)
+                seen["warm"] += 1
+                assert status == cold_status
+                if status == "infeasible":
+                    seen["infeasible"] += 1
+                    continue
+                assert status == "optimal"
+                assert _feasible(rows + bounds, x)
+                assert tab.z == cold.z == _dot(objective, x) == _dot(objective, cold_x)
+        assert min(seen.values()) > 0, seen
+
+    def test_rational_objective(self):
+        self._check(11, lambda rng, n: [F(rng.randint(-3, 3)) for _ in range(n)], 150)
+
+    def test_log_objective(self):
+        pool = (F(1, 3), F(1, 2), F(3, 4), F(1), F(5, 4), F(2))
+        self._check(12, lambda rng, n: [LogSum.of(rng.choice(pool)) for _ in range(n)], 100)
+
+
+def _feasible(rows, x):
+    for coeffs, rel, rhs in rows:
+        lhs = sum(c * x[j] for j, c in coeffs.items())
+        if not {LE: lhs <= rhs, GE: lhs >= rhs, EQ: lhs == rhs}[rel]:
+            return False
+    return all(v >= 0 for v in x)
 
 
 # -- formal logarithms --------------------------------------------------------
