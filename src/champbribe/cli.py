@@ -28,7 +28,7 @@ from .knapsack import (
     pkp_from_dict,
     pkp_to_dict,
 )
-from .rational import format_rational, parse_rational
+from .rational import check_field, format_rational, parse_rational
 from .reductions import cbcct_to_cup, ksum_to_pkp, mpk_to_cbcct, pkp_to_mpk, shift_ksum
 from .solvers import (
     bribe_value_set,
@@ -194,6 +194,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count is not None:
+        check_field(args.count, "--count")
     names = args.suite.split(",") if args.suite != "all" else list(verify.SUITES)
     all_passed = True
     for name in names:

@@ -8,6 +8,12 @@ rises, with the value from there on.  Row i is built from the l_max shifted
 copies of row i+1's breakpoints, so the work per row is set by the breakpoint
 count of the row below times l_max, not by B.
 
+A sweep is read through its top row.  `BudgetSweep.frontier()` lists that
+row's breakpoints as (budget, probability) pairs; `best_at` and
+`min_cost_for` bisect it for one budget or one threshold; `witness` walks the
+rows down.  Product knapsack (`knapsack.solve_pkp_dp`) runs on this same DP,
+one two-entry challenger per item.
+
 Exactness at scale comes from three layers:
 
 * All probabilities are rescaled to a common denominator L, so every value of
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -70,14 +76,40 @@ class BudgetSweep:
             raise ValueError(f"budget {budget} outside the computed range 0..{self._inst.budget}")
         return budget
 
+    def frontier(self) -> list[tuple[int, Fraction]]:
+        """The sweep's breakpoints: (least budget, optimal probability from there on).
+
+        Both the budgets and the probabilities rise strictly, so two sweeps
+        over the same budget range are equal exactly when their frontiers are.
+        """
+        top = self._rows[1]
+        return [(cost, Fraction(num, self._denom)) for cost, num in zip(top.starts, top.values)]
+
     def best_at(self, budget: int | None = None) -> Fraction | None:
         """Optimal win probability with total bribes <= budget; None if no plan fits."""
         num = self._rows[1].value_at(self._clamp(budget))
         return None if num is None else Fraction(num, self._denom)
 
+    def min_cost_for(self, threshold: Fraction) -> int | None:
+        """Least budget <= B whose optimum reaches `threshold`; None if none does.
+
+        Bisects the top row's integer numerators against the threshold scaled
+        to the common denominator, rounded up, so no per-breakpoint Fraction is built.
+        """
+        threshold = Fraction(threshold)
+        least = -(-threshold.numerator * self._denom // threshold.denominator)
+        top = self._rows[1]
+        idx = bisect_left(top.values, least)
+        return top.starts[idx] if idx < len(top.starts) else None
+
     def probabilities(self) -> list[Fraction | None]:
-        """The full sweep: optimal probability for each budget 0..B."""
-        return [self.best_at(b) for b in range(self._inst.budget + 1)]
+        """The full sweep expanded from the frontier: one probability per budget 0..B."""
+        points = self.frontier()
+        out: list[Fraction | None] = [None] * (points[0][0] if points else self.budget + 1)
+        ends = [cost for cost, _ in points[1:]] + [self.budget + 1]
+        for (cost, prob), end in zip(points, ends):
+            out.extend([prob] * (end - cost))
+        return out
 
     def witness(self, budget: int | None = None) -> BribePlan | None:
         """Lexicographically smallest optimal plan at the given budget."""

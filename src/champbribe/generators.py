@@ -26,6 +26,10 @@ from .rational import check_field
 # 8192 bits is 2467 digits, inside Python's default int-to-str digit limit.
 KSUM_BITS_CAP = 1 << 13
 
+# Most pairwise bribe vectors `gen_cup` draws.  C(2**rounds, 2) grows as
+# 4**rounds; 2**16 allows up to 8 rounds (256 players, 32 640 pairs).
+CUP_PAIRS_CAP = 1 << 16
+
 DEFAULT_VALUE_POOL: tuple[int, ...] = (0, 1, 2, 3, 5)
 DEFAULT_PROB_POOL: tuple[Fraction, ...] = (
     Fraction(1, 4),
@@ -87,6 +91,8 @@ def gen_cbcct(
     With `canonical` set, every vector starts with a zero-price entry (the
     no-bribe baseline), so the all-first plan is always affordable.
     """
+    check_field(n, "n")
+    check_field(lmax, "lmax", 1)
     if not value_pool or not prob_pool:
         raise InstanceError("value and probability pools must be nonempty")
     if lmax > len(set(value_pool)):
@@ -169,6 +175,7 @@ def gen_ksum(
 
     A default n^2k of more than `KSUM_BITS_CAP` bits raises `CapExceededError`.
     """
+    check_field(n, "n")
     mag = 1 << KSUM_BITS_CAP if magnitude is None else check_field(magnitude, "magnitude")
     bound = ksum_bound(n, check_field(k, "k"), mag)
     if magnitude is None:
@@ -223,6 +230,8 @@ def gen_mpk(
     """
     if not class_sizes:
         raise InstanceError("need at least one color class")
+    for size in class_sizes:
+        check_field(size, "class size", 1)
     if max(class_sizes) > len(set(weight_pool)):
         raise InstanceError("class size exceeds distinct weight pool values")
     profits = [Fraction(p) for p in profit_pool]
@@ -265,6 +274,7 @@ def gen_pkp(
     index: int = 0,
 ) -> PkpInstance:
     """Random product knapsack; profits may exceed 1."""
+    check_field(n, "n")
     rng = split_rng(seed, "pkp", index)
     items = tuple(
         PkpItem(rng.randint(*weight_range), rng.choice(list(profit_pool)))
@@ -290,7 +300,18 @@ def gen_cup(
     *,
     index: int = 0,
 ) -> CupInstance:
-    """Random cup instance on 2**rounds players with full pairwise vectors."""
+    """Random cup instance on 2**rounds players with full pairwise vectors.
+
+    More than `CUP_PAIRS_CAP` pairwise vectors raises `CapExceededError`
+    before anything is drawn.
+    """
+    check_field(rounds, "rounds")
+    check_field(lmax, "lmax", 1)
+    players = 1 << min(rounds, 64)  # 2**64 players already exceed any cap
+    if players * (players - 1) // 2 > CUP_PAIRS_CAP:
+        raise CapExceededError(
+            f"a cup of {rounds} rounds needs more than {CUP_PAIRS_CAP} pairwise vectors"
+        )
     if lmax > len(set(value_pool)):
         raise InstanceError("lmax exceeds distinct value pool size")
     rng = split_rng(seed, "cup", index)

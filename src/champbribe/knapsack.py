@@ -1,11 +1,14 @@
 """Product knapsack, its multicolored variant, and small k-sum.
 
-These three problems and their brute-force/pseudo-polynomial solvers serve as
-oracles for the reduction chain: every instance transformer in
-`champbribe.reductions` is verified by solving source and target with the
-routines here.  Profits are positive rationals (slightly more general than
-natural numbers) so that reduction outputs compose exactly without any lossy
-integer rescaling.
+These three problems and their brute-force solvers serve as oracles for the
+reduction chain: every instance transformer in `champbribe.reductions` is
+verified by solving source and target with the routines here.  Profits are
+positive rationals (slightly more general than natural numbers) so that
+reduction outputs compose exactly without any lossy integer rescaling.
+
+Product knapsack's pseudo-polynomial solver, `solve_pkp_dp`, holds no DP of
+its own: it rewrites the items as two-entry challengers and runs the budget
+DP of `champbribe.dp`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .core import BribeEntry, BribeVector, CbcctInstance
 from .errors import CapExceededError, InstanceError
 from .rational import check_field, format_rational, parse_rational
 
@@ -159,24 +163,38 @@ def solve_pkp_bruteforce(inst: PkpInstance, max_items: int = 24) -> PkpResult:
 
 
 def solve_pkp_dp(inst: PkpInstance, cell_cap: int = 10**6) -> PkpResult:
-    """Pseudo-polynomial table over weights 0..C; agrees with brute force."""
-    if inst.capacity > cell_cap:
-        raise CapExceededError(f"capacity {inst.capacity} exceeds the DP cap of {cell_cap}")
-    width = inst.capacity + 1
-    # Per weight bound: (best product, selection bitmask); masks break ties.
-    best: list[Fraction] = [Fraction(1)] * width
-    mask: list[int] = [0] * width
-    for i, item in enumerate(inst.items):
-        bit = 1 << i
-        prev_best = list(best)
-        prev_mask = list(mask)
-        for w in range(item.weight, width):
-            cand = prev_best[w - item.weight] * item.profit
-            if cand > best[w] or (cand == best[w] and prev_mask[w - item.weight] | bit < mask[w]):
-                best[w] = cand
-                mask[w] = prev_mask[w - item.weight] | bit
-    product, chosen = best[inst.capacity], mask[inst.capacity]
-    witness = tuple(i for i in range(len(inst.items)) if chosen >> i & 1)
+    """Product knapsack on the budget DP of `champbribe.dp`; equals brute force.
+
+    Item i becomes a challenger with the entries skip (0, 1/m) and take
+    (w_i, p_i/m), m = max(1, p_i), so both are probabilities; a zero-weight
+    item keeps only its better entry.  The optimum is scaled back by the
+    product of the m.  The challengers come in reverse item order, so the
+    DP's lexicographically smallest optimal plan is the optimal subset of
+    smallest bitmask, brute force's tie rule.  `cell_cap` bounds n * C.
+    """
+    # Imported on call: loading the DP (and NumPy) ahead of the MILP modules
+    # raises the peak RSS of `import champbribe` by about 2 MB.
+    from . import dp
+
+    vectors = []
+    scale = Fraction(1)
+    for item in reversed(inst.items):
+        m = max(Fraction(1), item.profit)
+        scale *= m
+        skip, take = BribeEntry(0, 1 / m), BribeEntry(item.weight, item.profit / m)
+        if item.weight:
+            vectors.append(BribeVector((skip, take)))
+        else:
+            vectors.append(BribeVector((take if item.profit > 1 else skip,)))
+    tournament = CbcctInstance(tuple(vectors), inst.capacity, Fraction(0))
+    sweep = dp.budget_sweep(tournament, cell_cap=cell_cap)
+    product = sweep.best_at() * scale
+    choices = reversed(sweep.witness().choices)
+    witness = tuple(
+        i
+        for i, (item, j) in enumerate(zip(inst.items, choices))
+        if j == 2 or (item.weight == 0 and item.profit > 1)
+    )
     return PkpResult(product, witness, product >= inst.target)
 
 

@@ -11,6 +11,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import generators
 from .core import BribePlan, CbcctInstance, evaluate_plan, normalize_instance
@@ -41,6 +42,7 @@ from .reductions import (
     cup_choices_from_plan,
     ksum_to_pkp,
     mpk_to_cbcct,
+    pkp_to_mpk,
     shift_ksum,
     verify_reduction,
 )
@@ -131,7 +133,11 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
 
 @_timed
 def suite_normalization(count: int = 200, seed: int = 1) -> SuiteReport:
-    """Normalizing vectors never changes the optimum at any budget 0..B."""
+    """Normalizing vectors never changes the optimum at any budget 0..B.
+
+    Frontiers are canonical, so comparing the two sweeps' frontiers compares
+    every budget.
+    """
     report = SuiteReport("normalization-equivalence", total=count)
     rng = generators.split_rng(seed, "norm-params")
     for idx in range(count):
@@ -142,12 +148,14 @@ def suite_normalization(count: int = 200, seed: int = 1) -> SuiteReport:
         if all(v.monotone for v in inst.bribe_vectors):
             report.failures.append(f"instance {idx}: not actually non-monotone")
             continue
-        before = budget_sweep(inst).probabilities()
-        after = budget_sweep(normalize_instance(inst)).probabilities()
+        before = budget_sweep(inst).frontier()
+        after = budget_sweep(normalize_instance(inst)).frontier()
         if before != after:
+            # Below the first differing breakpoint the sweeps agree; at its budget they differ.
+            i = next(i for i, (a, b) in enumerate(zip_longest(before, after)) if a != b)
             report.failures.append(
-                f"instance {idx}: sweep changed under normalization "
-                f"(first diff at budget {next(b for b in range(budget + 1) if before[b] != after[b])})"
+                f"instance {idx}: sweep changed under normalization (first diff at budget "
+                f"{min(cost for cost, _ in before[i : i + 1] + after[i : i + 1])})"
             )
     return report
 
@@ -194,8 +202,8 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
     the rest have n in 20..40, a threshold drawn at B = 1000n and a budget
     cut to a random B <= 200n, so both decisions occur.  On every instance
     the fpt-bribes optimum must equal `best_at(B)`.  On the small ones the
-    fpt-probs witness must cost exactly min{b : best_at(b) >= threshold},
-    and on a "no" no b <= B may reach the threshold.
+    fpt-probs witness must cost exactly `min_cost_for(threshold)`, the least
+    b with best_at(b) >= threshold, and on a "no" no b <= B may reach it.
     """
     report = SuiteReport("value-agreement", total=count)
     rng = generators.split_rng(seed, "value-params")
@@ -219,10 +227,7 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
         _check_witness(report, f"{label} fpt-bribes", inst, bribes)
         if large:
             continue
-        need = next(
-            (b for b, p in enumerate(sweep.probabilities()) if p is not None and p >= inst.threshold),
-            None,
-        )
+        need = sweep.min_cost_for(inst.threshold)
         probs = solve_fpt_prob_values(inst)
         yes += probs.decision
         no += not probs.decision
@@ -300,12 +305,14 @@ def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) ->
 
 @_timed
 def suite_ksum_chain(n_max: int = 6, magnitude: int = 3) -> SuiteReport:
-    """Exhaustive k-sum -> shifted -> product-knapsack decision preservation.
+    """Exhaustive k-sum -> shifted -> product knapsack -> multicolored knapsack.
 
     Covers every value multiset with n <= n_max, |s_i| <= magnitude, and
-    k in {2, 3}; both decisions depend only on the multiset, so this covers
-    all instances in that range.  Chain mismatches on instances below the
-    k >= 4 regime are reported but are not failures.
+    k in {2, 3}; every decision depends only on the multiset, so this covers
+    all instances in that range.  The k-sum legs must keep the decision;
+    their mismatches on instances below the k >= 4 regime are reported but
+    are not failures.  The pkp -> mpk leg must keep the decision and the
+    optimal product on every instance.
     """
     from itertools import combinations_with_replacement
 
@@ -326,21 +333,20 @@ def suite_ksum_chain(n_max: int = 6, magnitude: int = 3) -> SuiteReport:
                 if src.decision != mid.decision:
                     report.failures.append(f"{label}: shift changed the decision")
                     continue
-                chain = verify_reduction(
-                    shifted,
-                    ksum_to_pkp(shifted),
-                    solve_small_ksum_bruteforce,
-                    solve_pkp_bruteforce,
-                )
-                if not chain.equivalent:
-                    note = (
-                        f"{label}: k-sum says {chain.source_decision}, "
-                        f"knapsack says {chain.target_decision}"
-                    )
+                knapsack = ksum_to_pkp(shifted)
+                pkp = solve_pkp_bruteforce(knapsack)
+                if pkp.decision != mid.decision:
+                    note = f"{label}: k-sum says {mid.decision}, knapsack says {pkp.decision}"
                     if chain_preconditions_met(shifted):
                         report.failures.append(note)
                     else:
                         precondition_mismatches.append(note)
+                mpk = solve_mpk_bruteforce(pkp_to_mpk(knapsack))
+                if (mpk.decision, mpk.best_product) != (pkp.decision, pkp.best_product):
+                    report.failures.append(
+                        f"{label}: knapsack says {pkp.decision} at {pkp.best_product}, "
+                        f"multicolored knapsack says {mpk.decision} at {mpk.best_product}"
+                    )
     report.details["precondition_mismatches"] = precondition_mismatches
     return report
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -232,6 +233,35 @@ class TestGen:
         assert data["k"] == 10**9 and all(abs(s) <= 5 for s in data["numbers"])
 
     @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["gen", "cbcct", "--n", "-1"], "n"),
+            (["gen", "pkp", "--n", "-2"], "n"),
+            (["gen", "ksum", "--n", "-1"], "n"),
+            (["bench", "--n", "-1"], "n"),
+            (["gen", "cbcct", "--lmax", "0"], "lmax"),
+            (["gen", "cup", "--lmax", "0"], "lmax"),
+            (["gen", "mpk", "--class-sizes", "0"], "class size"),
+            (["gen", "mpk", "--class-sizes", "2,-1"], "class size"),
+            (["gen", "cup", "--rounds", "-1"], "rounds"),
+        ],
+    )
+    def test_bad_size_exit_two(self, argv, field, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} must be an integer >= ")
+        assert "Traceback" not in captured.err
+
+    def test_cup_pair_cap_exits_two_promptly(self, capsys):
+        # 40 rounds would need C(2**40, 2) pairwise vectors; none is drawn.
+        start = time.perf_counter()
+        assert main(["gen", "cup", "--rounds", "40"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "pairwise vectors" in err
+
+    @pytest.mark.parametrize(
         "argv", [["cbcct", "--value-pool", "x"], ["mpk", "--class-sizes", "1,x"]]
     )
     def test_malformed_list_flag_is_usage_error(self, argv, capsys):
@@ -254,6 +284,11 @@ class TestVerify:
     def test_count_flag(self, capsys):
         assert main(["verify", "--suite", "mpk-chain", "--count", "10", "--seed", "4"]) == 0
         assert "10/10 pass" in capsys.readouterr().out
+
+    def test_negative_count_exit_two(self, capsys):
+        assert main(["verify", "--suite", "normalization", "--count", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --count must be")
 
     def test_flags_follow_suite_signature(self, monkeypatch, capsys):
         seen = {}

@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 
-from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce
+from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce, verify
 from champbribe.core import normalize_bribe_vector, vector
-from champbribe.dp import budget_sweep
+from champbribe.dp import BudgetSweep, budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
 
 
@@ -77,6 +77,21 @@ class TestBudgetSweep:
                 assert all(a < b for a, b in zip(row.starts, row.starts[1:]))
                 assert all(a < b for a, b in zip(row.values, row.values[1:]))
 
+    def test_frontier_and_min_cost_for_match_the_budget_scan(self):
+        rng = split_rng(53, "frontier")
+        for idx in range(40):
+            inst = gen_cbcct(53, rng.randint(0, 5), 3, rng.randint(0, 15), index=idx)
+            sweep = budget_sweep(inst)
+            scan = brute_sweep(inst)
+            frontier = sweep.frontier()
+            assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(frontier, frontier[1:]))
+            rises = [(b, p) for b, p in enumerate(scan) if p is not None and [p] != scan[b - 1 : b]]
+            assert frontier == rises  # one breakpoint per budget where the scan rises
+            thresholds = {F(0), F(1), F(1, 3), inst.threshold} | {p for p in scan if p is not None}
+            for t in thresholds:
+                least = next((b for b, p in enumerate(scan) if p is not None and p >= t), None)
+                assert sweep.min_cost_for(t) == least, (idx, t)
+
     def test_non_monotone_vectors_supported(self):
         inst = CbcctInstance(
             (vector([(0, "3/4"), (1, "1/4"), (2, "1/2")]), vector([(0, "1/2")])),
@@ -105,6 +120,18 @@ class TestBudgetSweep:
             F(1, 4),
         )
         assert budget_sweep(inst).probabilities() == brute_sweep(inst)
+
+
+def test_suites_never_expand_the_sweep(monkeypatch):
+    # The suites read frontiers and min_cost_for, never a list of B + 1 probabilities.
+    def refuse(self):
+        raise AssertionError("BudgetSweep.probabilities called")
+
+    monkeypatch.setattr(BudgetSweep, "probabilities", refuse)
+    normalization = verify.suite_normalization(count=20)
+    assert normalization.passed, normalization.failures
+    values = verify.suite_value_agreement(count=2)
+    assert values.passed, values.failures
 
 
 class TestScaleSmoke:
