@@ -16,12 +16,18 @@ one two-entry challenger per item.
 
 Exactness at scale comes from three layers:
 
-* All probabilities are rescaled to a common denominator L, so every value of
-  row i is an integer numerator over L**(n-i+1) and value comparisons are
-  integer comparisons.
+* Each challenger's probabilities are rescaled to its own common denominator
+  L_i, the lcm of its entries' denominators, so every value of row i is an
+  integer numerator over D_i = L_i * L_(i+1) * ... * L_n and value
+  comparisons within a row are integer comparisons.
 * Within a row, distinct candidate numerators are interned and sorted once,
   so the row transition compares small integer *ranks* instead of big
-  integers.  That transition is the hot kernel, `_dpkernel_py`.
+  integers.  That transition is the hot kernel, `_dpkernel_py`.  Only the
+  row being built and the row below it hold numerators; a finished row keeps
+  the rank reached at each breakpoint and its candidate rank map, and the
+  sweep keeps the top row's numerators alone.  Interning merges exactly
+  equal products into one rank, so the witness tests value equality as rank
+  equality, with no big-integer product.
 * The interning sort orders candidates by float logarithms first and falls
   back to exact big-integer comparison inside any cluster whose float gap is
   below a certified error bound, so float error can never change a result.
@@ -43,27 +49,34 @@ from . import _dpkernel_py
 
 
 class _Row:
-    """Run-length encoded DP row: value thresholds over the budget axis."""
+    """Run-length encoded DP row, by rank: value thresholds over the budget axis.
 
-    __slots__ = ("starts", "values")
+    From budget starts[k] on, the row's optimum is the value of rank ranks[k]
+    among the row's interned candidates.  rmap[j, r + 1] is the rank of entry
+    j followed by the next row's value from its breakpoint r on; rmap[j, 0]
+    is -1, the rank of no fitting plan.
+    """
 
-    def __init__(self, starts, values):
+    __slots__ = ("starts", "ranks", "rmap")
+
+    def __init__(self, starts, ranks, rmap):
         self.starts = starts  # ascending budgets where the value changes
-        self.values = values  # numerators (Python ints), ascending
+        self.ranks = ranks  # ascending ranks, one per breakpoint
+        self.rmap = rmap
 
-    def value_at(self, budget: int):
-        idx = bisect_right(self.starts, budget) - 1
-        return self.values[idx] if idx >= 0 else None
+    def index_at(self, budget: int) -> int:
+        """The breakpoint in force at `budget`; -1 if nothing fits."""
+        return bisect_right(self.starts, budget) - 1
 
 
 class BudgetSweep:
     """Exact optimal win probabilities for every budget 0..B, plus witnesses."""
 
-    def __init__(self, inst: CbcctInstance, rows, denominator_base: int):
+    def __init__(self, inst: CbcctInstance, rows, top_values, denominator: int):
         self._inst = inst
         self._rows = rows  # rows[i] for i in 1..n+1 (suffix over challengers i..n)
-        self._base = denominator_base
-        self._denom = denominator_base ** inst.num_challengers
+        self._top = top_values  # rows[1]'s numerators over `denominator`, ascending
+        self._denom = denominator
 
     @property
     def budget(self) -> int:
@@ -82,25 +95,24 @@ class BudgetSweep:
         Both the budgets and the probabilities rise strictly, so two sweeps
         over the same budget range are equal exactly when their frontiers are.
         """
-        top = self._rows[1]
-        return [(cost, Fraction(num, self._denom)) for cost, num in zip(top.starts, top.values)]
+        return [(cost, Fraction(num, self._denom)) for cost, num in zip(self._rows[1].starts, self._top)]
 
     def best_at(self, budget: int | None = None) -> Fraction | None:
         """Optimal win probability with total bribes <= budget; None if no plan fits."""
-        num = self._rows[1].value_at(self._clamp(budget))
-        return None if num is None else Fraction(num, self._denom)
+        k = self._rows[1].index_at(self._clamp(budget))
+        return None if k < 0 else Fraction(self._top[k], self._denom)
 
     def min_cost_for(self, threshold: Fraction) -> int | None:
         """Least budget <= B whose optimum reaches `threshold`; None if none does.
 
         Bisects the top row's integer numerators against the threshold scaled
-        to the common denominator, rounded up, so no per-breakpoint Fraction is built.
+        to their denominator, rounded up, so no per-breakpoint Fraction is built.
         """
         threshold = Fraction(threshold)
         least = -(-threshold.numerator * self._denom // threshold.denominator)
-        top = self._rows[1]
-        idx = bisect_left(top.values, least)
-        return top.starts[idx] if idx < len(top.starts) else None
+        idx = bisect_left(self._top, least)
+        starts = self._rows[1].starts
+        return starts[idx] if idx < len(starts) else None
 
     def probabilities(self) -> list[Fraction | None]:
         """The full sweep expanded from the frontier: one probability per budget 0..B."""
@@ -112,57 +124,67 @@ class BudgetSweep:
         return out
 
     def witness(self, budget: int | None = None) -> BribePlan | None:
-        """Lexicographically smallest optimal plan at the given budget."""
+        """Lexicographically smallest optimal plan at the given budget.
+
+        Entry j of challenger i is optimal when it reaches the rank that row i
+        holds at the remaining budget: equal ranks are equal values.  Once a
+        chosen entry has probability 0 the plan is worth 0 whatever follows,
+        so from there on the first entry with an affordable rest is taken.
+        """
         b = self._clamp(budget)
-        need = self._rows[1].value_at(b)
-        if need is None:
+        k = self._rows[1].index_at(b)
+        if k < 0:
             return None
         choices = []
+        zero = False
         for i, vec in enumerate(self._inst.bribe_vectors, start=1):
-            nxt = self._rows[i + 1]
-            for j, entry in enumerate(vec.entries, start=1):
+            row, nxt = self._rows[i], self._rows[i + 1]
+            need = row.ranks[k]
+            for j, entry in enumerate(vec.entries):
                 if entry.bribe > b:
                     continue
-                tail = nxt.value_at(b - entry.bribe)
-                if tail is None:
-                    continue
-                num = _scaled_numerator(entry.losing_probability, self._base)
-                if tail * num == need:
-                    choices.append(j)
+                r = nxt.index_at(b - entry.bribe)
+                optimal = r >= 0 if zero else row.rmap[j, r + 1] == need
+                if optimal:
+                    choices.append(j + 1)
                     b -= entry.bribe
-                    need = tail
+                    k = r
+                    zero = zero or not entry.losing_probability
                     break
             else:  # pragma: no cover - contradicts DP construction
                 raise AssertionError("witness reconstruction lost the optimal value")
         return BribePlan(tuple(choices))
 
 
-def _scaled_numerator(p: Fraction, base: int) -> int:
-    return p.numerator * (base // p.denominator)
-
-
 def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
     """Run the suffix DP over the challengers and return the full sweep.
 
     Refuses instances whose n times B exceeds `cell_cap`.
+
+    The interning's float-error bound `eps` sums, over the challengers, the
+    largest |log| of each one's scaled numerators.  A candidate's float log
+    is a sum of at most n such logs, each rounded once, so its error is at
+    most (n + 2) rounding errors of numbers no larger in magnitude than that
+    sum; the factor 8 covers `math.log`'s own error.  Which denominator a
+    numerator is over does not enter: all candidates of one row share D_i,
+    so ordering their numerators orders their values.
     """
     n = inst.num_challengers
     budget = inst.budget
     if n * budget > cell_cap:
         raise CapExceededError(f"DP table of {n * budget} cells exceeds the cap of {cell_cap}")
 
-    base = 1
-    for vec in inst.bribe_vectors:
-        for e in vec.entries:
-            base = math.lcm(base, e.losing_probability.denominator)
-
-    # Per challenger: entry costs, scaled numerators, float logs of numerators.
+    # Per challenger: entry costs, numerators over L_i, float logs of numerators.
     chall = []
+    denominator = 1  # D_1, the product of every L_i
     max_log_total = 0.0
     for vec in inst.bribe_vectors:
+        probs = [e.losing_probability for e in vec.entries]
+        scale = math.lcm(*(p.denominator for p in probs))
+        denominator *= scale
         # A price above B never fits, so B + 1 stands for it (and stays in int64).
         costs = np.array([min(e.bribe, budget + 1) for e in vec.entries], dtype=np.int64)
-        nums = [_scaled_numerator(e.losing_probability, base) for e in vec.entries]
+        nums = [p.numerator * (scale // p.denominator) for p in probs]
         logs = [math.log(v) if v else -math.inf for v in nums]
         finite = [abs(x) for x in logs if x != -math.inf]
         max_log_total += max(finite) if finite else 0.0
@@ -171,7 +193,7 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
     eps = 8.0 * (n + 2) * sys.float_info.epsilon * (max_log_total + 1.0)
 
     rows: list = [None] * (n + 2)
-    rows[n + 1] = _Row([0], [1])
+    rows[n + 1] = _Row([0], [0], None)
     prev_starts = np.zeros(1, dtype=np.int64)
     prev_vals = [1]
     prev_logs = np.array([0.0])
@@ -183,7 +205,9 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
         cand_log = (np.array(lognums)[:, None] + prev_logs[None, :]).ravel()
         rank_of, reps, products = _intern_candidates(cand_log, eps, prev_vals, nums, num_prev)
         rmap = np.empty((n_entries, num_prev + 1), dtype=np.int32)
-        rmap[:, 0] = -1  # kernel skips it; perfbench counts rmap.shape[1] - 1 candidates
+        # Column 0 is no fitting plan: the kernel skips it and no row rank equals
+        # it; perfbench counts rmap.shape[1] - 1 candidates.
+        rmap[:, 0] = -1
         rmap[:, 1:] = rank_of.reshape(n_entries, num_prev)
         starts, used = _dpkernel_py.transition_compact(prev_starts, costs, rmap, budget)
         new_vals = []
@@ -194,10 +218,10 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
                 value = prev_vals[cand % num_prev] * nums[cand // num_prev]
             new_vals.append(value)
         new_logs = cand_log[[int(reps[u]) for u in used]]
-        rows[i] = _Row(starts.tolist(), new_vals)
+        rows[i] = _Row(starts.tolist(), used, rmap)
         prev_starts, prev_vals, prev_logs = starts, new_vals, new_logs
 
-    return BudgetSweep(inst, rows, base)
+    return BudgetSweep(inst, rows, prev_vals, denominator)
 
 
 def _intern_candidates(cand_log, eps: float, prev_vals, nums, num_prev: int):

@@ -1,11 +1,12 @@
 """Budget sweep internals: breakpoint rows, exactness, witnesses."""
 
+import math
 from fractions import Fraction
 
 from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce, verify
 from champbribe.core import normalize_bribe_vector, vector
 from champbribe.dp import BudgetSweep, budget_sweep
-from champbribe.generators import gen_cbcct, split_rng
+from champbribe.generators import gen_cbcct, make_nonmonotone, split_rng
 
 
 def F(*args):
@@ -45,6 +46,11 @@ def fraction_sweep(inst):
     return row
 
 
+def scan_rises(scan):
+    """The (budget, probability) pairs where a per-budget sweep rises."""
+    return [(b, p) for b, p in enumerate(scan) if p is not None and [p] != scan[b - 1 : b]]
+
+
 class TestBudgetSweep:
     def test_matches_enumeration_per_budget(self):
         rng = split_rng(41, "sweep")
@@ -75,7 +81,43 @@ class TestBudgetSweep:
             assert sweep.probabilities() == fraction_sweep(inst)
             for row in sweep._rows[1:]:  # one breakpoint per strict rise
                 assert all(a < b for a, b in zip(row.starts, row.starts[1:]))
-                assert all(a < b for a, b in zip(row.values, row.values[1:]))
+                # Ranks are the dense order of the row's exact values.
+                assert all(a < b for a, b in zip(row.ranks, row.ranks[1:]))
+
+    def test_mixed_denominators_match_fraction_dp(self):
+        # Each challenger draws its probabilities over its own odd primes, so
+        # the challengers' denominators differ; planted pairs give exact
+        # cross-challenger ties (1/2 * 1/3 = 1/3 * 1/2 = 1/6 * 1).
+        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+        tie_pair = (
+            vector([(0, "1/6"), (4, "1/3"), (9, "1/2")]),
+            vector([(0, "1/3"), (4, "1/2"), (9, "1")]),
+        )
+        rng = split_rng(59, "mixed-denominators")
+        for idx in range(6):
+            vectors = []
+            for _ in range(rng.randint(20, 60)):
+                if rng.random() < 0.15:
+                    vectors.extend(tie_pair)
+                    continue
+                own = rng.sample(primes, rng.randint(1, 3))
+                costs = sorted(rng.sample(range(40), rng.randint(1, 4)))
+                probs = []
+                for _ in costs:
+                    d = rng.choice(own)
+                    probs.append(F(rng.randint(0, d), d))
+                vectors.append(vector(zip(costs, probs)))
+            inst = CbcctInstance(tuple(vectors), rng.randint(50, 300), F(1, 2))
+            denominators = {math.lcm(*(p.denominator for p in v.probabilities())) for v in vectors}
+            assert len(denominators) > 1
+            sweep = budget_sweep(inst)
+            scan = fraction_sweep(inst)
+            rises = scan_rises(scan)
+            assert sweep.frontier() == rises, idx
+            for budget, best in rises:
+                assert sweep.best_at(budget) == best
+                cost, prob = evaluate_plan(inst, sweep.witness(budget))
+                assert cost <= budget and prob == best, (idx, budget)
 
     def test_frontier_and_min_cost_for_match_the_budget_scan(self):
         rng = split_rng(53, "frontier")
@@ -85,7 +127,7 @@ class TestBudgetSweep:
             scan = brute_sweep(inst)
             frontier = sweep.frontier()
             assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(frontier, frontier[1:]))
-            rises = [(b, p) for b, p in enumerate(scan) if p is not None and [p] != scan[b - 1 : b]]
+            rises = scan_rises(scan)
             assert frontier == rises  # one breakpoint per budget where the scan rises
             thresholds = {F(0), F(1), F(1, 3), inst.threshold} | {p for p in scan if p is not None}
             for t in thresholds:
@@ -112,6 +154,22 @@ class TestBudgetSweep:
             b = solve_bruteforce(inst)
             w = budget_sweep(inst).witness()
             assert w == b.witness
+
+    def test_witness_at_every_budget_is_lexicographically_smallest(self):
+        # Zero probabilities tie at 0 across many plans, and non-monotone
+        # vectors keep entries that no normalized vector would.
+        rng = split_rng(61, "lex-every-budget")
+        probs = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
+        for idx in range(30):
+            inst = gen_cbcct(
+                61, rng.randint(1, 4), 3, rng.randint(0, 12), prob_pool=probs, normalize=False, index=idx
+            )
+            if idx % 2:
+                inst = make_nonmonotone(inst)
+            sweep = budget_sweep(inst)
+            for budget in range(inst.budget + 1):
+                capped = CbcctInstance(inst.bribe_vectors, budget, inst.threshold)
+                assert sweep.witness(budget) == solve_bruteforce(capped).witness, (idx, budget)
 
     def test_zero_probability_rows(self):
         inst = CbcctInstance(
