@@ -14,29 +14,26 @@ row's breakpoints as (budget, probability) pairs; `best_at` and
 rows down.  Product knapsack (`knapsack.solve_pkp_dp`) runs on this same DP,
 one two-entry challenger per item.
 
-Exactness at scale comes from three layers:
+Exactness at scale comes from two layers:
 
 * Each challenger's probabilities are rescaled to its own common denominator
   L_i, the lcm of its entries' denominators, so every value of row i is an
   integer numerator over D_i = L_i * L_(i+1) * ... * L_n and value
   comparisons within a row are integer comparisons.
-* Within a row, distinct candidate numerators are interned and sorted once,
-  so the row transition compares small integer *ranks* instead of big
-  integers.  That transition is the hot kernel, `_dpkernel_py`.  Only the
-  row being built and the row below it hold numerators; a finished row keeps
-  the rank reached at each breakpoint and its candidate rank map, and the
-  sweep keeps the top row's numerators alone.  Interning merges exactly
-  equal products into one rank, so the witness tests value equality as rank
-  equality, with no big-integer product.
-* The interning sort orders candidates by float logarithms first and falls
-  back to exact big-integer comparison inside any cluster whose float gap is
-  below a certified error bound, so float error can never change a result.
+* Within a row, the distinct candidate numerators are sorted once as exact
+  integers and interned as dense ranks, so the row transition compares small
+  integer *ranks* instead of big integers.  That transition is the kernel,
+  `_dpkernel_py`.  Only the row being built and the row below it hold
+  numerators; a finished row keeps the rank reached at each breakpoint and
+  its candidate rank map, and the sweep keeps the top row's numerators alone.
+  Interning merges exactly equal products into one rank, so the witness
+  tests value equality as rank equality, with no big-integer product.  No
+  float is computed anywhere in the sweep.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -160,111 +157,43 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
     """Run the suffix DP over the challengers and return the full sweep.
 
     Refuses instances whose n times B exceeds `cell_cap`.
-
-    The interning's float-error bound `eps` sums, over the challengers, the
-    largest |log| of each one's scaled numerators.  A candidate's float log
-    is a sum of at most n such logs, each rounded once, so its error is at
-    most (n + 2) rounding errors of numbers no larger in magnitude than that
-    sum; the factor 8 covers `math.log`'s own error.  Which denominator a
-    numerator is over does not enter: all candidates of one row share D_i,
-    so ordering their numerators orders their values.
     """
     n = inst.num_challengers
     budget = inst.budget
     if n * budget > cell_cap:
         raise CapExceededError(f"DP table of {n * budget} cells exceeds the cap of {cell_cap}")
 
-    # Per challenger: entry costs, numerators over L_i, float logs of numerators.
+    # Per challenger: entry costs and probability numerators over L_i.
     chall = []
     denominator = 1  # D_1, the product of every L_i
-    max_log_total = 0.0
     for vec in inst.bribe_vectors:
         probs = [e.losing_probability for e in vec.entries]
         scale = math.lcm(*(p.denominator for p in probs))
         denominator *= scale
         # A price above B never fits, so B + 1 stands for it (and stays in int64).
         costs = np.array([min(e.bribe, budget + 1) for e in vec.entries], dtype=np.int64)
-        nums = [p.numerator * (scale // p.denominator) for p in probs]
-        logs = [math.log(v) if v else -math.inf for v in nums]
-        finite = [abs(x) for x in logs if x != -math.inf]
-        max_log_total += max(finite) if finite else 0.0
-        chall.append((costs, nums, logs))
-
-    eps = 8.0 * (n + 2) * sys.float_info.epsilon * (max_log_total + 1.0)
+        chall.append((costs, [p.numerator * (scale // p.denominator) for p in probs]))
 
     rows: list = [None] * (n + 2)
     rows[n + 1] = _Row([0], [0], None)
     prev_starts = np.zeros(1, dtype=np.int64)
     prev_vals = [1]
-    prev_logs = np.array([0.0])
 
     for i in range(n, 0, -1):
-        costs, nums, lognums = chall[i - 1]
-        num_prev = len(prev_vals)
-        n_entries = len(nums)
-        cand_log = (np.array(lognums)[:, None] + prev_logs[None, :]).ravel()
-        rank_of, reps, products = _intern_candidates(cand_log, eps, prev_vals, nums, num_prev)
-        rmap = np.empty((n_entries, num_prev + 1), dtype=np.int32)
+        costs, nums = chall[i - 1]
+        # Candidate (entry j, next-row rank r) is numerator nums[j] * prev_vals[r]
+        # over D_i; all share that denominator, so sorting numerators ranks values.
+        cands = [num * val for num in nums for val in prev_vals]
+        distinct = sorted(set(cands))
+        rank = dict(zip(distinct, range(len(distinct))))
+        rmap = np.empty((len(nums), len(prev_vals) + 1), dtype=np.int32)
         # Column 0 is no fitting plan: the kernel skips it and no row rank equals
         # it; perfbench counts rmap.shape[1] - 1 candidates.
         rmap[:, 0] = -1
-        rmap[:, 1:] = rank_of.reshape(n_entries, num_prev)
+        ranks = np.fromiter(map(rank.__getitem__, cands), np.int32, len(cands))
+        rmap[:, 1:] = ranks.reshape(len(nums), len(prev_vals))
         starts, used = _dpkernel_py.transition_compact(prev_starts, costs, rmap, budget)
-        new_vals = []
-        for u in used:
-            cand = int(reps[u])
-            value = products.get(cand)
-            if value is None:
-                value = prev_vals[cand % num_prev] * nums[cand // num_prev]
-            new_vals.append(value)
-        new_logs = cand_log[[int(reps[u]) for u in used]]
         rows[i] = _Row(starts.tolist(), used, rmap)
-        prev_starts, prev_vals, prev_logs = starts, new_vals, new_logs
+        prev_starts, prev_vals = starts, [distinct[u] for u in used.tolist()]
 
     return BudgetSweep(inst, rows, prev_vals, denominator)
-
-
-def _intern_candidates(cand_log, eps: float, prev_vals, nums, num_prev: int):
-    """Sort candidate products (entry j, prev rank r) and assign dense ranks.
-
-    Candidates are ordered by float logs; consecutive candidates whose float
-    gap is not certainly positive (<= eps, including the NaN gaps produced by
-    pairs of -inf) form a cluster that is re-sorted and deduplicated by exact
-    big-integer products.  Returns (rank per candidate, representative
-    candidate per rank, memoized exact products).
-    """
-    order = np.argsort(cand_log, kind="stable")
-    m = len(order)
-    rank_of = np.empty(m, dtype=np.int32)
-    reps: list[int] = []
-    products: dict[int, int] = {}
-
-    def product(cand: int) -> int:
-        value = products.get(cand)
-        if value is None:
-            value = prev_vals[cand % num_prev] * nums[cand // num_prev]
-            products[cand] = value
-        return value
-
-    sorted_logs = cand_log[order]
-    with np.errstate(invalid="ignore"):  # -inf minus -inf (zero-probability ties)
-        gaps = np.diff(sorted_logs)
-    boundaries = np.flatnonzero(gaps > eps) + 1
-    start = 0
-    for stop in list(boundaries) + [m]:
-        cluster = [int(c) for c in order[start:stop]]
-        if len(cluster) > 1:
-            cluster.sort(key=product)
-        prev_value = None
-        for cand in cluster:
-            if len(cluster) > 1:
-                value = product(cand)
-                if value != prev_value:
-                    reps.append(cand)
-                    prev_value = value
-            else:
-                reps.append(cand)
-            rank_of[cand] = len(reps) - 1
-        start = stop
-    return rank_of, reps, products
-

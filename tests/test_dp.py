@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce, verify
 from champbribe.core import normalize_bribe_vector, vector
 from champbribe.dp import BudgetSweep, budget_sweep
@@ -133,6 +135,19 @@ class TestBudgetSweep:
             for t in thresholds:
                 least = next((b for b, p in enumerate(scan) if p is not None and p >= t), None)
                 assert sweep.min_cost_for(t) == least, (idx, t)
+
+    @pytest.mark.parametrize("q", [2**61 - 1, 2**127 - 1])
+    def test_sub_ulp_tie_is_ordered_exactly(self, q):
+        # The two plan values differ by 1/q**2, far below a float ulp of their
+        # logs, so only an exact comparison orders them.  Both entry orders are
+        # tried, and the two q put the tied pair in opposite set (hash) orders,
+        # so no tie-breaking by position or by hash passes every case.
+        low, high = F(q - 2, q - 1), F(q - 1, q)
+        last = vector([(0, high)])
+        inst = CbcctInstance((vector([(0, low), (1, high)]), last), 1, F(0))
+        assert budget_sweep(inst).frontier() == [(0, F(q - 2, q)), (1, high**2)]
+        inst = CbcctInstance((vector([(0, high), (1, low)]), last), 1, F(0))
+        assert budget_sweep(inst).frontier() == [(0, high**2)]
 
     def test_non_monotone_vectors_supported(self):
         inst = CbcctInstance(

@@ -17,8 +17,10 @@ from champbribe import (
     solve_dp,
     solve_fpt_bribe_values,
     solve_fpt_prob_values,
+    verify,
 )
 from champbribe.core import vector
+from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
 from champbribe.solvers import bribe_value_set, probability_profile
 
@@ -354,3 +356,17 @@ class TestFptSolvers:
                     cost, prob = evaluate_plan(inst, r.witness)
                     assert cost <= inst.budget
                     assert prob == r.best_probability
+
+    @pytest.mark.parametrize("n, factors", [(300, (20, 100)), (1000, (20, 50))])
+    def test_fpt_bribes_value_matches_dp_at_scale(self, n, factors):
+        # Past brute force, the DP sweep is the oracle for the optimal value.
+        for idx in range(4):
+            budget = factors[idx % 2] * n
+            inst = gen_cbcct(
+                71, n, 4, budget, verify.SCALE_VALUE_POOL, verify.SCALE_PROB_POOL,
+                canonical=True, index=idx,
+            )
+            r = solve_fpt_bribe_values(inst)
+            assert r.best_probability == budget_sweep(inst).best_at(), (n, budget, idx)
+            cost, prob = evaluate_plan(inst, r.witness)
+            assert cost <= budget and prob == r.best_probability, (n, budget, idx)
