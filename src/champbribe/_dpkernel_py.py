@@ -1,31 +1,50 @@
-"""The budget-DP row transition: the sweep's hot kernel, in NumPy.
+"""The budget-DP row transition, in pure Python.
 
 `champbribe.dp` calls `transition_compact` once per challenger row.  Rows go
 in and come out as breakpoints (the budgets where the row's optimum rises),
-so its cost follows the breakpoint count, not the budget.
+so its cost follows the candidate count, not the budget.  It is kept as its
+own module because the benchmark's tracer hooks it here by name.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_right
 
 
 def transition_compact(prev_starts, costs, rmap, budget: int):
     """One DP row update on breakpoints.
 
-    prev_starts: int64[K], ascending budgets where the next row's optimum
+    prev_starts: list of K ascending budgets where the next row's optimum
                  rises; its value from prev_starts[r] on has rank r.
-    costs: int64[L], entry prices of the current challenger.
-    rmap: int32[L, K+1], candidate rank for (entry j, next-row rank r) at
-          rmap[j, r+1]; ranks never fall as r grows.
-    Returns (starts int64[M], used int32[M]): the new row's breakpoints and
-    the candidate rank reached at each, both strictly increasing.
+    costs: list of L entry prices of the current challenger.
+    rmap: L x (K+1) memoryview of candidate ranks: (entry j, next-row rank r)
+          at rmap[j, r+1], column 0 is -1; ranks never fall as r grows.
+    Returns (starts, used): lists of the new row's breakpoints and of the
+    candidate rank reached at each, both strictly increasing.
     """
-    budgets = (costs[:, None] + prev_starts[None, :]).ravel()
-    ranks = rmap[:, 1:].ravel()  # column 0 (-1, infeasible) is never a candidate
-    fits = budgets <= budget
-    budgets, ranks = budgets[fits], ranks[fits]
-    order = np.lexsort((-ranks, budgets))
-    budgets, ranks = budgets[order], ranks[order]
-    rises = np.diff(np.maximum.accumulate(ranks), prepend=-1) > 0
-    return budgets[rises], ranks[rises]
+    rows = rmap.tolist()
+    if len(costs) == 1:  # one run, sorted by budget: shifted, if its ranks rise strictly
+        fit = bisect_right(prev_starts, budget - costs[0])
+        used = rows[0][1 : fit + 1]
+        if len(set(used)) == fit:
+            return [start + costs[0] for start in prev_starts[:fit]], used
+    # Candidate (budget b, rank r) packs to b * top + (top - 1 - r), top a power of two
+    # above every rank; each entry's run is sorted already, so the sort only merges.
+    bits = (rmap.shape[0] * rmap.shape[1]).bit_length()
+    low = (1 << bits) - 1  # top - 1
+    shifted = [start << bits for start in prev_starts]
+    keys = []
+    for cost, ranks in zip(costs, rows):
+        fit = bisect_right(prev_starts, budget - cost)
+        base = (cost << bits) + low
+        keys += [start + base - r for start, r in zip(shifted[:fit], ranks[1:])]
+    keys.sort()  # by budget, then by falling rank: keep each new running maximum
+    starts, used = [], []
+    best = low + 1  # top - 1 - r of the best rank so far
+    for key in keys:
+        inverted = key & low
+        if inverted < best:
+            best = inverted
+            starts.append(key >> bits)
+            used.append(low - inverted)
+    return starts, used

@@ -6,7 +6,7 @@ forward greedy pass afterwards reconstructs the lexicographically smallest
 optimal plan.  Each row is kept as breakpoints: the budgets where its optimum
 rises, with the value from there on.  Row i is built from the l_max shifted
 copies of row i+1's breakpoints, so the work per row is set by the breakpoint
-count of the row below times l_max, not by B.
+count of the row below times l_max, not by B; `CANDIDATE_CAP` caps its sum.
 
 A sweep is read through its top row.  `BudgetSweep.frontier()` lists that
 row's breakpoints as (budget, probability) pairs; `best_at` and
@@ -22,27 +22,29 @@ Exactness at scale comes from two layers:
   comparisons within a row are integer comparisons.
 * Within a row, the distinct candidate numerators are sorted once as exact
   integers and interned as dense ranks, so the row transition compares small
-  integer *ranks* instead of big integers.  That transition is the kernel,
-  `_dpkernel_py`.  Only the row being built and the row below it hold
-  numerators; a finished row keeps the rank reached at each breakpoint and
-  its candidate rank map, and the sweep keeps the top row's numerators alone.
-  Interning merges exactly equal products into one rank, so the witness
-  tests value equality as rank equality, with no big-integer product.  No
-  float is computed anywhere in the sweep.
+  integer *ranks* instead of big integers, in `_dpkernel_py`.  Only the row
+  being built and the row below it hold numerators; a finished row keeps the
+  rank reached at each breakpoint and its candidate rank map (a 2-D
+  memoryview over an `array`), and the sweep keeps the top row's numerators
+  alone.  Interning merges exactly equal products into one rank, so the
+  witness tests value equality as rank equality, with no big-integer
+  product.  No float is computed anywhere in the sweep.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-
-import numpy as np
 
 from .core import BribePlan, CbcctInstance
 from .errors import CapExceededError
 
 from . import _dpkernel_py
+
+# Most (entry, next-row breakpoint) candidates one sweep may form over its rows.
+CANDIDATE_CAP = 10**7
 
 
 class _Row:
@@ -153,15 +155,13 @@ class BudgetSweep:
         return BribePlan(tuple(choices))
 
 
-def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
+def budget_sweep(inst: CbcctInstance) -> BudgetSweep:
     """Run the suffix DP over the challengers and return the full sweep.
 
-    Refuses instances whose n times B exceeds `cell_cap`.
+    Refuses instances whose rows form more than CANDIDATE_CAP candidates.
     """
     n = inst.num_challengers
     budget = inst.budget
-    if n * budget > cell_cap:
-        raise CapExceededError(f"DP table of {n * budget} cells exceeds the cap of {cell_cap}")
 
     # Per challenger: entry costs and probability numerators over L_i.
     chall = []
@@ -170,30 +170,39 @@ def budget_sweep(inst: CbcctInstance, *, cell_cap: int = 10**8) -> BudgetSweep:
         probs = [e.losing_probability for e in vec.entries]
         scale = math.lcm(*(p.denominator for p in probs))
         denominator *= scale
-        # A price above B never fits, so B + 1 stands for it (and stays in int64).
-        costs = np.array([min(e.bribe, budget + 1) for e in vec.entries], dtype=np.int64)
-        chall.append((costs, [p.numerator * (scale // p.denominator) for p in probs]))
+        chall.append(([e.bribe for e in vec.entries], [p.numerator * (scale // p.denominator) for p in probs]))
 
     rows: list = [None] * (n + 2)
     rows[n + 1] = _Row([0], [0], None)
-    prev_starts = np.zeros(1, dtype=np.int64)
+    prev_starts = [0]
     prev_vals = [1]
+    candidates = 0
 
     for i in range(n, 0, -1):
         costs, nums = chall[i - 1]
+        width = len(prev_vals)
+        candidates += len(nums) * width
+        if candidates > CANDIDATE_CAP:
+            raise CapExceededError(f"the DP rows form over {CANDIDATE_CAP} candidates")
         # Candidate (entry j, next-row rank r) is numerator nums[j] * prev_vals[r]
         # over D_i; all share that denominator, so sorting numerators ranks values.
         cands = [num * val for num in nums for val in prev_vals]
-        distinct = sorted(set(cands))
-        rank = dict(zip(distinct, range(len(distinct))))
-        rmap = np.empty((len(nums), len(prev_vals) + 1), dtype=np.int32)
         # Column 0 is no fitting plan: the kernel skips it and no row rank equals
         # it; perfbench counts rmap.shape[1] - 1 candidates.
-        rmap[:, 0] = -1
-        ranks = np.fromiter(map(rank.__getitem__, cands), np.int32, len(cands))
-        rmap[:, 1:] = ranks.reshape(len(nums), len(prev_vals))
+        if len(nums) == 1 and nums[0]:
+            # Scaling the strictly rising row below by a positive number keeps its order.
+            distinct = cands
+            flat = array("i", range(-1, width))
+        else:
+            distinct = sorted(set(cands))
+            rank = dict(zip(distinct, range(len(distinct))))
+            flat = array("i")
+            for j in range(len(nums)):
+                flat.append(-1)
+                flat.extend(map(rank.__getitem__, cands[j * width : (j + 1) * width]))
+        rmap = memoryview(flat).cast("B").cast("i", (len(nums), width + 1))
         starts, used = _dpkernel_py.transition_compact(prev_starts, costs, rmap, budget)
-        rows[i] = _Row(starts.tolist(), used, rmap)
-        prev_starts, prev_vals = starts, [distinct[u] for u in used.tolist()]
+        rows[i] = _Row(starts, used, rmap)
+        prev_starts, prev_vals = starts, list(map(distinct.__getitem__, used))
 
     return BudgetSweep(inst, rows, prev_vals, denominator)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import dp
 from .core import BribeEntry, BribeVector, CbcctInstance
 from .errors import CapExceededError, InstanceError
 from .rational import check_field, format_rational, parse_rational
@@ -162,7 +163,7 @@ def solve_pkp_bruteforce(inst: PkpInstance, max_items: int = 24) -> PkpResult:
     return PkpResult(best, best_subset, best >= inst.target)
 
 
-def solve_pkp_dp(inst: PkpInstance, cell_cap: int = 10**6) -> PkpResult:
+def solve_pkp_dp(inst: PkpInstance) -> PkpResult:
     """Product knapsack on the budget DP of `champbribe.dp`; equals brute force.
 
     Item i becomes a challenger with the entries skip (0, 1/m) and take
@@ -170,12 +171,8 @@ def solve_pkp_dp(inst: PkpInstance, cell_cap: int = 10**6) -> PkpResult:
     item keeps only its better entry.  The optimum is scaled back by the
     product of the m.  The challengers come in reverse item order, so the
     DP's lexicographically smallest optimal plan is the optimal subset of
-    smallest bitmask, brute force's tie rule.  `cell_cap` bounds n * C.
+    smallest bitmask, brute force's tie rule.
     """
-    # Imported on call: loading the DP (and NumPy) ahead of the MILP modules
-    # raises the peak RSS of `import champbribe` by about 2 MB.
-    from . import dp
-
     vectors = []
     scale = Fraction(1)
     for item in reversed(inst.items):
@@ -187,7 +184,7 @@ def solve_pkp_dp(inst: PkpInstance, cell_cap: int = 10**6) -> PkpResult:
         else:
             vectors.append(BribeVector((take if item.profit > 1 else skip,)))
     tournament = CbcctInstance(tuple(vectors), inst.capacity, Fraction(0))
-    sweep = dp.budget_sweep(tournament, cell_cap=cell_cap)
+    sweep = dp.budget_sweep(tournament)
     product = sweep.best_at() * scale
     choices = reversed(sweep.witness().choices)
     witness = tuple(

@@ -103,9 +103,9 @@ def solve_bruteforce(inst: CbcctInstance, plan_cap: int = 10**7) -> SolveResult:
     return SolveResult(best, best_plan, best >= inst.threshold, "brute")
 
 
-def solve_dp(inst: CbcctInstance, cell_cap: int = 10**8) -> SolveResult:
+def solve_dp(inst: CbcctInstance) -> SolveResult:
     """Budget DP; exact agreement with `solve_bruteforce` including witnesses."""
-    sweep = dp.budget_sweep(inst, cell_cap=cell_cap)
+    sweep = dp.budget_sweep(inst)
     best = sweep.best_at()
     if best is None:
         return SolveResult(None, None, False, "dp")

@@ -358,3 +358,16 @@ class TestJsonIo:
         with pytest.raises(CapExceededError):
             save_json(path, {"a": 10**5000})
         assert not path.exists()
+
+
+def test_import_loads_only_the_standard_library():
+    # A fresh interpreter, since this one may have loaded either module already.
+    code = (
+        "import sys, champbribe, champbribe.cli\n"
+        "print(sorted({'numpy', 'gmpy2'} & {name.partition('.')[0] for name in sys.modules}))"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -64,10 +64,13 @@ class TestBudgetSweep:
         # First prices are often nonzero, so low budgets are infeasible; the
         # 400 and 10**6 steps lie above most or all budgets; a zero first
         # probability (always with a cheap step above it) gives equal-value
-        # ties.  Every other instance is normalized.
+        # ties.  Every other instance is normalized.  The last instance puts a
+        # one-entry challenger of probability 0 above a row with two
+        # breakpoints: its candidates all tie, so its row has one breakpoint.
         rng = split_rng(47, "fraction-dp")
         first_probs = ("0", "1/3", "1/2", "2/3", "5/7", "3/4", "4/5", "9/10", "1")
         step_probs = ("1/3", "1/2", "5/7", "9/10", "1")
+        instances = []
         for idx in range(8):
             vectors = []
             for _ in range(rng.randint(20, 60)):
@@ -78,7 +81,10 @@ class TestBudgetSweep:
                     [(first, p0)] + [(first + s, rng.choice(step_probs)) for s in sorted(cheap + dear)]
                 )
                 vectors.append(normalize_bribe_vector(vec) if idx % 2 else vec)
-            inst = CbcctInstance(tuple(vectors), rng.randint(50, 300), F(1, 2))
+            instances.append(CbcctInstance(tuple(vectors), rng.randint(50, 300), F(1, 2)))
+        zero_above = (vector([(1, "0")]), vector([(0, "1/2"), (2, "1")]))
+        instances.append(CbcctInstance(zero_above, 5, F(1, 2)))
+        for inst in instances:
             sweep = budget_sweep(inst)
             assert sweep.probabilities() == fraction_sweep(inst)
             for row in sweep._rows[1:]:  # one breakpoint per strict rise

@@ -98,10 +98,15 @@ class TestPkpDp:
             # The whole result, witness included: both take the smallest-bitmask optimum.
             assert solve_pkp_dp(inst) == solve_pkp_bruteforce(inst)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
+        # A large capacity costs nothing: one two-entry item forms 2 candidates.
+        from champbribe import dp
+
         inst = pkp([(1, 2)], 10**7, 1)
+        assert solve_pkp_dp(inst) == solve_pkp_bruteforce(inst)
+        monkeypatch.setattr(dp, "CANDIDATE_CAP", 1)
         with pytest.raises(CapExceededError):
-            solve_pkp_dp(inst, cell_cap=10**6)
+            solve_pkp_dp(inst)
 
 
 class TestMpk:

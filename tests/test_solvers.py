@@ -115,10 +115,18 @@ class TestDp:
         assert feasible == sorted(feasible)
         assert all(a is None for a in sweep[: len(sweep) - len(feasible)])
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
+        # The cap counts candidates, not n * B: ten one-entry rows over one
+        # breakpoint each form 10, whatever the budget.
+        from champbribe import dp
+
         inst = CbcctInstance((vector([(0, "1/2")]),) * 10, 1000, F(1, 2))
+        assert solve_dp(inst).best_probability == F(1, 1024)
+        monkeypatch.setattr(dp, "CANDIDATE_CAP", 10)
+        assert solve_dp(inst).best_probability == F(1, 1024)
+        monkeypatch.setattr(dp, "CANDIDATE_CAP", 9)
         with pytest.raises(CapExceededError):
-            solve_dp(inst, cell_cap=5000)
+            solve_dp(inst)
 
     def test_zero_probability_entries(self):
         inst = CbcctInstance(
