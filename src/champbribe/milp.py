@@ -799,9 +799,12 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     Requires integral values on the integer columns, a totally unimodular
     fractional-column submatrix (caller-asserted), integral residual
     right-hand sides, and the row convention that all rows touching
-    fractional columns form the tail block of the model.  Re-solves the
-    restricted LP over the fractional columns to a vertex, which is then
-    integral, and splices it back in.
+    fractional columns form the tail block of the model.  An optimum whose
+    every column is already integral is returned as it is; this is always
+    the case for a vertex, such as the incumbent of `solve_milp`, under these
+    preconditions.  Only a mixed optimum that is not a vertex is rounded: the
+    restricted LP over the fractional columns is re-solved to a vertex, which
+    is then integral, and spliced back in.
     """
     if mixed.status != OPTIMAL or mixed.assignment is None:
         raise SolverError("integralize_solution requires an optimal mixed solution")
@@ -814,6 +817,8 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     ]
     if touching and touching != list(range(len(model.rows) - len(touching), len(model.rows))):
         raise ModelError("rows touching fractional columns must form the tail block")
+    if all(x.denominator == 1 for x in mixed.assignment):
+        return mixed
 
     sub_vars = tuple(model.variables[j] for j in frac_cols)
     sub_rows = []

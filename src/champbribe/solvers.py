@@ -13,11 +13,17 @@ each value.  The two routes share one model builder and one solve routine,
 oriented either way: the bribe-value model counts bribes per (value, value
 set) and maximizes the formal-log win probability under the budget; the
 probability-value model counts them per (probability, profile) and
-minimizes the budget needed to reach the threshold.  In both, the
-constraint block over the per-group counting variables is an interval-free
-0-1 matrix with exactly two ones per column (one in each row family), hence
-totally unimodular, which is what makes `milp.integralize_solution`
-applicable for witness extraction.
+minimizes the budget needed to reach the threshold.
+
+The optimum is integral by construction.  The branch-and-bound incumbent is
+a vertex of its node LP, and its integer columns are integral.  Fixing them
+leaves a vertex of the block over the per-group columns, a 0-1 matrix with
+exactly two ones per column (one linking row, one group-size row), hence
+totally unimodular, with an integral right-hand side (the fixed integer
+counts on the linking rows, the group sizes on the others).  So that
+vertex, and with it the whole incumbent, is integral, and
+`milp.integralize_solution` hands it back unchanged; it re-solves an LP
+only for a mixed optimum that is not a vertex.
 """
 
 from __future__ import annotations
@@ -254,14 +260,21 @@ def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) ->
     Within a group, ascending bribe values are assigned to players in input
     order (group members are interchangeable).  Entry indices are then looked
     up in the original vectors by (bribe, probability), which is unique per
-    vector.
+    vector.  Raises `SolverError` if a count is negative or not integral, or
+    if a group's counts do not add up to its players.
     """
     bought: dict = {key: [] for key in vmap.group_players}
     for (prof, value, vs), col in vmap.frac_cols.items():
-        bought[(prof, vs)] += [(value, prof[vs.index(value)])] * int(assignment[col])
+        count = assignment[col]
+        if count.denominator != 1 or count < 0:
+            raise SolverError(f"per-group count {count} in column {col} is not a count")
+        bought[(prof, vs)] += [(value, prof[vs.index(value)])] * int(count)
     choices = [0] * inst.num_challengers
     for key, players in vmap.group_players.items():
-        assert len(bought[key]) == len(players)
+        if len(bought[key]) != len(players):
+            raise SolverError(
+                f"per-group counts cover {len(bought[key])} of the {len(players)} players of a group"
+            )
         for player, (value, prob) in zip(players, sorted(bought[key])):
             choices[player] = next(
                 j
@@ -296,6 +309,8 @@ def _solve_fpt(inst: CbcctInstance, by_value: bool) -> SolveResult:
         raise SolverError(f"{algorithm} MILP ended with status {solution.status}")
     if not by_value and solution.objective_value > inst.budget:
         return no
+    # The incumbent is integral already (module docstring), so this returns it
+    # as it is; perfbench/tracing.py still times the call by name.
     integral = integralize_solution(model, solution)
     return _result(inst, _plan_from_assignment(inst, vmap, integral.assignment), algorithm)
 

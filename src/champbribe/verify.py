@@ -257,7 +257,11 @@ def _fractional_submatrix(model: MilpModel) -> list[list[Fraction]]:
 
 @_timed
 def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) -> SuiteReport:
-    """TU structure and the integral-rounding contract on FPT model builds."""
+    """TU structure and integral optima on FPT model builds.
+
+    `solve_milp`'s optimum must be all-integral as returned, and
+    `integralize_solution` must hand it back unchanged at equal objective.
+    """
     report = SuiteReport("milp-integrality", total=count)
     rng = generators.split_rng(seed, "milp-params")
     built = 0
@@ -290,9 +294,11 @@ def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) ->
             if mixed.status != OPTIMAL:
                 report.failures.append(f"{label}: solve_milp returned {mixed.status}")
                 continue
+            if any(x.denominator != 1 for x in mixed.assignment):
+                report.failures.append(f"{label}: solve_milp's optimum is not integral")
             integral = integralize_solution(model, mixed)
-            if any(x.denominator != 1 for x in integral.assignment):
-                report.failures.append(f"{label}: integralized solution is not integral")
+            if integral.assignment != mixed.assignment:
+                report.failures.append(f"{label}: integralize_solution changed an integral optimum")
             if integral.objective_value != mixed.objective_value:
                 report.failures.append(
                     f"{label}: integralized objective {integral.objective_value} "

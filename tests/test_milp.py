@@ -727,8 +727,15 @@ class TestIntegralize:
         obj = MilpObjective((F(1), F(1), F(1), F(1), F(1)), "max")
         return MilpModel(variables, rows, obj)
 
-    def test_transportation_block(self):
+    def test_transportation_block(self, monkeypatch):
         m = self._transportation_model()
+        lp_models = []
+
+        def counted(restricted):
+            lp_models.append(restricted)
+            return solve_lp_exact(restricted)
+
+        monkeypatch.setattr(milp, "solve_lp_exact", counted)
         # Oracle: enumerate integral transportation solutions.
         integral_points = [
             (x11, x12, x21, x22)
@@ -750,6 +757,7 @@ class TestIntegralize:
             mixed.objective_value,
         )
         rounded = integralize_solution(m, handmade)
+        assert len(lp_models) == 1  # a non-vertex optimum takes the restricted LP
         assert all(x.denominator == 1 for x in rounded.assignment)
         assert rounded.objective_value == mixed.objective_value
         assert tuple(int(x) for x in rounded.assignment[1:]) in integral_points

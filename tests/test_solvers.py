@@ -10,19 +10,23 @@ from champbribe import (
     CbcctInstance,
     FormalLog,
     ModelError,
+    SolverError,
     build_bribe_value_milp,
     build_prob_value_milp,
     evaluate_plan,
+    integralize_solution,
     solve_bruteforce,
     solve_dp,
     solve_fpt_bribe_values,
     solve_fpt_prob_values,
+    solve_milp,
     verify,
 )
+from champbribe import milp
 from champbribe.core import vector
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
-from champbribe.solvers import bribe_value_set, probability_profile
+from champbribe.solvers import _plan_from_assignment, bribe_value_set, probability_profile
 
 ALL_SOLVERS = (solve_bruteforce, solve_dp, solve_fpt_bribe_values, solve_fpt_prob_values)
 
@@ -378,3 +382,49 @@ class TestFptSolvers:
             assert r.best_probability == budget_sweep(inst).best_at(), (n, budget, idx)
             cost, prob = evaluate_plan(inst, r.witness)
             assert cost <= budget and prob == r.best_probability, (n, budget, idx)
+
+
+class TestIntegralOptimum:
+    def test_incumbent_is_returned_without_a_restricted_lp(self, monkeypatch):
+        # The incumbent is a vertex with integral integer columns, so its
+        # per-group block is integral too, and rounding re-solves nothing.
+        def no_lp(model):
+            raise AssertionError("integralize_solution re-solved an LP")
+
+        monkeypatch.setattr(milp, "solve_lp_exact", no_lp)
+        rng = split_rng(16, "integral")
+        draws = [
+            gen_cbcct(16, rng.randint(1, 8), 3, rng.randint(0, 30), canonical=True, index=idx)
+            for idx in range(30)
+        ] + [
+            gen_cbcct(
+                16, 40, 4, 1000 * 40, verify.SCALE_VALUE_POOL, verify.SCALE_PROB_POOL,
+                canonical=True, index=idx,
+            )
+            for idx in range(2)
+        ]
+        solved = 0
+        for inst in draws:
+            inst = CbcctInstance(inst.bribe_vectors, inst.budget, max(inst.threshold, F(1, 64)))
+            for build in (build_bribe_value_milp, build_prob_value_milp):
+                model, _ = build(inst)
+                mixed = solve_milp(model)
+                if mixed.status != milp.OPTIMAL:
+                    continue
+                solved += 1
+                assert all(x.denominator == 1 for x in mixed.assignment)
+                assert integralize_solution(model, mixed).assignment == mixed.assignment
+        assert solved >= 40
+
+    def test_extraction_rejects_assignments_that_are_not_counts(self):
+        shared = vector([(0, "1/2"), (1, "1")])
+        inst = CbcctInstance((shared, shared), 1, F(1, 2))
+        model, vmap = build_bribe_value_milp(inst)
+        assignment = list(solve_milp(model).assignment)
+        low, high = (col for _, col in sorted(vmap.frac_cols.items()))
+        assert _plan_from_assignment(inst, vmap, assignment) == BribePlan((1, 2))
+        # Fractional counts, counts short of the group, and a negative count.
+        for counts in ((F(1, 2), F(3, 2)), (F(1), F(0)), (F(-1), F(2))):
+            assignment[low], assignment[high] = counts
+            with pytest.raises(SolverError):
+                _plan_from_assignment(inst, vmap, assignment)
