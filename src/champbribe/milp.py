@@ -1,8 +1,9 @@
 """Exact rational LP/MILP engine with formal-logarithm cost handling.
 
-Everything here is exact: tableaux hold `fractions.Fraction` entries in
-sparse rows, each a map from column to nonzero entry, so a pivot touches
-nonzeros only.  LP rows are in that form from the model on.  Logarithmic
+Everything here is exact.  A tableau row is an integer vector over one row
+denominator, sparse (a map from column to nonzero int numerator, so a pivot
+touches nonzeros only) and reduced by one gcd after every update; reduced
+costs and values leave the tableau as `fractions.Fraction`.  Logarithmic
 quantities are never evaluated numerically.  A coefficient ``log q`` is
 carried as `FormalLog(q)`; linear combinations of formal logs (`LogSum`) are
 ordered by comparing the corresponding rational products exactly, so every
@@ -17,7 +18,7 @@ pivoting on an irrational entry would leave the rational field, so no exact
 vertex could be reported.  `solve_milp` does accept one structured exception,
 a ``>=`` row whose coefficients are formal logs on integer columns only
 (the shape produced by the probability-threshold model).  Such a row is
-replaced by a certified rational outer approximation for the relaxations and
+replaced by a certified dyadic outer approximation for the relaxations and
 re-checked exactly (as a rational product inequality) whenever a candidate
 incumbent has integral values; if the approximation ever admits a spurious
 candidate, its precision is doubled and the search restarts.
@@ -328,102 +329,122 @@ class _Pivots:
             raise CapExceededError(f"the exact solve needs more than {self.cap} simplex pivots")
 
 
+def _reduced(row: dict, rhs: int, den: int) -> tuple[dict, int, int]:
+    """An integer row divided by the gcd of its denominator, rhs and entries."""
+    g = math.gcd(den, rhs, *row.values())
+    if g == 1:
+        return row, rhs, den
+    return {l: x // g for l, x in row.items()}, rhs // g, den // g
+
+
 class _Tableau:
     """Sparse simplex tableau over exact rationals, maximizing.
 
-    Each row is a dict from column index to its nonzero entry; a column
-    absent from a row holds zero there.  Columns are the structural ones,
-    then one slack per inequality row, then one artificial per ``>=`` or
-    ``==`` row; phase 1 drops the artificials, and each branching bound
-    appends one more slack.  `cost` holds the reduced costs (dense) and `z`
-    the objective value of the current basis; both are None until
-    `_simplex` first prices the tableau.  Every pivot is charged to
+    Row i is an integer vector over one row denominator: `body[i]` maps each
+    column to its nonzero int numerator (a column absent from a row holds
+    zero there), `rhs[i]` is an int and `den[i]` an int > 0, so the row reads
+    body[i] / den[i] and rhs[i] / den[i].  A basic column's entry equals its
+    row's `den`, and after every update a row is divided by the gcd of its
+    denominator, rhs and entries (fraction-free in the manner of Edmonds,
+    1967, one row at a time).  Columns are the structural ones, then one
+    slack per inequality row, then one artificial per ``>=`` or ``==`` row;
+    phase 1 drops the artificials, and each branching bound appends one
+    more slack.  `cost` holds the reduced costs (dense, as Fractions or
+    LogSums) and `z` the objective value of the current basis; both are None
+    until `_simplex` first prices the tableau.  Every pivot is charged to
     `pivots`, which the tableaux of one solve share.
     """
 
     def __init__(self, rows, num_structural: int, pivots: _Pivots):
         # rows: (sparse coeffs {col: nonzero} over structural cols, relation,
-        # Fraction rhs).  Pivots mutate rows in place, so each is copied here
-        # and the caller's rows stay as they were.
+        # rhs), all rational.  Each row is scaled by the lcm of its
+        # denominators, negated too when its rhs is negative.
         self.n = num_structural
         self.pivots = pivots
         self.cost = None
         self.z = None
         norm = []
         for coeffs, rel, rhs in rows:
+            scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
             if rhs < 0:
-                entries = {j: -c for j, c in coeffs.items()}
-                rhs = -rhs
+                scale = -scale
                 rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            else:
-                entries = dict(coeffs)
-            norm.append((entries, rel, rhs))
-        num_slack = sum(1 for _, rel, _ in norm if rel != EQ)
-        num_art = sum(1 for _, rel, _ in norm if rel != LE)
+            entries = {j: int(c * scale) for j, c in coeffs.items()}
+            norm.append((entries, rel, int(rhs * scale), abs(scale)))
+        num_slack = sum(1 for _, rel, _, _ in norm if rel != EQ)
+        num_art = sum(1 for _, rel, _, _ in norm if rel != LE)
         self.art_start = self.n + num_slack
         self.total = self.art_start + num_art
         self.body: list[dict] = []
-        self.rhs: list = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
         self.basis: list[int] = []
         s = self.n
         a = self.art_start
-        one = Fraction(1)
-        for row, rel, rhs in norm:
+        for row, rel, rhs, den in norm:
             if rel == LE:
-                row[s] = one
+                row[s] = den
                 self.basis.append(s)
                 s += 1
             else:
                 if rel == GE:
-                    row[s] = -one
+                    row[s] = -den
                     s += 1
-                row[a] = one
+                row[a] = den
                 self.basis.append(a)
                 a += 1
-            self.body.append(row)
-            self.rhs.append(rhs)
+            self._append(row, rhs, den)
+
+    def _append(self, row: dict, rhs: int, den: int) -> None:
+        row, rhs, den = _reduced(row, rhs, den)
+        self.body.append(row)
+        self.rhs.append(rhs)
+        self.den.append(den)
 
     def copy(self) -> "_Tableau":
         twin = object.__new__(_Tableau)
         twin.__dict__.update(self.__dict__)
         twin.body = [dict(row) for row in self.body]
         twin.rhs = self.rhs[:]
+        twin.den = self.den[:]
         twin.basis = self.basis[:]
         twin.cost = self.cost[:]
         return twin
 
     def _pivot(self, i: int, j: int) -> None:
         self.pivots.spend()
-        body, rhs = self.body, self.rhs
-        piv = body[i][j]
-        if piv != 1:
-            inv = 1 / Fraction(piv)
-            body[i] = {l: x * inv for l, x in body[i].items()}
-            rhs[i] *= inv
-        row_i = body[i]
+        body, rhs, den = self.body, self.rhs, self.den
+        row_i, rhs_i = body[i], rhs[i]
+        p = row_i[j]
+        if p < 0:
+            row_i, rhs_i, p = {l: -x for l, x in row_i.items()}, -rhs_i, -p
+        row_i, rhs_i, p = _reduced(row_i, rhs_i, p)
+        body[i], rhs[i], den[i] = row_i, rhs_i, p
         for k, row in enumerate(body):
             f = row.get(j)
             if f is None or k == i:
                 continue
-            f = -f
+            # row_k := (row_k * p - f * row_i) / (den_k * p), with p and f
+            # divided by their gcd first.
+            g = math.gcd(p, f)
+            q, f = p // g, f // g
+            if q != 1:
+                row = {l: x * q for l, x in row.items()}
             for l, y in row_i.items():
-                x = row.get(l)
-                if x is None:
-                    row[l] = f * y
+                x = row.get(l, 0) - f * y
+                if x:
+                    row[l] = x
                 else:
-                    x += f * y
-                    if x:
-                        row[l] = x
-                    else:
-                        del row[l]
-            rhs[k] += f * rhs[i]
-        self._eliminate(self.cost[j], row_i, rhs[i])
+                    del row[l]
+            body[k], rhs[k], den[k] = _reduced(row, rhs[k] * q - f * rhs_i, den[k] * q)
+        self._eliminate(self.cost[j], row_i, rhs_i, p)
         self.basis[i] = j
 
-    def _eliminate(self, cb, row: dict, rhs) -> None:
+    def _eliminate(self, cb, row: dict, rhs: int, den: int) -> None:
         """Subtract cb times a basic row from the reduced costs and objective."""
         if not cb:
             return
+        cb = cb * Fraction(1, den)
         cost = self.cost
         for l, x in row.items():
             cost[l] -= cb * x
@@ -435,7 +456,7 @@ class _Tableau:
         self.cost = list(objective) + [zero] * (self.total - len(objective))
         self.z = zero
         for i, b in enumerate(self.basis):
-            self._eliminate(self.cost[b], self.body[i], self.rhs[i])
+            self._eliminate(self.cost[b], self.body[i], self.rhs[i], self.den[i])
 
     def primal(self, allowed: int) -> str:
         """Primal simplex with Bland's rule; columns >= allowed never enter."""
@@ -448,17 +469,17 @@ class _Tableau:
                     break
             if enter < 0:
                 return OPTIMAL
+            # Least ratio rhs / a: the row denominator cancels, and the
+            # ratios are compared by cross-multiplying their positive a.
             leave = -1
-            best = None
             for i, row in enumerate(body):
                 a = row.get(enter)
                 if a is not None and a > 0:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave >= 0:
+                        here, there = rhs[i] * best_a, rhs[leave] * a
+                        if here > there or (here == there and self.basis[i] > self.basis[leave]):
+                            continue
+                    leave, best_a = i, a
             if leave < 0:
                 return UNBOUNDED
             self._pivot(leave, enter)
@@ -479,11 +500,11 @@ class _Tableau:
                     leave = i
             if leave < 0:
                 return OPTIMAL
-            row = body[leave]
+            row, den = body[leave], self.den[leave]
             enter = -1
             best = None
             for l in sorted(l for l, a in row.items() if a < 0):
-                ratio = cost[l] * (1 / row[l])
+                ratio = cost[l] * Fraction(den, row[l])
                 if best is None or best > ratio:
                     best = ratio
                     enter = l
@@ -500,12 +521,13 @@ class _Tableau:
                 continue
             pivot_col = min((l for l in self.body[i] if l < art), default=None)
             if pivot_col is None:
-                del self.body[i], self.rhs[i], self.basis[i]
+                del self.body[i], self.rhs[i], self.den[i], self.basis[i]
             else:
                 self._pivot(i, pivot_col)
-        for row in self.body:
-            for l in [l for l in row if l >= art]:
-                del row[l]
+        for i, row in enumerate(self.body):
+            if any(l >= art for l in row):
+                row = {l: x for l, x in row.items() if l < art}
+                self.body[i], self.rhs[i], self.den[i] = _reduced(row, self.rhs[i], self.den[i])
         self.total = art
 
     def add_bound(self, j: int, relation: str, value: Fraction) -> None:
@@ -520,11 +542,13 @@ class _Tableau:
         s = self.total
         self.total += 1
         self.cost.append(self.z * 0)
-        row = {l: -sign * x for l, x in self.body[r].items() if l != j}
-        row[s] = Fraction(1)
-        self.body.append(row)
-        self.rhs.append(sign * (value - self.rhs[r]))
+        # Scaled by den_r times the bound's denominator d.
+        d = value.denominator
+        den = self.den[r] * d
+        row = {l: -sign * x * d for l, x in self.body[r].items() if l != j}
+        row[s] = den
         self.basis.append(s)
+        self._append(row, sign * (value.numerator * self.den[r] - self.rhs[r] * d), den)
 
 
 def _simplex(tab: _Tableau, objective):
@@ -555,7 +579,7 @@ def _simplex(tab: _Tableau, objective):
     values = [Fraction(0)] * tab.n
     for i, b in enumerate(tab.basis):
         if b < tab.n:
-            values[b] = tab.rhs[i]
+            values[b] = Fraction(tab.rhs[i], tab.den[i])
     return OPTIMAL, tuple(values)
 
 
@@ -654,9 +678,16 @@ def _split_log_rows(model: MilpModel):
 
 
 def _approx_log_row(support, rhs_arg: Fraction, bits: int):
-    """Sparse rational outer approximation of sum(x_j * ln q_j) >= ln(rhs_arg)."""
-    coeffs = {j: hi for j, arg in support if (hi := ln_bounds(arg, bits)[1])}
-    return coeffs, GE, ln_bounds(rhs_arg, bits)[0]
+    """Sparse rational outer approximation of sum(x_j * ln q_j) >= ln(rhs_arg).
+
+    Each coefficient is an upper bound on ln q_j rounded up, and the
+    right-hand side a lower bound on ln(rhs_arg) rounded down, to the grid
+    2**-bits, so the row's denominator is at most 2**bits.
+    """
+    grid = 1 << bits
+    coeffs = {j: math.ceil(ln_bounds(arg, bits)[1] * grid) for j, arg in support}
+    rhs = Fraction(math.floor(ln_bounds(rhs_arg, bits)[0] * grid), grid)
+    return {j: Fraction(c, grid) for j, c in coeffs.items() if c}, GE, rhs
 
 
 def _log_row_satisfied(support, rhs_arg: Fraction, assignment) -> bool:
@@ -796,10 +827,11 @@ def _has_equitable_signing(rows: list[list[int]], n: int) -> bool:
 def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     """Round a mixed optimum to an all-integer one of equal objective value.
 
-    Requires integral values on the integer columns, a totally unimodular
-    fractional-column submatrix (caller-asserted), integral residual
-    right-hand sides, and the row convention that all rows touching
-    fractional columns form the tail block of the model.  An optimum whose
+    Requires integral values on the integer columns (a `SolverError`
+    otherwise), a totally unimodular fractional-column submatrix
+    (caller-asserted), integral residual right-hand sides, and the row
+    convention that all rows touching fractional columns form the tail
+    block of the model.  An optimum whose
     every column is already integral is returned as it is; this is always
     the case for a vertex, such as the incumbent of `solve_milp`, under these
     preconditions.  Only a mixed optimum that is not a vertex is rounded: the
@@ -817,6 +849,8 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     ]
     if touching and touching != list(range(len(model.rows) - len(touching), len(model.rows))):
         raise ModelError("rows touching fractional columns must form the tail block")
+    if any(mixed.assignment[j].denominator != 1 for j in int_cols):
+        raise SolverError("integralize_solution requires integral values on the integer columns")
     if all(x.denominator == 1 for x in mixed.assignment):
         return mixed
 

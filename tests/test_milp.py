@@ -1,6 +1,7 @@
 """Exact LP/MILP engine: simplex, branch and bound, formal logs, TU, rounding."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,16 @@ from champbribe import (
     MilpRow,
     MilpVariable,
     ModelError,
+    SolverError,
     integralize_solution,
     is_totally_unimodular,
     solve_lp_exact,
     solve_milp,
 )
 from champbribe import milp
-from champbribe.milp import EQ, GE, LE, _dot, _Pivots, _simplex, _Tableau, ln_bounds
+from champbribe.milp import (
+    EQ, GE, LE, _approx_log_row, _dot, _Pivots, _simplex, _Tableau, ln_bounds,
+)
 
 
 def F(*args):
@@ -477,9 +481,22 @@ class TestSolveMilp:
             solve_lp_exact(m)
 
 
+def _assert_integer_rows(tab):
+    """Each row is an int vector over one positive row denominator, reduced by
+    its gcd, with its basic column's entry equal to that denominator."""
+    assert len(tab.body) == len(tab.rhs) == len(tab.den) == len(tab.basis)
+    for row, rhs, den, b in zip(tab.body, tab.rhs, tab.den, tab.basis):
+        assert type(rhs) is int and type(den) is int and den > 0
+        assert all(type(x) is int and x != 0 for x in row.values())
+        assert math.gcd(den, rhs, *row.values()) == 1
+        assert row[b] == den
+        assert sum(b in other for other in tab.body) == 1
+
+
 class TestWarmStart:
     """A child re-optimised by dual simplex from its parent's final tableau
-    agrees with a cold two-phase solve of the same rows plus its bounds."""
+    agrees with a cold two-phase solve of the same rows plus its bounds, and
+    every solve, cold or warm, leaves integer rows (`_assert_integer_rows`)."""
 
     def _check(self, seed, objective_of, cases):
         import random
@@ -501,6 +518,7 @@ class TestWarmStart:
             tab = _Tableau(rows, n, _Pivots(milp.PIVOT_CAP))
             seen["artificials"] += tab.art_start < tab.total
             status, x = _simplex(tab, objective)
+            _assert_integer_rows(tab)
             bounds = []
             while status == "optimal" and len(bounds) < 4:
                 basic = [b for b in tab.basis if b < n]
@@ -515,8 +533,10 @@ class TestWarmStart:
                 bounds.append(bound)
                 tab.add_bound(j, bound[1], bound[2])
                 status, x = _simplex(tab, objective)
+                _assert_integer_rows(tab)
                 cold = _Tableau(rows + bounds, n, _Pivots(milp.PIVOT_CAP))
                 cold_status, cold_x = _simplex(cold, objective)
+                _assert_integer_rows(cold)
                 seen["warm"] += 1
                 assert status == cold_status
                 if status == "infeasible":
@@ -635,6 +655,22 @@ class TestFormalLog:
         assert hi - lo <= F(1, 2**bits)
         true = math.log(q)
         assert float(lo) <= true + 1e-12 and true - 1e-12 <= float(hi)
+
+    @pytest.mark.parametrize("bits", [8, 64, 128])
+    def test_approx_log_row_is_a_dyadic_outer_approximation(self, bits):
+        pool = (F(1, 1000), F(1, 4), F(1, 2), F(3, 4), F(2**200 - 1, 2**200), F(1),
+                F(5, 4), F(2), F(7, 3), F(10**6))
+        support = list(enumerate(pool))
+        for t in pool:
+            coeffs, relation, rhs = _approx_log_row(support, t, bits)
+            assert relation == GE
+            assert all(c != 0 for c in coeffs.values())
+            for j, q in support:
+                c = coeffs.get(j, F(0))
+                assert (c * 2**bits).denominator == 1
+                assert c >= ln_bounds(q, bits)[1]
+            assert (rhs * 2**bits).denominator == 1
+            assert rhs <= ln_bounds(t, bits)[0]
 
 
 # -- total unimodularity -------------------------------------------------------
@@ -767,6 +803,22 @@ class TestIntegralize:
         mixed = solve_milp(m)
         rounded = integralize_solution(m, mixed)
         assert rounded.objective_value == mixed.objective_value
+
+    def test_fractional_integer_column_is_rejected(self):
+        # Integer w <= 1 and fractional x, y with -w + x + y == 0, maximizing x:
+        # w = 1/2 breaks the precondition even though the point is feasible.
+        variables = (
+            MilpVariable("w", is_integer=True, upper=1),
+            MilpVariable("x"),
+            MilpVariable("y"),
+        )
+        rows = (MilpRow((F(-1), F(1), F(1)), "==", F(0)),)
+        m = MilpModel(variables, rows, MilpObjective((F(0), F(1), F(0)), "max"))
+        from champbribe.milp import MilpSolution
+
+        mixed = MilpSolution("optimal", (F(1, 2), F(1, 2), F(0)), F(1, 2))
+        with pytest.raises(SolverError):
+            integralize_solution(m, mixed)
 
     def test_tail_block_convention_enforced(self):
         variables = (MilpVariable("w", is_integer=True, upper=3), MilpVariable("x"))
