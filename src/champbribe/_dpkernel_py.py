@@ -1,9 +1,11 @@
 """The budget-DP row transition, in pure Python.
 
-`champbribe.dp` calls `transition_compact` once per challenger row.  Rows go
-in and come out as breakpoints (the budgets where the row's optimum rises),
-so its cost follows the candidate count, not the budget.  It is kept as its
-own module because the benchmark's tracer hooks it here by name.
+`champbribe.dp` calls `transition_compact` once per challenger row, that is
+for every challenger but those with one entry of positive probability,
+which the sweep folds into a fixed cost instead.  Rows go in and come out as
+breakpoints (the budgets where the row's optimum rises), so its cost follows
+the candidate count, not the budget.  It is kept as its own module because
+the benchmark's tracer hooks it here by name.
 """
 
 from __future__ import annotations
@@ -23,11 +25,6 @@ def transition_compact(prev_starts, costs, rmap, budget: int):
     candidate rank reached at each, both strictly increasing.
     """
     rows = rmap.tolist()
-    if len(costs) == 1:  # one run, sorted by budget: shifted, if its ranks rise strictly
-        fit = bisect_right(prev_starts, budget - costs[0])
-        used = rows[0][1 : fit + 1]
-        if len(set(used)) == fit:
-            return [start + costs[0] for start in prev_starts[:fit]], used
     # Candidate (budget b, rank r) packs to b * top + (top - 1 - r), top a power of two
     # above every rank; each entry's run is sorted already, so the sort only merges.
     bits = (rmap.shape[0] * rmap.shape[1]).bit_length()

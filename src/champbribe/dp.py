@@ -8,11 +8,19 @@ rises, with the value from there on.  Row i is built from the l_max shifted
 copies of row i+1's breakpoints, so the work per row is set by the breakpoint
 count of the row below times l_max, not by B; `CANDIDATE_CAP` caps its sum.
 
+A challenger with one entry of positive probability gets no row.  Every plan
+pays its price and is scaled by its probability, so it only shifts the
+optimum of every budget by a fixed cost and multiplies it by a fixed factor:
+the prices of all such challengers are reserved from B before the rows are
+built, and their probabilities are applied once, to the top row.  A one-entry
+challenger of probability 0 keeps its row, since it makes every plan worth 0
+and the witness must still find the cheapest affordable rest after it.
+
 A sweep is read through its top row.  `BudgetSweep.frontier()` lists that
-row's breakpoints as (budget, probability) pairs; `best_at` and
-`min_cost_for` bisect it for one budget or one threshold; `witness` walks the
-rows down.  Product knapsack (`knapsack.solve_pkp_dp`) runs on this same DP,
-one two-entry challenger per item.
+row's breakpoints, shifted by the fixed cost, as (budget, probability) pairs;
+`best_at` and `min_cost_for` bisect it for one budget or one threshold;
+`witness` walks the rows down.  Product knapsack (`knapsack.solve_pkp_dp`)
+runs on this same DP, one two-entry challenger per item.
 
 Exactness at scale comes from two layers:
 
@@ -20,15 +28,17 @@ Exactness at scale comes from two layers:
   L_i, the lcm of its entries' denominators, so every value of row i is an
   integer numerator over D_i = L_i * L_(i+1) * ... * L_n and value
   comparisons within a row are integer comparisons.
-* Within a row, the distinct candidate numerators are sorted once as exact
-  integers and interned as dense ranks, so the row transition compares small
-  integer *ranks* instead of big integers, in `_dpkernel_py`.  Only the row
+* Within a row, the candidate numerators are sorted once as exact integers
+  and interned as ranks, so the row transition compares small integer
+  *ranks* instead of big integers, in `_dpkernel_py`.  Each entry's
+  candidates ascend with the row below, so sorting them as formed (not as a
+  set, whose order is hash order) only merges l_max runs.  Only the row
   being built and the row below it hold numerators; a finished row keeps the
-  rank reached at each breakpoint and its candidate rank map (a 2-D
-  memoryview over an `array`), and the sweep keeps the top row's numerators
-  alone.  Interning merges exactly equal products into one rank, so the
-  witness tests value equality as rank equality, with no big-integer
-  product.  No float is computed anywhere in the sweep.
+  rank reached at each breakpoint (an `array`) and its candidate rank map (a
+  2-D memoryview over an `array`), and the sweep keeps the top row's
+  numerators alone.  Exactly equal products share one rank, so the witness
+  tests value equality as rank equality, with no big-integer product.  No
+  float is computed anywhere in the sweep.
 """
 
 from __future__ import annotations
@@ -51,16 +61,19 @@ class _Row:
     """Run-length encoded DP row, by rank: value thresholds over the budget axis.
 
     From budget starts[k] on, the row's optimum is the value of rank ranks[k]
-    among the row's interned candidates.  rmap[j, r + 1] is the rank of entry
-    j followed by the next row's value from its breakpoint r on; rmap[j, 0]
-    is -1, the rank of no fitting plan.
+    among the row's interned candidates.  A value's rank is its last position
+    among the row's candidates sorted by value, so ranks order values and
+    equal values share one.  rmap[j, r + 1] is the rank of entry j followed
+    by the next row's value from its breakpoint r on; rmap[j, 0] is -1, the
+    rank of no fitting plan.  Budgets are those left after the fixed cost of
+    the folded challengers.
     """
 
     __slots__ = ("starts", "ranks", "rmap")
 
     def __init__(self, starts, ranks, rmap):
         self.starts = starts  # ascending budgets where the value changes
-        self.ranks = ranks  # ascending ranks, one per breakpoint
+        self.ranks = ranks  # array("i") of ascending ranks, one per breakpoint
         self.rmap = rmap
 
     def index_at(self, budget: int) -> int:
@@ -69,12 +82,20 @@ class _Row:
 
 
 class BudgetSweep:
-    """Exact optimal win probabilities for every budget 0..B, plus witnesses."""
+    """Exact optimal win probabilities for every budget 0..B, plus witnesses.
 
-    def __init__(self, inst: CbcctInstance, rows, top_values, denominator: int):
+    Only the challengers listed in `kept` have rows; every other one has a
+    single entry of positive probability, folded into `fixed_cost` (the sum
+    of their prices) and into `top_values` (scaled by their numerators).
+    """
+
+    def __init__(self, inst: CbcctInstance, kept, rows, fixed_cost: int, top_values, denominator: int):
         self._inst = inst
-        self._rows = rows  # rows[i] for i in 1..n+1 (suffix over challengers i..n)
-        self._top = top_values  # rows[1]'s numerators over `denominator`, ascending
+        self._kept = kept  # input positions of the row challengers, ascending
+        self._rows = rows  # rows[t] for t in 1..m+1 (suffix over challengers kept[t-1:])
+        self._fixed = fixed_cost
+        self._starts = [start + fixed_cost for start in rows[1].starts]  # the top row, in budgets
+        self._top = top_values  # the top row's numerators over `denominator`, ascending
         self._denom = denominator
 
     @property
@@ -94,11 +115,11 @@ class BudgetSweep:
         Both the budgets and the probabilities rise strictly, so two sweeps
         over the same budget range are equal exactly when their frontiers are.
         """
-        return [(cost, Fraction(num, self._denom)) for cost, num in zip(self._rows[1].starts, self._top)]
+        return [(cost, Fraction(num, self._denom)) for cost, num in zip(self._starts, self._top)]
 
     def best_at(self, budget: int | None = None) -> Fraction | None:
         """Optimal win probability with total bribes <= budget; None if no plan fits."""
-        k = self._rows[1].index_at(self._clamp(budget))
+        k = bisect_right(self._starts, self._clamp(budget)) - 1
         return None if k < 0 else Fraction(self._top[k], self._denom)
 
     def min_cost_for(self, threshold: Fraction) -> int | None:
@@ -110,8 +131,7 @@ class BudgetSweep:
         threshold = Fraction(threshold)
         least = -(-threshold.numerator * self._denom // threshold.denominator)
         idx = bisect_left(self._top, least)
-        starts = self._rows[1].starts
-        return starts[idx] if idx < len(starts) else None
+        return self._starts[idx] if idx < len(self._starts) else None
 
     def probabilities(self) -> list[Fraction | None]:
         """The full sweep expanded from the frontier: one probability per budget 0..B."""
@@ -125,27 +145,31 @@ class BudgetSweep:
     def witness(self, budget: int | None = None) -> BribePlan | None:
         """Lexicographically smallest optimal plan at the given budget.
 
-        Entry j of challenger i is optimal when it reaches the rank that row i
-        holds at the remaining budget: equal ranks are equal values.  Once a
+        A folded challenger takes its only entry.  The others are walked in
+        input order with the budget left after the fixed cost: entry j of a
+        row challenger is optimal when it reaches the rank that its row holds
+        at the remaining budget, since equal ranks are equal values.  Once a
         chosen entry has probability 0 the plan is worth 0 whatever follows,
         so from there on the first entry with an affordable rest is taken.
         """
         b = self._clamp(budget)
-        k = self._rows[1].index_at(b)
+        k = bisect_right(self._starts, b) - 1
         if k < 0:
             return None
-        choices = []
+        b -= self._fixed
+        vectors = self._inst.bribe_vectors
+        choices = [1] * len(vectors)
         zero = False
-        for i, vec in enumerate(self._inst.bribe_vectors, start=1):
-            row, nxt = self._rows[i], self._rows[i + 1]
+        for t, i in enumerate(self._kept, start=1):
+            row, nxt = self._rows[t], self._rows[t + 1]
             need = row.ranks[k]
-            for j, entry in enumerate(vec.entries):
+            for j, entry in enumerate(vectors[i].entries):
                 if entry.bribe > b:
                     continue
                 r = nxt.index_at(b - entry.bribe)
                 optimal = r >= 0 if zero else row.rmap[j, r + 1] == need
                 if optimal:
-                    choices.append(j + 1)
+                    choices[i] = j + 1
                     b -= entry.bribe
                     k = r
                     zero = zero or not entry.losing_probability
@@ -160,49 +184,54 @@ def budget_sweep(inst: CbcctInstance) -> BudgetSweep:
 
     Refuses instances whose rows form more than CANDIDATE_CAP candidates.
     """
-    n = inst.num_challengers
-    budget = inst.budget
-
-    # Per challenger: entry costs and probability numerators over L_i.
+    # Per row challenger: input position, entry costs and probability
+    # numerators over L_i.  Positive one-entry challengers fold instead.
     chall = []
+    fixed_cost = 0
+    factor = 1  # product of the folded numerators
     denominator = 1  # D_1, the product of every L_i
-    for vec in inst.bribe_vectors:
+    for i, vec in enumerate(inst.bribe_vectors):
         probs = [e.losing_probability for e in vec.entries]
         scale = math.lcm(*(p.denominator for p in probs))
         denominator *= scale
-        chall.append(([e.bribe for e in vec.entries], [p.numerator * (scale // p.denominator) for p in probs]))
+        costs = [e.bribe for e in vec.entries]
+        nums = [p.numerator * (scale // p.denominator) for p in probs]
+        if len(nums) == 1 and nums[0]:
+            fixed_cost += costs[0]
+            factor *= nums[0]
+        else:
+            chall.append((i, costs, nums))
 
-    rows: list = [None] * (n + 2)
-    rows[n + 1] = _Row([0], [0], None)
-    prev_starts = [0]
-    prev_vals = [1]
+    m = len(chall)
+    budget = inst.budget - fixed_cost  # what the rows may spend
+    # The empty suffix is worth 1 from budget 0 on, unless the fixed cost alone exceeds B.
+    prev_starts, prev_vals = ([0], [1]) if budget >= 0 else ([], [])
+    rows: list = [None] * (m + 2)
+    rows[m + 1] = _Row(prev_starts, array("i", [0] * len(prev_starts)), None)
     candidates = 0
 
-    for i in range(n, 0, -1):
-        costs, nums = chall[i - 1]
+    for t in range(m, 0, -1):
+        _, costs, nums = chall[t - 1]
         width = len(prev_vals)
         candidates += len(nums) * width
         if candidates > CANDIDATE_CAP:
             raise CapExceededError(f"the DP rows form over {CANDIDATE_CAP} candidates")
         # Candidate (entry j, next-row rank r) is numerator nums[j] * prev_vals[r]
         # over D_i; all share that denominator, so sorting numerators ranks values.
+        # Each entry's run ascends with prev_vals, so the sort merges len(nums) runs.
         cands = [num * val for num in nums for val in prev_vals]
+        ordered = sorted(cands)
+        rank = dict(zip(ordered, range(len(ordered))))
         # Column 0 is no fitting plan: the kernel skips it and no row rank equals
         # it; perfbench counts rmap.shape[1] - 1 candidates.
-        if len(nums) == 1 and nums[0]:
-            # Scaling the strictly rising row below by a positive number keeps its order.
-            distinct = cands
-            flat = array("i", range(-1, width))
-        else:
-            distinct = sorted(set(cands))
-            rank = dict(zip(distinct, range(len(distinct))))
-            flat = array("i")
-            for j in range(len(nums)):
-                flat.append(-1)
-                flat.extend(map(rank.__getitem__, cands[j * width : (j + 1) * width]))
+        flat = array("i")
+        for j in range(len(nums)):
+            flat.append(-1)
+            flat.extend(map(rank.__getitem__, cands[j * width : (j + 1) * width]))
         rmap = memoryview(flat).cast("B").cast("i", (len(nums), width + 1))
         starts, used = _dpkernel_py.transition_compact(prev_starts, costs, rmap, budget)
-        rows[i] = _Row(starts, used, rmap)
-        prev_starts, prev_vals = starts, list(map(distinct.__getitem__, used))
+        rows[t] = _Row(starts, array("i", used), rmap)
+        prev_starts, prev_vals = starts, list(map(ordered.__getitem__, used))
 
-    return BudgetSweep(inst, rows, prev_vals, denominator)
+    top_values = [factor * val for val in prev_vals]
+    return BudgetSweep(inst, [i for i, _, _ in chall], rows, fixed_cost, top_values, denominator)

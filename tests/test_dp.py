@@ -201,6 +201,68 @@ class TestBudgetSweep:
         assert budget_sweep(inst).probabilities() == brute_sweep(inst)
 
 
+def folding_instances():
+    """Instances that interleave the four kinds of challenger the sweep treats apart.
+
+    A one-entry challenger of positive probability folds into the fixed cost;
+    one of probability 0 keeps its row, as does every multi-entry one.  The
+    budget is drawn against the fixed cost C: above it, equal to it, or
+    below it, so that no plan fits.
+    """
+    rng = split_rng(67, "fold")
+    probs = (F(0), F(1, 3), F(1, 2), F(2, 3), F(1))
+    instances = []
+    for idx in range(48):
+        kinds = rng.choices(("fold", "zero", "multi"), (3, 1, 4), k=rng.randint(2, 6))
+        kinds[rng.randrange(len(kinds))] = "fold"  # so C >= 1 and a budget below C exists
+        vectors = []
+        for kind in kinds:
+            if kind == "fold":
+                vectors.append(vector([(rng.randint(1, 4), rng.choice(probs[1:]))]))
+            elif kind == "zero":
+                vectors.append(vector([(rng.randint(0, 3), F(0))]))
+            else:
+                costs = sorted(rng.sample(range(6), rng.randint(2, 3)))
+                vectors.append(vector([(c, rng.choice(probs)) for c in costs]))
+        fixed = sum(v.entries[0].bribe for v, kind in zip(vectors, kinds) if kind == "fold")
+        budget = (fixed + rng.randint(1, 10), fixed, rng.randint(0, fixed - 1))[idx % 3]
+        instances.append(CbcctInstance(tuple(vectors), budget, F(1, 3)))
+    # With every challenger folded, no row is built at all.
+    folded = (vector([(2, "1/2")]), vector([(3, "2/3")]))
+    return instances + [CbcctInstance(folded, budget, F(1, 3)) for budget in (4, 5, 6)]
+
+
+class TestFoldedChallengers:
+    def test_frontier_min_cost_and_witnesses_match_the_oracles(self):
+        for idx, inst in enumerate(folding_instances()):
+            sweep = budget_sweep(inst)
+            scan = fraction_sweep(inst)
+            assert sweep.frontier() == scan_rises(scan), idx
+            for t in {F(0), F(1, 9), F(1, 3), F(1)} | {p for p in scan if p is not None}:
+                least = next((b for b, p in enumerate(scan) if p is not None and p >= t), None)
+                assert sweep.min_cost_for(t) == least, (idx, t)
+            for budget in range(inst.budget + 1):
+                capped = CbcctInstance(inst.bribe_vectors, budget, inst.threshold)
+                assert sweep.witness(budget) == solve_bruteforce(capped).witness, (idx, budget)
+
+    def test_kernel_runs_once_per_unfolded_challenger(self, monkeypatch):
+        from champbribe import _dpkernel_py
+
+        calls = []
+        kernel = _dpkernel_py.transition_compact
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_dpkernel_py, "transition_compact", counted)
+        for idx, inst in enumerate(folding_instances()):
+            calls.clear()
+            budget_sweep(inst)
+            rows = [v for v in inst.bribe_vectors if len(v) > 1 or not v.entries[0].losing_probability]
+            assert len(calls) == len(rows), idx
+
+
 def test_suites_never_expand_the_sweep(monkeypatch):
     # The suites read frontiers and min_cost_for, never a list of B + 1 probabilities.
     def refuse(self):

@@ -120,17 +120,23 @@ class TestDp:
         assert all(a is None for a in sweep[: len(sweep) - len(feasible)])
 
     def test_cell_cap(self, monkeypatch):
-        # The cap counts candidates, not n * B: ten one-entry rows over one
-        # breakpoint each form 10, whatever the budget.
+        # The cap counts candidates, not n * B: five two-entry rows, the k-th
+        # from the bottom over k breakpoints, form 2 * (1 + ... + 5) = 30,
+        # whatever the budget.
         from champbribe import dp
 
-        inst = CbcctInstance((vector([(0, "1/2")]),) * 10, 1000, F(1, 2))
-        assert solve_dp(inst).best_probability == F(1, 1024)
-        monkeypatch.setattr(dp, "CANDIDATE_CAP", 10)
-        assert solve_dp(inst).best_probability == F(1, 1024)
-        monkeypatch.setattr(dp, "CANDIDATE_CAP", 9)
+        inst = CbcctInstance((vector([(0, "1/2"), (1, "1")]),) * 5, 1000, F(1, 2))
+        assert solve_dp(inst).best_probability == F(1)
+        monkeypatch.setattr(dp, "CANDIDATE_CAP", 30)
+        assert solve_dp(inst).best_probability == F(1)
+        monkeypatch.setattr(dp, "CANDIDATE_CAP", 29)
         with pytest.raises(CapExceededError):
             solve_dp(inst)
+        # One-entry challengers of positive probability fold into a fixed cost
+        # and factor, so they form no candidates at all.
+        monkeypatch.setattr(dp, "CANDIDATE_CAP", 0)
+        folded = CbcctInstance((vector([(0, "1/2")]),) * 10, 1000, F(1, 2))
+        assert solve_dp(folded).best_probability == F(1, 1024)
 
     def test_zero_probability_entries(self):
         inst = CbcctInstance(
