@@ -133,15 +133,6 @@ class BudgetSweep:
         idx = bisect_left(self._top, least)
         return self._starts[idx] if idx < len(self._starts) else None
 
-    def probabilities(self) -> list[Fraction | None]:
-        """The full sweep expanded from the frontier: one probability per budget 0..B."""
-        points = self.frontier()
-        out: list[Fraction | None] = [None] * (points[0][0] if points else self.budget + 1)
-        ends = [cost for cost, _ in points[1:]] + [self.budget + 1]
-        for (cost, prob), end in zip(points, ends):
-            out.extend([prob] * (end - cost))
-        return out
-
     def witness(self, budget: int | None = None) -> BribePlan | None:
         """Lexicographically smallest optimal plan at the given budget.
 

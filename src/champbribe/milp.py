@@ -24,12 +24,15 @@ incumbent has integral values; if the approximation ever admits a spurious
 candidate, its precision is doubled and the search restarts.
 
 Branch and bound is depth-first with deterministic branching: lowest
-fractional integer column first, floor branch first.  Each precision
-round solves its root cold, by two-phase primal simplex with Bland's rule
-(termination over speed).  A child starts from its parent's final
-tableau with the branching bound appended as one row, which leaves the
-basis dual feasible, and is re-optimised by a dual simplex with a
-Bland-type rule.  `PIVOT_CAP` bounds the pivots of one solve.
+fractional integer column first, floor branch first.  One dual simplex
+with a Bland-type rule is the only way to primal feasibility.  Each
+precision round solves its root cold: the dual simplex under zero costs
+(dual feasible in every basis) reaches a feasible basis, and primal
+simplex with Bland's rule (termination over speed) then optimises.  A
+child starts from its parent's final tableau with the branching bound
+appended as one row, which leaves the basis dual feasible, and is
+re-optimised by the same dual simplex.  `PIVOT_CAP` bounds the pivots of
+one solve.
 """
 
 from __future__ import annotations
@@ -347,53 +350,41 @@ class _Tableau:
     row's `den`, and after every update a row is divided by the gcd of its
     denominator, rhs and entries (fraction-free in the manner of Edmonds,
     1967, one row at a time).  Columns are the structural ones, then one
-    slack per inequality row, then one artificial per ``>=`` or ``==`` row;
-    phase 1 drops the artificials, and each branching bound appends one
-    more slack.  `cost` holds the reduced costs (dense, as Fractions or
-    LogSums) and `z` the objective value of the current basis; both are None
-    until `_simplex` first prices the tableau.  Every pivot is charged to
-    `pivots`, which the tableaux of one solve share.
+    slack per inequality row (a ``>=`` row is negated into ``<=`` form),
+    and each branching bound appends one more slack.  A slack starts basic
+    and may be negative; an ``==`` row starts with no basic column, marked
+    -1 in `basis` until `feasible` gives it one.  `cost` holds the reduced
+    costs (dense, as Fractions or LogSums) and `z` the objective value of
+    the current basis; both are None until `_simplex` first solves the
+    tableau.  Every pivot is charged to `pivots`, which the tableaux of one
+    solve share.
     """
 
     def __init__(self, rows, num_structural: int, pivots: _Pivots):
         # rows: (sparse coeffs {col: nonzero} over structural cols, relation,
         # rhs), all rational.  Each row is scaled by the lcm of its
-        # denominators, negated too when its rhs is negative.
+        # denominators, and a ``>=`` row is negated into ``<=`` form.
         self.n = num_structural
         self.pivots = pivots
         self.cost = None
         self.z = None
-        norm = []
-        for coeffs, rel, rhs in rows:
-            scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-            if rhs < 0:
-                scale = -scale
-                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            entries = {j: int(c * scale) for j, c in coeffs.items()}
-            norm.append((entries, rel, int(rhs * scale), abs(scale)))
-        num_slack = sum(1 for _, rel, _, _ in norm if rel != EQ)
-        num_art = sum(1 for _, rel, _, _ in norm if rel != LE)
-        self.art_start = self.n + num_slack
-        self.total = self.art_start + num_art
         self.body: list[dict] = []
         self.rhs: list[int] = []
         self.den: list[int] = []
         self.basis: list[int] = []
         s = self.n
-        a = self.art_start
-        for row, rel, rhs, den in norm:
-            if rel == LE:
+        for coeffs, rel, rhs in rows:
+            den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+            scale = -den if rel == GE else den
+            row = {j: int(c * scale) for j, c in coeffs.items()}
+            if rel == EQ:
+                self.basis.append(-1)
+            else:
                 row[s] = den
                 self.basis.append(s)
                 s += 1
-            else:
-                if rel == GE:
-                    row[s] = -den
-                    s += 1
-                row[a] = den
-                self.basis.append(a)
-                a += 1
-            self._append(row, rhs, den)
+            self._append(row, int(rhs * scale), den)
+        self.total = s
 
     def _append(self, row: dict, rhs: int, den: int) -> None:
         row, rhs, den = _reduced(row, rhs, den)
@@ -458,13 +449,13 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             self._eliminate(self.cost[b], self.body[i], self.rhs[i], self.den[i])
 
-    def primal(self, allowed: int) -> str:
-        """Primal simplex with Bland's rule; columns >= allowed never enter."""
+    def primal(self) -> str:
+        """Primal simplex with Bland's rule from a primal feasible basis."""
         body, rhs, cost = self.body, self.rhs, self.cost
         while True:
             enter = -1
-            for j in range(allowed):
-                if cost[j] > 0:
+            for j, c in enumerate(cost):
+                if c > 0:
                     enter = j
                     break
             if enter < 0:
@@ -512,23 +503,31 @@ class _Tableau:
                 return INFEASIBLE
             self._pivot(leave, enter)
 
-    def end_phase_one(self) -> None:
-        """Drive leftover artificials out of the basis (or drop their redundant
-        rows), then drop the artificial columns."""
-        art = self.art_start
-        for i in range(len(self.body) - 1, -1, -1):
-            if self.basis[i] < art:
-                continue
-            pivot_col = min((l for l in self.body[i] if l < art), default=None)
-            if pivot_col is None:
-                del self.body[i], self.rhs[i], self.den[i], self.basis[i]
-            else:
-                self._pivot(i, pivot_col)
-        for i, row in enumerate(self.body):
-            if any(l >= art for l in row):
-                row = {l: x for l, x in row.items() if l < art}
-                self.body[i], self.rhs[i], self.den[i] = _reduced(row, self.rhs[i], self.den[i])
-        self.total = art
+    def feasible(self) -> str:
+        """Phase 1 of a fresh tableau: reach a primal feasible basis, or
+        prove there is none, by the dual simplex under zero costs.
+
+        Zero reduced costs are dual feasible in every basis.  Each ``==``
+        row, which has no basic column yet, first pivots on its lowest
+        column: earlier pivots have eliminated every basic column from it,
+        so that column is basic nowhere else.  An ``==`` row left with no
+        entries is redundant and is deleted; its rhs must then be zero.
+        Every ``==`` row is handled before returning, so each row keeps a
+        basic column even when the LP is infeasible.
+        """
+        self.cost = [Fraction(0)] * self.total
+        self.z = Fraction(0)
+        consistent = True
+        i = 0
+        while i < len(self.body):
+            if self.basis[i] < 0:
+                if not self.body[i]:
+                    consistent = consistent and not self.rhs[i]
+                    del self.body[i], self.rhs[i], self.den[i], self.basis[i]
+                    continue
+                self._pivot(i, min(self.body[i]))
+            i += 1
+        return self.dual() if consistent else INFEASIBLE
 
     def add_bound(self, j: int, relation: str, value: Fraction) -> None:
         """Append x_j <= value (LE) or x_j >= value (GE) for a basic column j.
@@ -554,26 +553,21 @@ class _Tableau:
 def _simplex(tab: _Tableau, objective):
     """Optimise `tab` in place, maximizing; return (status, assignment or None).
 
-    A fresh tableau (slack and artificial basis, not yet priced) is solved
-    cold: phase 1, then phase 2 on `objective` (a list of Fraction, or of
-    LogSum for a formal-log objective), both by primal simplex with Bland's
-    rule.  A tableau that has been solved to optimality and then given a
-    bound by `add_bound` keeps its reduced costs, which are still dual
-    feasible, and is re-optimised by the dual simplex; `objective` is
-    already priced into it.
+    A fresh tableau (slack basis, not yet priced) is solved cold: phase 1
+    by `feasible`, the dual simplex under zero costs, then phase 2 on
+    `objective` (a list of Fraction, or of LogSum for a formal-log
+    objective) by primal simplex with Bland's rule.  A tableau that has
+    been solved to optimality and then given a bound by `add_bound` keeps
+    its reduced costs, which are still dual feasible, and is re-optimised
+    by the dual simplex; `objective` is already priced into it.
     """
     if tab.cost is not None:
         status = tab.dual()
     else:
-        if tab.art_start < tab.total:
-            # Phase 1: maximize -sum(artificials).
-            num_art = tab.total - tab.art_start
-            tab.price([Fraction(0)] * tab.art_start + [Fraction(-1)] * num_art)
-            if tab.primal(tab.art_start) != OPTIMAL or tab.z != 0:
-                return INFEASIBLE, None
-            tab.end_phase_one()
-        tab.price(objective)
-        status = tab.primal(tab.total)
+        status = tab.feasible()
+        if status == OPTIMAL:
+            tab.price(objective)
+            status = tab.primal()
     if status != OPTIMAL:
         return status, None
     values = [Fraction(0)] * tab.n
@@ -626,9 +620,9 @@ def _objective_value(model: MilpModel, assignment: Sequence[Fraction]):
 def solve_lp_exact(model: MilpModel) -> MilpSolution:
     """Optimal vertex of the LP relaxation (integrality flags ignored).
 
-    Exact two-phase simplex with Bland's anti-cycling rule, within
-    `PIVOT_CAP` pivots.  Objectives may carry formal-log coefficients;
-    constraint rows must be rational.
+    Exact simplex with Bland's anti-cycling rules (dual simplex to a
+    feasible basis, then primal), within `PIVOT_CAP` pivots.  Objectives
+    may carry formal-log coefficients; constraint rows must be rational.
     """
     tab = _Tableau(_model_lp_rows(model), model.num_variables, _Pivots(PIVOT_CAP))
     objective = _objective_vector(model, negate=model.objective.sense == "min")

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce, verify
+from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce
 from champbribe.core import normalize_bribe_vector, vector
-from champbribe.dp import BudgetSweep, budget_sweep
+from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, make_nonmonotone, split_rng
 
 
@@ -58,7 +58,7 @@ class TestBudgetSweep:
         rng = split_rng(41, "sweep")
         for idx in range(25):
             inst = gen_cbcct(41, rng.randint(0, 4), 3, rng.randint(0, 12), index=idx)
-            assert budget_sweep(inst).probabilities() == brute_sweep(inst)
+            assert budget_sweep(inst).frontier() == scan_rises(brute_sweep(inst))
 
     def test_matches_fraction_dp_beyond_brute_force(self):
         # First prices are often nonzero, so low budgets are infeasible; the
@@ -86,7 +86,7 @@ class TestBudgetSweep:
         instances.append(CbcctInstance(zero_above, 5, F(1, 2)))
         for inst in instances:
             sweep = budget_sweep(inst)
-            assert sweep.probabilities() == fraction_sweep(inst)
+            assert sweep.frontier() == scan_rises(fraction_sweep(inst))
             for row in sweep._rows[1:]:  # one breakpoint per strict rise
                 assert all(a < b for a, b in zip(row.starts, row.starts[1:]))
                 # Ranks are the dense order of the row's exact values.
@@ -161,11 +161,12 @@ class TestBudgetSweep:
             2,
             F(1, 2),
         )
-        assert budget_sweep(inst).probabilities() == brute_sweep(inst)
+        assert budget_sweep(inst).frontier() == scan_rises(brute_sweep(inst))
 
     def test_empty_instance(self):
-        sweep = budget_sweep(CbcctInstance((), 3, F(1)))
-        assert sweep.probabilities() == [F(1)] * 4
+        inst = CbcctInstance((), 3, F(1))
+        sweep = budget_sweep(inst)
+        assert sweep.frontier() == scan_rises(brute_sweep(inst)) == [(0, F(1))]
         assert sweep.witness().choices == ()
 
     def test_witness_is_lexicographically_smallest(self):
@@ -198,7 +199,7 @@ class TestBudgetSweep:
             3,
             F(1, 4),
         )
-        assert budget_sweep(inst).probabilities() == brute_sweep(inst)
+        assert budget_sweep(inst).frontier() == scan_rises(brute_sweep(inst))
 
 
 def folding_instances():
@@ -261,18 +262,6 @@ class TestFoldedChallengers:
             budget_sweep(inst)
             rows = [v for v in inst.bribe_vectors if len(v) > 1 or not v.entries[0].losing_probability]
             assert len(calls) == len(rows), idx
-
-
-def test_suites_never_expand_the_sweep(monkeypatch):
-    # The suites read frontiers and min_cost_for, never a list of B + 1 probabilities.
-    def refuse(self):
-        raise AssertionError("BudgetSweep.probabilities called")
-
-    monkeypatch.setattr(BudgetSweep, "probabilities", refuse)
-    normalization = verify.suite_normalization(count=20)
-    assert normalization.passed, normalization.failures
-    values = verify.suite_value_agreement(count=2)
-    assert values.passed, values.failures
 
 
 class TestScaleSmoke:

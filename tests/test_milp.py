@@ -96,6 +96,33 @@ class TestSolveLpExact:
         assert s.status == "optimal"
         assert s.assignment == (1, 2)
 
+    def _cold_solve_against_oracle(self, rows, obj):
+        # A cold solve straight on the tableau, checked against vertex
+        # enumeration and for integer rows, whatever its status.
+        n = len(obj)
+        tab = _Tableau(
+            [({j: c for j, c in enumerate(coeffs) if c}, rel, rhs) for coeffs, rel, rhs in rows],
+            n,
+            _Pivots(milp.PIVOT_CAP),
+        )
+        status, x = _simplex(tab, list(obj))
+        _assert_integer_rows(tab)
+        best, any_vertex = _vertex_enumeration(rows, obj, n)
+        assert (status == "optimal") == any_vertex
+        if any_vertex:
+            assert tab.z == best == _dot(list(obj), x)
+        return status, x
+
+    def test_redundant_equality_rows(self):
+        rows = [((F(1), F(1)), "==", F(3)), ((F(2), F(2)), "==", F(6))]
+        status, x = self._cold_solve_against_oracle(rows, (F(1), F(2)))
+        assert status == "optimal" and x == (0, 3)
+
+    def test_inconsistent_equality_rows(self):
+        rows = [((F(1), F(1)), "==", F(3)), ((F(1), F(1)), "==", F(4))]
+        status, _ = self._cold_solve_against_oracle(rows, (F(1), F(2)))
+        assert status == "infeasible"
+
     def test_upper_bounds_respected(self):
         m = model([("x", False, F(5, 2))], [], (F(1),))
         s = solve_lp_exact(m)
@@ -495,14 +522,15 @@ def _assert_integer_rows(tab):
 
 class TestWarmStart:
     """A child re-optimised by dual simplex from its parent's final tableau
-    agrees with a cold two-phase solve of the same rows plus its bounds, and
-    every solve, cold or warm, leaves integer rows (`_assert_integer_rows`)."""
+    agrees with a cold solve (dual simplex phase 1, then primal simplex) of
+    the same rows plus its bounds, and every solve, cold or warm, leaves
+    integer rows (`_assert_integer_rows`)."""
 
     def _check(self, seed, objective_of, cases):
         import random
 
         rng = random.Random(seed)
-        seen = {"artificials": 0, "infeasible": 0, "warm": 0}
+        seen = {"phase 1": 0, "infeasible": 0, "warm": 0}
         for _ in range(cases):
             n = rng.randint(1, 4)
             rows = [
@@ -516,7 +544,8 @@ class TestWarmStart:
             rows += [({j: F(1)}, LE, F(rng.randint(1, 6))) for j in range(n)]
             objective = objective_of(rng, n)
             tab = _Tableau(rows, n, _Pivots(milp.PIVOT_CAP))
-            seen["artificials"] += tab.art_start < tab.total
+            # Phase 1 has work when a row is an equation or starts infeasible.
+            seen["phase 1"] += -1 in tab.basis or min(tab.rhs) < 0
             status, x = _simplex(tab, objective)
             _assert_integer_rows(tab)
             bounds = []

@@ -114,10 +114,10 @@ class TestDp:
             9,
             F(1, 2),
         )
-        sweep = budget_sweep(inst).probabilities()
-        feasible = [p for p in sweep if p is not None]
-        assert feasible == sorted(feasible)
-        assert all(a is None for a in sweep[: len(sweep) - len(feasible)])
+        frontier = budget_sweep(inst).frontier()
+        assert frontier
+        for (cost, prob), (next_cost, next_prob) in zip(frontier, frontier[1:]):
+            assert cost < next_cost and prob < next_prob
 
     def test_cell_cap(self, monkeypatch):
         # The cap counts candidates, not n * B: five two-entry rows, the k-th
