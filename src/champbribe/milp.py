@@ -214,6 +214,18 @@ def _atanh_ln_bounds(r: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 # -- model types ---------------------------------------------------------------
 
 
+def _nonzero_entries(coeffs, *values) -> dict:
+    """`coeffs` (a dict column -> coefficient) without its zero entries,
+    once it and `values` are checked to hold ints, Fractions and FormalLogs
+    only."""
+    if not isinstance(coeffs, dict):
+        raise ModelError(f"coefficients {coeffs!r} are not a dict from column index to value")
+    for c in (*coeffs.values(), *values):
+        if not isinstance(c, (int, FormalLog, Fraction)):
+            raise ModelError(f"model value {c!r} is not an int, a Fraction or a FormalLog")
+    return {j: c for j, c in coeffs.items() if c != 0}
+
+
 @dataclass(frozen=True)
 class MilpVariable:
     """A nonnegative variable; lower bound is fixed at 0."""
@@ -222,26 +234,43 @@ class MilpVariable:
     is_integer: bool = False
     upper: Fraction | int | None = None
 
+    def __post_init__(self) -> None:
+        if self.upper is not None and not isinstance(self.upper, (int, Fraction)):
+            raise ModelError(f"upper bound {self.upper!r} is not an int or a Fraction")
+
 
 @dataclass(frozen=True)
 class MilpRow:
-    coeffs: tuple
+    """The constraint sum(coeffs[j] * x_j) `relation` `rhs`.
+
+    `coeffs` is a dict from each column index to its nonzero coefficient; a
+    column absent from it has coefficient 0, and zero entries are dropped
+    here.  A coefficient or rhs is an int, a Fraction or a FormalLog.
+    """
+
+    coeffs: dict
     relation: str
     rhs: object
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", _nonzero_entries(self.coeffs, self.rhs))
         if self.relation not in _RELATIONS:
             raise ModelError(f"unknown relation {self.relation!r}")
 
 
 @dataclass(frozen=True)
 class MilpObjective:
-    coeffs: tuple
+    """Maximize or minimize sum(coeffs[j] * x_j).
+
+    `coeffs` is a dict from each column index to its nonzero coefficient,
+    as in `MilpRow`.  The coefficients are all rational or all formal logs.
+    """
+
+    coeffs: dict
     sense: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", _nonzero_entries(self.coeffs))
         if self.sense not in ("max", "min"):
             raise ModelError(f"objective sense must be 'max' or 'min', got {self.sense!r}")
 
@@ -256,11 +285,11 @@ class MilpModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "rows", tuple(self.rows))
         n = len(self.variables)
-        for i, row in enumerate(self.rows):
-            if len(row.coeffs) != n:
-                raise ModelError(f"row {i} has {len(row.coeffs)} coefficients for {n} variables")
-        if len(self.objective.coeffs) != n:
-            raise ModelError("objective length does not match variable count")
+        for i, row in enumerate((self.objective, *self.rows)):
+            bad = [j for j in row.coeffs if not (isinstance(j, int) and 0 <= j < n)]
+            if bad:
+                what = f"row {i - 1}" if i else "objective"
+                raise ModelError(f"{what} has an entry on column {bad[0]!r}, outside 0..{n - 1}")
 
     @property
     def num_variables(self) -> int:
@@ -279,18 +308,14 @@ class MilpModel:
             return repr(c) if isinstance(c, FormalLog) else str(Fraction(c))
 
         def terms(coeffs) -> str:
-            parts = [
-                f"{fmt(c)} {v.name}"
-                for c, v in zip(coeffs, self.variables)
-                if isinstance(c, FormalLog) or c != 0
-            ]
+            parts = [f"{fmt(c)} {self.variables[j].name}" for j, c in sorted(coeffs.items())]
             return " + ".join(parts) if parts else "0"
 
         lines = [f"{self.objective.sense} {terms(self.objective.coeffs)}", "s.t."]
         for row in self.rows:
             lines.append(f"  {terms(row.coeffs)} {row.relation} {fmt(row.rhs)}")
         for v in self.variables:
-            bound = f"0 <= {v.name}" + (f" <= {Fraction(v.upper)}" if v.upper is not None else "")
+            bound = f"0 <= {v.name}" + (f" <= {v.upper}" if v.upper is not None else "")
             lines.append(f"  {bound}" + ("  integer" if v.is_integer else ""))
         return "\n".join(lines)
 
@@ -361,9 +386,9 @@ class _Tableau:
     """
 
     def __init__(self, rows, num_structural: int, pivots: _Pivots):
-        # rows: (sparse coeffs {col: nonzero} over structural cols, relation,
-        # rhs), all rational.  Each row is scaled by the lcm of its
-        # denominators, and a ``>=`` row is negated into ``<=`` form.
+        # rows: (coeffs {structural col: nonzero int or Fraction}, relation,
+        # rhs), as a `MilpRow` holds them.  Each row is scaled by the lcm of
+        # its denominators, and a ``>=`` row is negated into ``<=`` form.
         self.n = num_structural
         self.pivots = pivots
         self.cost = None
@@ -577,31 +602,27 @@ def _simplex(tab: _Tableau, objective):
     return OPTIMAL, tuple(values)
 
 
-def _model_lp_rows(model: MilpModel, extra_rows=()):
-    """Model rows plus upper-bound rows, as sparse rational triples for the simplex."""
-    rows = []
-    for row in model.rows:
-        if any(_is_log(c) for c in row.coeffs) or _is_log(row.rhs):
-            raise ModelError("constraint rows with formal-log coefficients are not LP-solvable")
-        coeffs = {j: Fraction(c) for j, c in enumerate(row.coeffs) if c}
-        rows.append((coeffs, row.relation, Fraction(row.rhs)))
-    for j, v in enumerate(model.variables):
-        if v.upper is not None:
-            rows.append(({j: 1}, LE, Fraction(v.upper)))
-    rows.extend(extra_rows)
-    return rows
+def _model_lp_rows(model: MilpModel, rows) -> list:
+    """`rows` plus the model's upper-bound rows, as (coeffs, relation, rhs) for the simplex."""
+    if any(_is_log(r.rhs) or any(map(_is_log, r.coeffs.values())) for r in rows):
+        raise ModelError("constraint rows with formal-log coefficients are not LP-solvable")
+    variables = enumerate(model.variables)
+    bounds = [({j: 1}, LE, v.upper) for j, v in variables if v.upper is not None]
+    return [(r.coeffs, r.relation, r.rhs) for r in rows] + bounds
 
 
-def _objective_vector(model: MilpModel, negate: bool = False) -> list:
-    """The objective as Fractions, or as LogSums when any coefficient is a formal log."""
+def _objective_vector(model: MilpModel) -> tuple[list, list]:
+    """The objective densified, as Fractions, or as LogSums when the
+    coefficients are formal logs; and the vector the simplex maximizes,
+    negated for a 'min' sense."""
     coeffs = model.objective.coeffs
-    if any(_is_log(c) for c in coeffs):
-        if any(not _is_log(c) and c != 0 for c in coeffs):
-            raise ModelError("objective mixes nonzero rational and formal-log coefficients")
-        vec = [LogSum.of(c.argument) if _is_log(c) else LogSum.zero() for c in coeffs]
-    else:
-        vec = [Fraction(c) for c in coeffs]
-    return [-c for c in vec] if negate else vec
+    logs = sum(map(_is_log, coeffs.values()))
+    if 0 < logs < len(coeffs):
+        raise ModelError("objective mixes nonzero rational and formal-log coefficients")
+    vec = [LogSum.zero() if logs else Fraction(0)] * model.num_variables
+    for j, c in coeffs.items():
+        vec[j] = LogSum.of(c.argument) if logs else Fraction(c)
+    return vec, [-c for c in vec] if model.objective.sense == "min" else vec
 
 
 def _dot(vec: list, assignment: Sequence[Fraction]):
@@ -613,10 +634,6 @@ def _dot(vec: list, assignment: Sequence[Fraction]):
     return total
 
 
-def _objective_value(model: MilpModel, assignment: Sequence[Fraction]):
-    return _dot(_objective_vector(model), assignment)
-
-
 def solve_lp_exact(model: MilpModel) -> MilpSolution:
     """Optimal vertex of the LP relaxation (integrality flags ignored).
 
@@ -624,12 +641,12 @@ def solve_lp_exact(model: MilpModel) -> MilpSolution:
     feasible basis, then primal), within `PIVOT_CAP` pivots.  Objectives
     may carry formal-log coefficients; constraint rows must be rational.
     """
-    tab = _Tableau(_model_lp_rows(model), model.num_variables, _Pivots(PIVOT_CAP))
-    objective = _objective_vector(model, negate=model.objective.sense == "min")
+    tab = _Tableau(_model_lp_rows(model, model.rows), model.num_variables, _Pivots(PIVOT_CAP))
+    values, objective = _objective_vector(model)
     status, assignment = _simplex(tab, objective)
     if status != OPTIMAL:
         return MilpSolution(status)
-    return MilpSolution(OPTIMAL, assignment, _objective_value(model, assignment))
+    return MilpSolution(OPTIMAL, assignment, _dot(values, assignment))
 
 
 # -- branch and bound ----------------------------------------------------------
@@ -652,22 +669,18 @@ def _split_log_rows(model: MilpModel):
     log_rows = []
     plain = []
     int_cols = set(model.integer_columns())
-    for idx, row in enumerate(model.rows):
-        has_log = any(_is_log(c) for c in row.coeffs) or _is_log(row.rhs)
-        if not has_log:
+    for row in model.rows:
+        logs = sum(map(_is_log, row.coeffs.values()))
+        if not logs and not _is_log(row.rhs):
             plain.append(row)
             continue
         if row.relation != GE or not _is_log(row.rhs):
             raise ModelError("formal-log rows must be '>=' with a formal-log right-hand side")
-        support = []
-        for j, c in enumerate(row.coeffs):
-            if _is_log(c):
-                support.append((j, c.argument))
-            elif c != 0:
-                raise ModelError("formal-log rows cannot mix rational coefficients")
-        if any(j not in int_cols for j, _ in support):
+        if logs < len(row.coeffs):
+            raise ModelError("formal-log rows cannot mix rational coefficients")
+        if not int_cols.issuperset(row.coeffs):
             raise ModelError("formal-log rows may involve integer columns only")
-        log_rows.append((support, row.rhs.argument))
+        log_rows.append(([(j, c.argument) for j, c in row.coeffs.items()], row.rhs.argument))
     return plain, log_rows
 
 
@@ -705,36 +718,41 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     for v in model.variables:
         if v.is_integer and v.upper is None:
             raise ModelError(f"integer variable {v.name} needs a finite upper bound")
-    plain_rows, log_rows = _split_log_rows(model)
-    base_model = MilpModel(model.variables, tuple(plain_rows), model.objective)
+    plain, log_rows = _split_log_rows(model)
+    rows = _model_lp_rows(model, plain)
+    values, objective = _objective_vector(model)
     bits = LOG_START_BITS
     pivots = _Pivots(PIVOT_CAP)
     for _ in range(LOG_MAX_ROUNDS):
         try:
-            return _branch_and_bound(model, base_model, log_rows, bits, pivots)
+            status, incumbent = _branch_and_bound(model, rows, log_rows, objective, bits, pivots)
         except _NeedsMorePrecision:
             bits *= 2
+            continue
+        value = None if incumbent is None else _dot(values, incumbent)
+        return MilpSolution(status, incumbent, value)
     raise SolverError("log-row approximation failed to converge")
 
 
-def _branch_and_bound(model, base_model, log_rows, bits: int, pivots: _Pivots) -> MilpSolution:
-    """One precision round: a cold root, then children re-optimised warm."""
-    n = model.num_variables
-    objective = _objective_vector(base_model, negate=model.objective.sense == "min")
+def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivots):
+    """One precision round: a cold root, then children re-optimised warm.
+
+    `rows` are the model's rational LP rows and `objective` the vector to
+    maximize; returns (status, incumbent or None).
+    """
     approx = [_approx_log_row(sup, rhs, bits) for sup, rhs in log_rows]
-    base_rows = _model_lp_rows(base_model, extra_rows=approx)
     int_cols = model.integer_columns()
 
     incumbent = None
     incumbent_val = None
-    nodes = [_Tableau(base_rows, n, pivots)]
+    nodes = [_Tableau(rows + approx, model.num_variables, pivots)]
     while nodes:
         tab = nodes.pop()
         status, assignment = _simplex(tab, objective)
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:
-            return MilpSolution(UNBOUNDED)
+            return UNBOUNDED, None
         if incumbent_val is not None and not tab.z > incumbent_val:
             continue
         frac_col = next((j for j in int_cols if assignment[j].denominator != 1), None)
@@ -751,9 +769,7 @@ def _branch_and_bound(model, base_model, log_rows, bits: int, pivots: _Pivots) -
             raise _NeedsMorePrecision
         incumbent = assignment
         incumbent_val = tab.z
-    if incumbent is None:
-        return MilpSolution(INFEASIBLE)
-    return MilpSolution(OPTIMAL, incumbent, _objective_value(model, incumbent))
+    return (INFEASIBLE, None) if incumbent is None else (OPTIMAL, incumbent)
 
 
 # -- total unimodularity -------------------------------------------------------
@@ -836,11 +852,8 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
         raise SolverError("integralize_solution requires an optimal mixed solution")
     frac_cols = model.fractional_columns()
     int_cols = model.integer_columns()
-    touching = [
-        i
-        for i, row in enumerate(model.rows)
-        if any(_is_log(row.coeffs[j]) or row.coeffs[j] != 0 for j in frac_cols)
-    ]
+    pos = {j: p for p, j in enumerate(frac_cols)}
+    touching = [i for i, row in enumerate(model.rows) if not pos.keys().isdisjoint(row.coeffs)]
     if touching and touching != list(range(len(model.rows) - len(touching), len(model.rows))):
         raise ModelError("rows touching fractional columns must form the tail block")
     if any(mixed.assignment[j].denominator != 1 for j in int_cols):
@@ -848,26 +861,24 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     if all(x.denominator == 1 for x in mixed.assignment):
         return mixed
 
-    sub_vars = tuple(model.variables[j] for j in frac_cols)
     sub_rows = []
     for i in touching:
         row = model.rows[i]
-        residual = Fraction(row.rhs)
-        for j in int_cols:
-            c = row.coeffs[j]
-            if c != 0:
-                residual -= Fraction(c) * mixed.assignment[j]
-        sub_rows.append(MilpRow(tuple(row.coeffs[j] for j in frac_cols), row.relation, residual))
-    sub_obj = MilpObjective(
-        tuple(model.objective.coeffs[j] for j in frac_cols), model.objective.sense
+        residual = row.rhs - sum(c * mixed[j] for j, c in row.coeffs.items() if j not in pos)
+        coeffs = {pos[j]: c for j, c in row.coeffs.items() if j in pos}
+        sub_rows.append(MilpRow(coeffs, row.relation, residual))
+    sub_obj = {pos[j]: c for j, c in model.objective.coeffs.items() if j in pos}
+    restricted = MilpModel(
+        tuple(model.variables[j] for j in frac_cols),
+        tuple(sub_rows),
+        MilpObjective(sub_obj, model.objective.sense),
     )
-    restricted = MilpModel(sub_vars, tuple(sub_rows), sub_obj)
     sub = solve_lp_exact(restricted)
     if sub.status != OPTIMAL:
         raise SolverError(f"restricted LP is {sub.status}; integralize preconditions violated")
 
     merged = list(mixed.assignment)
-    for pos, j in enumerate(frac_cols):
-        merged[j] = sub.assignment[pos]
+    for p, j in enumerate(frac_cols):
+        merged[j] = sub.assignment[p]
     merged_t = tuple(merged)
-    return MilpSolution(OPTIMAL, merged_t, _objective_value(model, merged_t))
+    return MilpSolution(OPTIMAL, merged_t, _dot(_objective_vector(model)[0], merged_t))

@@ -143,7 +143,9 @@ def _grouping(inst: CbcctInstance) -> dict[tuple[ProbabilityProfile, BribeValueS
     for idx, v in enumerate(inst.bribe_vectors):
         if not v.monotone:
             raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
-        groups.setdefault((probability_profile(v), bribe_value_set(v)), []).append(idx)
+        # Monotone vectors list strictly increasing values and probabilities,
+        # so these are `probability_profile(v)` and `bribe_value_set(v)`.
+        groups.setdefault((v.probabilities(), v.bribe_values()), []).append(idx)
     return dict(sorted(groups.items()))
 
 
@@ -186,38 +188,29 @@ def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, Var
             variables.append(
                 MilpVariable(f"x[{item},{set(counted)}]", is_integer=True, upper=n)
             )
-    objective: list = [Fraction(0)] * len(variables)
+    objective: dict = {}
     frac_cols: dict = {}
     linked: dict = {key: [] for key in int_cols}
     for prof, vs in groups:
         for prob, value in zip(prof, vs):
             linked[(value, vs) if by_value else (prob, prof)].append(len(variables))
             frac_cols[(prof, value, vs)] = len(variables)
+            objective[len(variables)] = FormalLog(prob) if by_value else value
             variables.append(MilpVariable(f"y[{set(prof)},{value},{set(vs)}]"))
-            objective.append(FormalLog(prob) if by_value else Fraction(value))
-    total = len(variables)
-
-    def row(terms, relation: str, rhs) -> MilpRow:
-        coeffs: list = [Fraction(0)] * total
-        for col, coeff in terms:
-            coeffs[col] = coeff
-        return MilpRow(tuple(coeffs), relation, rhs)
 
     if by_value:
-        head = [(col, Fraction(value)) for (value, _), col in int_cols.items()]
-        rows = [row(head, "<=", Fraction(inst.budget))]
+        head = {col: value for (value, _), col in int_cols.items()}
+        rows = [MilpRow(head, "<=", inst.budget)]
     else:
-        head = [(col, FormalLog(prob)) for (prob, _), col in int_cols.items()]
-        rows = [row(head, ">=", FormalLog(inst.threshold))]
+        head = {col: FormalLog(prob) for (prob, _), col in int_cols.items()}
+        rows = [MilpRow(head, ">=", FormalLog(inst.threshold))]
     for key, col in int_cols.items():
-        terms = [(col, Fraction(-1))] + [(c, Fraction(1)) for c in linked[key]]
-        rows.append(row(terms, "==", Fraction(0)))
+        rows.append(MilpRow({col: -1, **dict.fromkeys(linked[key], 1)}, "==", 0))
     for (prof, vs), players in groups.items():
-        terms = [(frac_cols[(prof, value, vs)], Fraction(1)) for value in vs]
-        rows.append(row(terms, "==", Fraction(len(players))))
+        rows.append(MilpRow({frac_cols[(prof, value, vs)]: 1 for value in vs}, "==", len(players)))
 
     sense = "max" if by_value else "min"
-    model = MilpModel(tuple(variables), tuple(rows), MilpObjective(tuple(objective), sense))
+    model = MilpModel(tuple(variables), tuple(rows), MilpObjective(objective, sense))
     return model, VariableMap(int_cols, frac_cols, groups, len(int_cols))
 
 

@@ -37,10 +37,12 @@ def model(var_specs, rows, obj, sense="max"):
         MilpVariable(name, is_integer=integer, upper=upper)
         for name, integer, upper in var_specs
     )
+    # Rows and objective are written densely here; the model takes them as
+    # column -> coefficient mappings.
     return MilpModel(
         variables,
-        tuple(MilpRow(tuple(c), rel, rhs) for c, rel, rhs in rows),
-        MilpObjective(tuple(obj), sense),
+        tuple(MilpRow(dict(enumerate(c)), rel, rhs) for c, rel, rhs in rows),
+        MilpObjective(dict(enumerate(obj)), sense),
     )
 
 
@@ -783,13 +785,13 @@ class TestIntegralize:
             MilpVariable("x22"),
         )
         rows = (
-            MilpRow((F(1), F(0), F(0), F(0), F(0)), "<=", F(1)),
-            MilpRow((F(0), F(1), F(1), F(0), F(0)), "==", F(2)),
-            MilpRow((F(0), F(0), F(0), F(1), F(1)), "==", F(1)),
-            MilpRow((F(0), F(1), F(0), F(1), F(0)), "==", F(1)),
-            MilpRow((F(0), F(0), F(1), F(0), F(1)), "==", F(2)),
+            MilpRow({0: 1}, "<=", 1),
+            MilpRow({1: 1, 2: 1}, "==", 2),
+            MilpRow({3: 1, 4: 1}, "==", 1),
+            MilpRow({1: 1, 3: 1}, "==", 1),
+            MilpRow({2: 1, 4: 1}, "==", 2),
         )
-        obj = MilpObjective((F(1), F(1), F(1), F(1), F(1)), "max")
+        obj = MilpObjective(dict.fromkeys(range(5), 1), "max")
         return MilpModel(variables, rows, obj)
 
     def test_transportation_block(self, monkeypatch):
@@ -841,8 +843,8 @@ class TestIntegralize:
             MilpVariable("x"),
             MilpVariable("y"),
         )
-        rows = (MilpRow((F(-1), F(1), F(1)), "==", F(0)),)
-        m = MilpModel(variables, rows, MilpObjective((F(0), F(1), F(0)), "max"))
+        rows = (MilpRow({0: -1, 1: 1, 2: 1}, "==", 0),)
+        m = MilpModel(variables, rows, MilpObjective({1: 1}, "max"))
         from champbribe.milp import MilpSolution
 
         mixed = MilpSolution("optimal", (F(1, 2), F(1, 2), F(0)), F(1, 2))
@@ -852,15 +854,66 @@ class TestIntegralize:
     def test_tail_block_convention_enforced(self):
         variables = (MilpVariable("w", is_integer=True, upper=3), MilpVariable("x"))
         rows = (
-            MilpRow((F(0), F(1)), "<=", F(2)),  # touches the fractional column
-            MilpRow((F(1), F(0)), "<=", F(1)),  # int-only row after it: violation
+            MilpRow({1: 1}, "<=", 2),  # touches the fractional column
+            MilpRow({0: 1}, "<=", 1),  # int-only row after it: violation
         )
-        m = MilpModel(variables, rows, MilpObjective((F(1), F(1)), "max"))
+        m = MilpModel(variables, rows, MilpObjective({0: 1, 1: 1}, "max"))
         from champbribe.milp import MilpSolution
 
         mixed = MilpSolution("optimal", (F(1), F(2)), F(3))
         with pytest.raises(ModelError):
             integralize_solution(m, mixed)
+
+
+class TestModelInput:
+    VARS = (MilpVariable("x"), MilpVariable("y"))
+
+    def test_zero_entries_are_dropped(self):
+        row = MilpRow({0: 0, 1: F(0), 2: 3}, "<=", 1)
+        obj = MilpObjective({0: F(0), 1: FormalLog(F(1, 2))}, "max")
+        assert row.coeffs == {2: 3}
+        assert obj.coeffs == {1: FormalLog(F(1, 2))}
+        assert rational_model([((0, 2), "<=", 4)], (1, 0), 2).rows[0].coeffs == {1: 2}
+
+    @pytest.mark.parametrize("col", [-1, 2, 7, "0", F(1)])
+    def test_entry_outside_the_columns(self, col):
+        ok = MilpObjective({0: 1}, "max")
+        with pytest.raises(ModelError):
+            MilpModel(self.VARS, (MilpRow({col: 1}, "<=", 1),), ok)
+        with pytest.raises(ModelError):
+            MilpModel(self.VARS, (), MilpObjective({col: 1}, "max"))
+
+    @pytest.mark.parametrize("bad", [1.5, "1/2", None, 1j])
+    def test_value_of_another_type(self, bad):
+        with pytest.raises(ModelError):
+            MilpRow({0: bad}, "<=", 1)
+        with pytest.raises(ModelError):
+            MilpRow({0: 1}, "<=", bad)
+        with pytest.raises(ModelError):
+            MilpObjective({0: bad}, "max")
+
+    @pytest.mark.parametrize("bad", [1.5, "2", FormalLog(F(2))])
+    def test_upper_bound_of_another_type(self, bad):
+        with pytest.raises(ModelError):
+            MilpVariable("x", upper=bad)
+
+    def test_dense_coefficients_are_rejected(self):
+        with pytest.raises(ModelError):
+            MilpRow((1, 0), "<=", 1)
+        with pytest.raises(ModelError):
+            MilpObjective([1, 0], "max")
+
+    def test_int_fraction_and_log_values(self):
+        m = MilpModel(
+            (MilpVariable("x", is_integer=True, upper=3), MilpVariable("y")),
+            (
+                MilpRow({0: FormalLog(F(2))}, ">=", FormalLog(F(3))),
+                MilpRow({0: 1, 1: F(1, 2)}, "<=", 3),
+            ),
+            MilpObjective({0: -1, 1: 1}, "max"),
+        )
+        s = solve_milp(m)
+        assert s.status == "optimal" and s.assignment == (2, 2) and s.objective_value == 0
 
 
 class TestDump:

@@ -209,7 +209,7 @@ class TestBribeValueModel:
     def test_empty_instance_model(self):
         model, vmap = build_bribe_value_milp(CbcctInstance((), 5, F(1, 2)))
         assert model.num_variables == 0
-        assert all(not isinstance(c, FormalLog) for c in model.objective.coeffs)
+        assert all(not isinstance(c, FormalLog) for c in model.objective.coeffs.values())
 
     def test_distinct_groups_pair_fractional_with_integer(self):
         inst = CbcctInstance(
@@ -223,12 +223,12 @@ class TestBribeValueModel:
         link_rows = model.rows[1 : 1 + vmap.num_int]
         frac_cols = model.fractional_columns()
         for col in frac_cols:
-            hits = [r for r in link_rows if r.coeffs[col] != 0]
+            hits = [r for r in link_rows if r.coeffs.get(col, 0) != 0]
             assert len(hits) == 1
             ints_in_row = [
                 j
                 for j in model.integer_columns()
-                if hits[0].coeffs[j] != 0
+                if hits[0].coeffs.get(j, 0) != 0
             ]
             assert len(ints_in_row) == 1
 
@@ -253,7 +253,7 @@ class TestBribeValueModel:
         touching = [
             i
             for i, row in enumerate(model.rows)
-            if any(row.coeffs[j] != 0 for j in frac)
+            if any(row.coeffs.get(j, 0) != 0 for j in frac)
         ]
         assert touching == list(range(1, len(model.rows)))
 
@@ -269,10 +269,27 @@ class TestBribeValueModel:
                 link = model.rows[1 : 1 + vmap.num_int]
                 group = model.rows[1 + vmap.num_int :]
                 for col in frac:
-                    link_hits = [r.coeffs[col] for r in link if r.coeffs[col] != 0]
-                    group_hits = [r.coeffs[col] for r in group if r.coeffs[col] != 0]
+                    link_hits = [r.coeffs[col] for r in link if r.coeffs.get(col, 0) != 0]
+                    group_hits = [r.coeffs[col] for r in group if r.coeffs.get(col, 0) != 0]
                     assert link_hits == [F(1)]
                     assert group_hits == [F(1)]
+
+    def test_builders_emit_plain_ints(self):
+        # Every rational coefficient and rhs reaches the tableau as an int,
+        # with no Fraction pass; groups are keyed by profile and value set.
+        rng = split_rng(41, "ints")
+        for idx in range(20):
+            inst = gen_cbcct(41, rng.randint(1, 6), 3, rng.randint(0, 20), index=idx)
+            for build in (build_bribe_value_milp, build_prob_value_milp):
+                model, vmap = build(inst)
+                rows = [(row.coeffs, row.rhs) for row in model.rows]
+                for coeffs, rhs in rows + [(model.objective.coeffs, 0)]:
+                    for c in (*coeffs.values(), rhs):
+                        assert isinstance(c, FormalLog) or type(c) is int, (build, c)
+                for (prof, vs), players in vmap.group_players.items():
+                    for p in players:
+                        v = inst.bribe_vectors[p]
+                        assert (prof, vs) == (probability_profile(v), bribe_value_set(v))
 
 
 class TestProbValueModel:
@@ -293,7 +310,7 @@ class TestProbValueModel:
         first = model.rows[0]
         assert isinstance(first.rhs, FormalLog)
         frac = model.fractional_columns()
-        assert all(first.coeffs[j] == 0 for j in frac)
+        assert all(first.coeffs.get(j, 0) == 0 for j in frac)
 
     def test_minimum_budget_example(self):
         # One challenger [(0,1/2),(4,1)] and threshold 1: only entry 2 works.
