@@ -118,15 +118,20 @@ def _draw_threshold(rng: random.Random, vectors, budget: int) -> Fraction:
     if not vectors:
         return Fraction(rng.choice((0, 1)))
     shell = CbcctInstance(vectors, budget, Fraction(0))
+
+    def affordable(plan: BribePlan) -> bool:
+        # The cost alone: the win probability is a product over every vector.
+        return sum(v.entries[j - 1].bribe for v, j in zip(vectors, plan.choices)) <= budget
+
     plan = None
     for _ in range(24):
         candidate = BribePlan(tuple(rng.randint(1, len(v)) for v in vectors))
-        if evaluate_plan(shell, candidate).cost <= budget:
+        if affordable(candidate):
             plan = candidate
             break
     if plan is None:
         cheapest = BribePlan((1,) * len(vectors))
-        if evaluate_plan(shell, cheapest).cost <= budget:
+        if affordable(cheapest):
             plan = cheapest
         else:
             return Fraction(1)  # nothing affordable; any positive threshold is a no

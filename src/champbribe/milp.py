@@ -23,16 +23,20 @@ re-checked exactly (as a rational product inequality) whenever a candidate
 incumbent has integral values; if the approximation ever admits a spurious
 candidate, its precision is doubled and the search restarts.
 
-Branch and bound is depth-first with deterministic branching: lowest
-fractional integer column first, floor branch first.  One dual simplex
-with a Bland-type rule is the only way to primal feasibility.  Each
-precision round solves its root cold: the dual simplex under zero costs
-(dual feasible in every basis) reaches a feasible basis, and primal
-simplex with Bland's rule (termination over speed) then optimises.  A
-child starts from its parent's final tableau with the branching bound
-appended as one row, which leaves the basis dual feasible, and is
-re-optimised by the same dual simplex.  `PIVOT_CAP` bounds the pivots of
-one solve.
+Branch and bound is depth-first with deterministic branching, floor branch
+first.  It splits the sum of the first of the model's branch groups (sets
+of interchangeable integer columns) whose sum is fractional, else the
+lowest fractional integer column.  Splitting an orbit's sum first is
+orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, 2011): it
+closes the symmetric subtrees that splitting one member at a time leaves
+open.  One dual simplex with a Bland-type rule is the only way to primal
+feasibility.  Each precision round solves its root cold: the dual simplex
+under zero costs (dual feasible in every basis) reaches a feasible basis,
+and primal simplex with Bland's rule (termination over speed) then
+optimises.  A child starts from its parent's final tableau with its bound
+on a column or a group sum appended as one row, which leaves the basis
+dual feasible, and is re-optimised by the same dual simplex.  `PIVOT_CAP`
+bounds the pivots of one solve.
 """
 
 from __future__ import annotations
@@ -163,10 +167,14 @@ class LogSum:
 
 @lru_cache(maxsize=None)
 def ln_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds lo <= ln(q) <= hi with width below 2**-bits.
+    """Certified dyadic bounds lo <= ln(q) <= hi with width below 2**-bits.
 
-    Uses ln(x) = 2*atanh((x-1)/(x+1)) with exact partial sums and a geometric
-    tail bound, after reducing the argument to [1, 2) by powers of two.
+    For q > 1 write q = r * 2**k with r in [1, 2), and let a_lo / 2**w and
+    a_hi / 2**w be the floor and the ceiling of r on the grid 2**-w.  ln is
+    increasing, so ln(a_lo / 2**w) + k ln 2 bounds ln(q) below and the
+    ceiling's sum bounds it above; each log is summed on ints at w bits
+    (`_atanh2`).  w starts at bits + bitlen(k) + 16 and grows until the
+    bracket is narrow enough.  q < 1 is bounded through 1/q.
     """
     q = Fraction(q)
     if q <= 0:
@@ -176,39 +184,54 @@ def ln_bounds(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     if q < 1:
         lo, hi = ln_bounds(1 / q, bits)
         return -hi, -lo
-    # q > 1: find k with q / 2**k in [1, 2)
-    k = q.numerator.bit_length() - q.denominator.bit_length()
-    if Fraction(2) ** k > q:
+    num, den = q.numerator, q.denominator
+    k = num.bit_length() - den.bit_length()
+    if den << k > num:
         k -= 1
-    if q / Fraction(2) ** (k + 1) >= 1:
-        k += 1
-    r = q / Fraction(2) ** k
-    assert 1 <= r < 2
-    lo, hi = _atanh_ln_bounds(r, bits + max(k.bit_length(), 1) + 2)
-    if k:
-        lo2, hi2 = _atanh_ln_bounds(Fraction(2), bits + k.bit_length() + 2)
-        lo, hi = lo + k * lo2, hi + k * hi2
-    return lo, hi
-
-
-def _atanh_ln_bounds(r: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bounds for ln(r), 1 <= r <= 2, via the atanh series."""
-    if r == 1:
-        return Fraction(0), Fraction(0)
-    z = (r - 1) / (r + 1)  # in (0, 1/3]
-    z2 = z * z
-    tol = Fraction(1, 2**bits)
-    total = Fraction(0)
-    power = z
-    i = 0
+    w = bits + k.bit_length() + 16
     while True:
-        total += power / (2 * i + 1)
-        power *= z2
-        i += 1
-        tail = power / ((2 * i + 1) * (1 - z2))
-        if 2 * tail < tol:
-            lo = 2 * total
-            return lo, lo + 2 * tail
+        one = 1 << w
+        a_lo, rest = divmod(num << w, den << k)
+        a_hi = a_lo + (rest != 0)
+        lo = _atanh2(a_lo - one, a_lo + one, w, False) + k * _ln2(w, False)
+        hi = _atanh2(a_hi - one, a_hi + one, w, True) + k * _ln2(w, True)
+        if (hi - lo) << bits < one:
+            return Fraction(lo, one), Fraction(hi, one)
+        w += 16
+
+
+def _div(a: int, b: int, up: bool) -> int:
+    """a / b rounded up or down to an int, for b > 0."""
+    return -(-a // b) if up else a // b
+
+
+def _atanh2(x: int, y: int, w: int, up: bool) -> int:
+    """A bound on 2**w * ln((y + x) / (y - x)) = 2**w * 2 atanh(x/y), above
+    if `up` and below otherwise, for 0 <= x/y <= 1/3.
+
+    The series 2 * sum z**(2i+1) / (2i+1) is summed on ints at w fractional
+    bits, every division rounded the same way.  Rounded down, the partial
+    sum is a lower bound.  Rounded up, the sum stops once the next power is
+    at most one unit and adds 9/8 of it: the terms left sum to at most that
+    power times 1 / (1 - z**2) <= 9/8.
+    """
+    one = 1 << w
+    power = _div(x << w, y, up)
+    z2 = _div(power * power, one, up)
+    total, i = 0, 1
+    while power > up:
+        total += _div(power, i, up)
+        power = _div(power * z2, one, up)
+        i += 2
+    if up:
+        total += _div(9 * power, 8, up)
+    return 2 * total
+
+
+@lru_cache(maxsize=None)
+def _ln2(w: int, up: bool) -> int:
+    """A bound on 2**w * ln 2 as ln(4/3) + ln(3/2), above if `up`."""
+    return _atanh2(1, 7, w, up) + _atanh2(1, 5, w, up)
 
 
 # -- model types ---------------------------------------------------------------
@@ -277,19 +300,32 @@ class MilpObjective:
 
 @dataclass(frozen=True)
 class MilpModel:
+    """A MILP over nonnegative columns.
+
+    `branch_groups` are sets of integer columns whose sum branch and bound
+    splits before any single column (see `solve_milp`); they add no row and
+    no column, and the default is none.
+    """
+
     variables: tuple[MilpVariable, ...]
     rows: tuple[MilpRow, ...]
     objective: MilpObjective
+    branch_groups: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "rows", tuple(self.rows))
+        object.__setattr__(self, "branch_groups", tuple(map(tuple, self.branch_groups)))
         n = len(self.variables)
         for i, row in enumerate((self.objective, *self.rows)):
             bad = [j for j in row.coeffs if not (isinstance(j, int) and 0 <= j < n)]
             if bad:
                 what = f"row {i - 1}" if i else "objective"
                 raise ModelError(f"{what} has an entry on column {bad[0]!r}, outside 0..{n - 1}")
+        int_cols = set(self.integer_columns())
+        for group in self.branch_groups:
+            if not group or len(set(group)) < len(group) or not int_cols.issuperset(group):
+                raise ModelError(f"branch group {group!r} is not a set of integer columns")
 
     @property
     def num_variables(self) -> int:
@@ -554,25 +590,34 @@ class _Tableau:
             i += 1
         return self.dual() if consistent else INFEASIBLE
 
-    def add_bound(self, j: int, relation: str, value: Fraction) -> None:
-        """Append x_j <= value (LE) or x_j >= value (GE) for a basic column j.
+    def add_bound(self, cols, relation: str, value: Fraction) -> None:
+        """Append sum(x_j for j in cols) <= value (LE) or >= value (GE).
 
-        The row is written in the current basis: x_j's row substituted for
-        x_j, plus a new slack, which is basic and may be negative.  Reduced
-        costs do not change, so an optimal tableau stays dual feasible.
+        The row is written in the current basis: each basic member's row is
+        substituted for it, a nonbasic member is taken as it is, and a new
+        slack is added, which is basic and may be negative.  Reduced costs
+        do not change, so an optimal tableau stays dual feasible.
         """
         sign = 1 if relation == LE else -1
-        r = self.basis.index(j)
+        where = {b: i for i, b in enumerate(self.basis)}
+        subs = [where[j] for j in cols if j in where]
+        # Scaled by the lcm of the bound's and the substituted rows' denominators.
+        den = math.lcm(value.denominator, *(self.den[r] for r in subs))
+        row = {j: sign * den for j in cols if j not in where}
+        rhs = sign * value.numerator * (den // value.denominator)
+        for r in subs:
+            f = -sign * (den // self.den[r])
+            for l, x in self.body[r].items():
+                if l != self.basis[r]:
+                    row[l] = row.get(l, 0) + f * x
+            rhs += f * self.rhs[r]
+        row = {l: x for l, x in row.items() if x}
         s = self.total
         self.total += 1
         self.cost.append(self.z * 0)
-        # Scaled by den_r times the bound's denominator d.
-        d = value.denominator
-        den = self.den[r] * d
-        row = {l: -sign * x * d for l, x in self.body[r].items() if l != j}
         row[s] = den
         self.basis.append(s)
-        self._append(row, sign * (value.numerator * self.den[r] - self.rhs[r] * d), den)
+        self._append(row, rhs, den)
 
 
 def _simplex(tab: _Tableau, objective):
@@ -711,14 +756,21 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     """Exact branch-and-bound over LP relaxations.
 
     Integer variables must carry finite upper bounds.  Branching is
-    deterministic: depth-first, lowest fractional integer column first,
-    floor branch first.  An unbounded relaxation is reported as unbounded.
-    More than `PIVOT_CAP` pivots in all raise `CapExceededError`.
+    deterministic and depth-first, floor branch first.  A node with a
+    fractional integer column branches on the first of `model.branch_groups`
+    whose sum s is fractional (sum <= floor(s), then sum >= ceil(s)), and on
+    the lowest fractional integer column when no group sum is fractional.
+    An unbounded relaxation is reported as unbounded.  More than `PIVOT_CAP`
+    pivots in all raise `CapExceededError`.  A formal-log objective together
+    with a formal-log row raises `ModelError`: the row's dyadic coefficients
+    would enter the `LogSum` reduced costs as exponents too large to compare.
     """
     for v in model.variables:
         if v.is_integer and v.upper is None:
             raise ModelError(f"integer variable {v.name} needs a finite upper bound")
     plain, log_rows = _split_log_rows(model)
+    if log_rows and any(map(_is_log, model.objective.coeffs.values())):
+        raise ModelError("a formal-log objective cannot be combined with formal-log rows")
     rows = _model_lp_rows(model, plain)
     values, objective = _objective_vector(model)
     bits = LOG_START_BITS
@@ -757,12 +809,17 @@ def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivo
             continue
         frac_col = next((j for j in int_cols if assignment[j].denominator != 1), None)
         if frac_col is not None:
-            # Both children start from this optimal tableau: the ceiling one
-            # from a copy, the floor one (explored first) in place.
-            v = assignment[frac_col] // 1
+            # Split the first branch group with a fractional sum, else the
+            # lowest fractional column.  Both children start from this
+            # optimal tableau: the ceiling one from a copy, the floor one
+            # (explored first) in place.
+            sums = ((g, sum(assignment[j] for j in g)) for g in model.branch_groups)
+            fallback = ((frac_col,), assignment[frac_col])
+            cols, total = next(((g, t) for g, t in sums if t.denominator != 1), fallback)
+            v = total // 1
             ceil = tab.copy()
-            ceil.add_bound(frac_col, GE, Fraction(v + 1))
-            tab.add_bound(frac_col, LE, Fraction(v))
+            ceil.add_bound(cols, GE, Fraction(v + 1))
+            tab.add_bound(cols, LE, Fraction(v))
             nodes += (ceil, tab)
             continue
         if not all(_log_row_satisfied(sup, rhs, assignment) for sup, rhs in log_rows):

@@ -15,6 +15,13 @@ set) and maximizes the formal-log win probability under the budget; the
 probability-value model counts them per (probability, profile) and
 minimizes the budget needed to reach the threshold.
 
+The integer columns that share a bribe value (value 0 left out) or a
+probability differ only in the value set or profile they count over, so
+the LP can move a fractional split from one to another at equal cost.
+Each such set is one of the model's `branch_groups`, and `solve_milp`
+splits a group's sum before any single column, which closes those
+symmetric subtrees (orbital branching).
+
 The optimum is integral by construction.  The branch-and-bound incumbent is
 a vertex of its node LP, and its integer columns are integral.  Fixing them
 leaves a vertex of the block over the per-group columns, a 0-1 matrix with
@@ -126,7 +133,8 @@ class VariableMap:
     """Column bookkeeping for the FPT models.
 
     int_cols maps each counting variable's key to its column; frac_cols maps
-    each (profile, value, value set) per-group variable to its column.
+    each (profile, value, value set) per-group variable to its column, each
+    group's columns together and in the order of group_players.
     group_players lists the challenger indices (input order) of each
     (profile, value set) group.
     """
@@ -139,14 +147,18 @@ class VariableMap:
 
 def _grouping(inst: CbcctInstance) -> dict[tuple[ProbabilityProfile, BribeValueSet], list[int]]:
     """Challenger indices of each realized (profile, value set) group, sorted by key."""
-    groups: dict[tuple[ProbabilityProfile, BribeValueSet], list[int]] = {}
+    groups: dict = {}
     for idx, v in enumerate(inst.bribe_vectors):
         if not v.monotone:
             raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
         # Monotone vectors list strictly increasing values and probabilities,
-        # so these are `probability_profile(v)` and `bribe_value_set(v)`.
-        groups.setdefault((v.probabilities(), v.bribe_values()), []).append(idx)
-    return dict(sorted(groups.items()))
+        # so these are `probability_profile(v)` and `bribe_value_set(v)`.  The
+        # profile is looked up by its exact int ratios, which hash far faster
+        # than Fractions.
+        probs, values = v.probabilities(), v.bribe_values()
+        ratios = tuple(map(Fraction.as_integer_ratio, probs))
+        groups.setdefault((ratios, values), ((probs, values), []))[1].append(idx)
+    return dict(sorted(groups.values()))
 
 
 def _check_positive_probabilities(inst: CbcctInstance) -> None:
@@ -172,46 +184,78 @@ def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, Var
     (by_value) or minimizes the spent budget.  Rows are ordered so that
     everything touching the per-group columns forms the tail block: head
     row, then the linking rows, then the group-size rows.
+
+    The integer columns that share a value (by_value, value 0 left out) or a
+    probability are interchangeable up to their sets, so each such set of
+    two or more is a branch group of the model, lowest column first.
     """
     _check_positive_probabilities(inst)
     if not by_value and inst.threshold == 0:
         raise ModelError("threshold 0 is trivially satisfiable; no model to build")
     groups = _grouping(inst)
-    side = 1 if by_value else 0  # the half of a group key the integer columns count over
     n = inst.num_challengers
 
+    # Small int ids for the distinct profiles (the groups come sorted by
+    # profile, so equal ones are adjacent) and value sets, in sorted order.
+    profiles: list = []
+    group_ids = []
+    value_sets = sorted({vs for _, vs in groups})
+    vs_id = {vs: i for i, vs in enumerate(value_sets)}
+    for prof, vs in groups:
+        if not profiles or profiles[-1] != prof:
+            profiles.append(prof)
+        group_ids.append((len(profiles) - 1, vs_id[vs]))
+    prof_names = [str(set(prof)) for prof in profiles]
+    vs_names = [str(set(vs)) for vs in value_sets]
+
+    # The integer columns of counted set c are base[c] + position in c, and
+    # items[col] is the value or probability column col counts.
+    counted_sets, names = (value_sets, vs_names) if by_value else (profiles, prof_names)
     variables: list[MilpVariable] = []
     int_cols: dict = {}
-    for counted in sorted({key[side] for key in groups}):
+    base = []
+    items = []
+    for counted, name in zip(counted_sets, names):
+        base.append(len(variables))
         for item in counted:
             int_cols[(item, counted)] = len(variables)
-            variables.append(
-                MilpVariable(f"x[{item},{set(counted)}]", is_integer=True, upper=n)
-            )
+            items.append(item)
+            variables.append(MilpVariable(f"x[{item},{name}]", is_integer=True, upper=n))
+    num_int = len(variables)
     objective: dict = {}
     frac_cols: dict = {}
-    linked: dict = {key: [] for key in int_cols}
-    for prof, vs in groups:
-        for prob, value in zip(prof, vs):
-            linked[(value, vs) if by_value else (prob, prof)].append(len(variables))
+    linked: list[list[int]] = [[] for _ in range(num_int)]
+    group_cols = []
+    for (prof, vs), (pid, vid) in zip(groups, group_ids):
+        first = base[vid if by_value else pid]
+        group_cols.append(range(len(variables), len(variables) + len(vs)))
+        for t, (prob, value) in enumerate(zip(prof, vs)):
+            linked[first + t].append(len(variables))
             frac_cols[(prof, value, vs)] = len(variables)
             objective[len(variables)] = FormalLog(prob) if by_value else value
-            variables.append(MilpVariable(f"y[{set(prof)},{value},{set(vs)}]"))
+            variables.append(MilpVariable(f"y[{prof_names[pid]},{value},{vs_names[vid]}]"))
 
     if by_value:
-        head = {col: value for (value, _), col in int_cols.items()}
-        rows = [MilpRow(head, "<=", inst.budget)]
+        rows = [MilpRow(dict(enumerate(items)), "<=", inst.budget)]
     else:
-        head = {col: FormalLog(prob) for (prob, _), col in int_cols.items()}
+        head = {col: FormalLog(prob) for col, prob in enumerate(items)}
         rows = [MilpRow(head, ">=", FormalLog(inst.threshold))]
-    for key, col in int_cols.items():
-        rows.append(MilpRow({col: -1, **dict.fromkeys(linked[key], 1)}, "==", 0))
-    for (prof, vs), players in groups.items():
-        rows.append(MilpRow({frac_cols[(prof, value, vs)]: 1 for value in vs}, "==", len(players)))
+    for col in range(num_int):
+        rows.append(MilpRow({col: -1, **dict.fromkeys(linked[col], 1)}, "==", 0))
+    for cols, players in zip(group_cols, groups.values()):
+        rows.append(MilpRow(dict.fromkeys(cols, 1), "==", len(players)))
+
+    sharing: dict = {}
+    for col, item in enumerate(items):
+        if item != 0:
+            sharing.setdefault(item, []).append(col)
+    branch_groups = [cols for cols in sharing.values() if len(cols) > 1]
 
     sense = "max" if by_value else "min"
-    model = MilpModel(tuple(variables), tuple(rows), MilpObjective(objective, sense))
-    return model, VariableMap(int_cols, frac_cols, groups, len(int_cols))
+    model = MilpModel(
+        tuple(variables), tuple(rows), MilpObjective(objective, sense), branch_groups
+    )
+    return model, VariableMap(int_cols, frac_cols, groups, num_int)
 
 
 def build_bribe_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
@@ -256,19 +300,21 @@ def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) ->
     vector.  Raises `SolverError` if a count is negative or not integral, or
     if a group's counts do not add up to its players.
     """
-    bought: dict = {key: [] for key in vmap.group_players}
-    for (prof, value, vs), col in vmap.frac_cols.items():
-        count = assignment[col]
-        if count.denominator != 1 or count < 0:
-            raise SolverError(f"per-group count {count} in column {col} is not a count")
-        bought[(prof, vs)] += [(value, prof[vs.index(value)])] * int(count)
+    cols = iter(vmap.frac_cols.values())
     choices = [0] * inst.num_challengers
-    for key, players in vmap.group_players.items():
-        if len(bought[key]) != len(players):
+    for (prof, vs), players in vmap.group_players.items():
+        bought = []
+        for prob, value in zip(prof, vs):
+            col = next(cols)
+            count = assignment[col]
+            if count.denominator != 1 or count < 0:
+                raise SolverError(f"per-group count {count} in column {col} is not a count")
+            bought += [(value, prob)] * int(count)
+        if len(bought) != len(players):
             raise SolverError(
-                f"per-group counts cover {len(bought[key])} of the {len(players)} players of a group"
+                f"per-group counts cover {len(bought)} of the {len(players)} players of a group"
             )
-        for player, (value, prob) in zip(players, sorted(bought[key])):
+        for player, (value, prob) in zip(players, bought):
             choices[player] = next(
                 j
                 for j, e in enumerate(inst.bribe_vectors[player].entries, start=1)

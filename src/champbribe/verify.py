@@ -244,6 +244,50 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
     return report
 
 
+@_timed
+def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
+    """The two FPT routes as each other's oracle, past the DP's reach.
+
+    Scale-pool instances with n in 3000..10**4 and two budgets B and B'
+    drawn up to 100n.  The threshold t is the fpt-bribes optimum at B', a
+    value on the frontier, so the fpt-probs decision at B falls on either
+    side of it.  At B, fpt-probs must say yes exactly when the fpt-bribes
+    optimum is at least t, its witness probability must not exceed that
+    optimum, and the witnesses of both routes must check.  No DP is run.
+    """
+    report = SuiteReport("fpt-scale", total=count)
+    rng = generators.split_rng(seed, "fpt-scale-params")
+    yes = 0
+    for idx in range(count):
+        n = rng.randint(3000, 10**4)
+        budget, other = rng.randint(0, 100 * n), rng.randint(0, 100 * n)
+        drawn = generators.gen_cbcct(
+            seed, n, 4, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True, index=idx
+        )
+        label = f"instance {idx} (n={n}, B={budget}, B'={other})"
+        at_other = solve_fpt_bribe_values(CbcctInstance(drawn.bribe_vectors, other, Fraction(0)))
+        inst = CbcctInstance(drawn.bribe_vectors, budget, at_other.best_probability)
+        bribes = solve_fpt_bribe_values(inst)
+        probs = solve_fpt_prob_values(inst)
+        best = bribes.best_probability
+        if probs.decision != (best >= inst.threshold):
+            report.failures.append(
+                f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
+                f"against threshold {inst.threshold}"
+            )
+        elif probs.decision and probs.best_probability > best:
+            report.failures.append(
+                f"{label}: fpt-probs witness probability {probs.best_probability} "
+                f"exceeds the fpt-bribes optimum {best}"
+            )
+        _check_witness(report, f"{label} fpt-bribes", inst, bribes)
+        _check_witness(report, f"{label} fpt-probs", inst, probs)
+        yes += probs.decision
+    report.details["yes"] = yes
+    report.details["no"] = count - yes
+    return report
+
+
 def _fractional_submatrix(model: MilpModel) -> list[list]:
     """The rows touching the fractional columns, dense over those columns."""
     frac = model.fractional_columns()
@@ -542,6 +586,7 @@ SUITES = {
     "dp-scale": suite_dp_scale,
     "milp-integrality": suite_milp_integrality,
     "value-agreement": suite_value_agreement,
+    "fpt-scale": suite_fpt_scale,
     "ksum-chain": suite_ksum_chain,
     "mpk-chain": suite_mpk_chain,
     "cup-chain": suite_cup_chain,

@@ -97,3 +97,14 @@ def test_criterion_10_value_agreement():
     report = verify.suite_value_agreement(count=8, seed=8)
     _assert_report("criterion-10 value-agreement", report, 60.0)
     assert report.details["yes"] > 0 and report.details["no"] > 0
+
+
+def test_criterion_11_fpt_scale():
+    """Both FPT routes check each other at n = 3000-10**4, past the DP; < 30 s.
+
+    fpt-probs must say yes exactly when the fpt-bribes optimum reaches the
+    threshold, and its witness probability must not exceed that optimum.
+    """
+    report = verify.suite_fpt_scale(count=4, seed=9)
+    _assert_report("criterion-11 fpt-scale", report, 30.0)
+    assert report.details["yes"] > 0 and report.details["no"] > 0

@@ -1,5 +1,6 @@
 """Exact LP/MILP engine: simplex, branch and bound, formal logs, TU, rounding."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -418,6 +419,7 @@ class TestSolveMilp:
         import random
 
         rng = random.Random(77)
+        group_rng = random.Random(177)
         for _ in range(80):
             n = rng.randint(1, 3)
             ub = rng.randint(1, 4)
@@ -431,7 +433,9 @@ class TestSolveMilp:
             ]
             obj = tuple(F(rng.randint(-3, 3)) for _ in range(n))
             m = model([(f"x{j}", True, ub) for j in range(n)], rows, obj)
-            got = solve_milp(m)
+            got, grouped = solve_milp(m), solve_milp(_with_branch_groups(m, group_rng))
+            assert grouped.status == got.status
+            assert grouped.objective_value == got.objective_value
             best = None
             for point in itertools.product(range(ub + 1), repeat=n):
                 ok = all(
@@ -461,6 +465,7 @@ class TestSolveMilp:
         import random
 
         rng = random.Random(78)
+        group_rng = random.Random(178)
         pool = (F(1, 4), F(1, 2), F(2, 3), F(3, 4), F(1), F(4, 3), F(3, 2))
         for _ in range(30):
             n = rng.randint(3, 5)
@@ -477,7 +482,9 @@ class TestSolveMilp:
             m = model(
                 [(f"x{j}", True, ub) for j in range(n)], rows, tuple(FormalLog(q) for q in qs)
             )
-            got = solve_milp(m)
+            got, grouped = solve_milp(m), solve_milp(_with_branch_groups(m, group_rng))
+            assert grouped.status == got.status
+            assert grouped.objective_value == got.objective_value
             best = None
             for point in itertools.product(range(ub + 1), repeat=n):
                 if _feasible([(dict(enumerate(c)), rel, rhs) for c, rel, rhs in rows], point):
@@ -491,6 +498,47 @@ class TestSolveMilp:
             value = math.prod((q ** int(x) for q, x in zip(qs, got.assignment)), start=F(1))
             assert value == best
             assert got.objective_value == LogSum.of(best)
+
+    def test_branch_groups_are_validated(self):
+        m = model([("x", True, 3), ("y", True, 3), ("z", False, None)], [], (F(1), F(1), F(1)))
+        assert m.branch_groups == ()
+        assert dataclasses.replace(m, branch_groups=[[1, 0]]).branch_groups == ((1, 0),)
+        for bad in ([()], [(0, 0)], [(0, 2)], [(0, 3)], [(-1,)]):
+            with pytest.raises(ModelError):
+                dataclasses.replace(m, branch_groups=bad)
+
+    def test_group_sum_is_split_first(self, monkeypatch):
+        # max x + y + z with 2x + 2y + 2z <= 5: the root LP puts x = 5/2, and
+        # the group {x, y} has the fractional sum, so the first split is
+        # x + y <= 2 / x + y >= 3, not x <= 2 / x >= 3.
+        m = model(
+            [("x", True, 5), ("y", True, 5), ("z", True, 5)],
+            [((F(2), F(2), F(2)), "<=", F(5))],
+            (F(1), F(1), F(1)),
+        )
+        m = dataclasses.replace(m, branch_groups=[(0, 1)])
+        splits = []
+        real = _Tableau.add_bound
+
+        def add_bound(tab, cols, relation, value):
+            splits.append((tuple(cols), relation, value))
+            return real(tab, cols, relation, value)
+
+        monkeypatch.setattr(_Tableau, "add_bound", add_bound)
+        s = solve_milp(m)
+        assert s.objective_value == 2
+        assert splits[:2] == [((0, 1), GE, 3), ((0, 1), LE, 2)]
+
+    def test_log_objective_with_log_row_is_rejected_at_once(self):
+        # Such reduced costs would carry the log row's 2**128-scale
+        # coefficients into LogSum exponents, which `sign` cannot evaluate.
+        m = model(
+            [("x", True, 4), ("y", True, 4)],
+            [((FormalLog(F(1, 2)), FormalLog(F(3, 4))), ">=", FormalLog(F(1, 5)))],
+            (FormalLog(F(2, 3)), FormalLog(F(5, 7))),
+        )
+        with pytest.raises(ModelError, match="formal-log objective"):
+            solve_milp(m)
 
     def test_pivot_cap(self, monkeypatch):
         # The LP relaxation takes 3 pivots from the slack basis and its
@@ -510,6 +558,13 @@ class TestSolveMilp:
             solve_lp_exact(m)
 
 
+def _with_branch_groups(m, rng):
+    """`m` with up to two random branch groups over its integer columns."""
+    cols = m.integer_columns()
+    groups = [rng.sample(cols, rng.randint(1, len(cols))) for _ in range(rng.randint(0, 2))]
+    return dataclasses.replace(m, branch_groups=groups)
+
+
 def _assert_integer_rows(tab):
     """Each row is an int vector over one positive row denominator, reduced by
     its gcd, with its basic column's entry equal to that denominator."""
@@ -526,13 +581,14 @@ class TestWarmStart:
     """A child re-optimised by dual simplex from its parent's final tableau
     agrees with a cold solve (dual simplex phase 1, then primal simplex) of
     the same rows plus its bounds, and every solve, cold or warm, leaves
-    integer rows (`_assert_integer_rows`)."""
+    integer rows (`_assert_integer_rows`).  A bound is on one basic column
+    or on the sum of a set of columns with nonbasic members."""
 
     def _check(self, seed, objective_of, cases):
         import random
 
         rng = random.Random(seed)
-        seen = {"phase 1": 0, "infeasible": 0, "warm": 0}
+        seen = {"phase 1": 0, "infeasible": 0, "warm": 0, "sets": 0}
         for _ in range(cases):
             n = rng.randint(1, 4)
             rows = [
@@ -555,14 +611,20 @@ class TestWarmStart:
                 basic = [b for b in tab.basis if b < n]
                 if not basic:
                     break
-                j = rng.choice(basic)
+                # One basic column, or a set of columns, basic or not.
                 if rng.random() < 0.5:
-                    bound = ({j: F(1)}, LE, x[j] // 1 - rng.randint(0, 1))
+                    cols = [rng.choice(basic)]
                 else:
-                    bound = ({j: F(1)}, GE, -(-x[j] // 1) + rng.randint(0, 1))
+                    cols = rng.sample(range(n), rng.randint(1, n))
+                    seen["sets"] += any(j not in tab.basis for j in cols)
+                total = sum(x[j] for j in cols)
+                if rng.random() < 0.5:
+                    bound = (dict.fromkeys(cols, F(1)), LE, total // 1 - rng.randint(0, 1))
+                else:
+                    bound = (dict.fromkeys(cols, F(1)), GE, -(-total // 1) + rng.randint(0, 1))
                 bound = (bound[0], bound[1], F(bound[2]))
                 bounds.append(bound)
-                tab.add_bound(j, bound[1], bound[2])
+                tab.add_bound(cols, bound[1], bound[2])
                 status, x = _simplex(tab, objective)
                 _assert_integer_rows(tab)
                 cold = _Tableau(rows + bounds, n, _Pivots(milp.PIVOT_CAP))
@@ -686,6 +748,44 @@ class TestFormalLog:
         assert hi - lo <= F(1, 2**bits)
         true = math.log(q)
         assert float(lo) <= true + 1e-12 and true - 1e-12 <= float(hi)
+
+    @pytest.mark.parametrize("bits", [8, 128, 300])
+    def test_ln_bounds_of_a_huge_rational(self, bits):
+        # A 12 000-bit numerator over a 10 500-bit denominator, against
+        # decimal's correctly rounded ln at 120 digits (error far below
+        # 2**-300).
+        import decimal
+        import random
+
+        rng = random.Random(bits)
+        q = F(rng.getrandbits(12_000) | 1 << 11_999, rng.getrandbits(10_500) | 1 << 10_499)
+        lo, hi = ln_bounds(q, bits)
+        assert lo <= hi and hi - lo < F(1, 2**bits)
+        assert all(x.denominator & (x.denominator - 1) == 0 for x in (lo, hi))  # dyadic
+        ctx = decimal.Context(prec=120)
+        true = ctx.ln(ctx.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
+        slack = decimal.Decimal(10) ** -110
+
+        def dec(x):
+            return ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+
+        assert dec(lo) <= ctx.add(true, slack) and ctx.subtract(true, slack) <= dec(hi)
+        assert ln_bounds(1 / q, bits) == (-hi, -lo)
+
+    def test_fixed_point_atanh_brackets_at_few_bits(self):
+        # At w <= 64 fractional bits a missing rounding step or tail term
+        # shows against decimal's ln at 80 digits.
+        import decimal
+        import random
+
+        rng = random.Random(3)
+        ctx = decimal.Context(prec=80)
+        for _ in range(3000):
+            y = rng.randint(3, 10**6)
+            x, w = rng.randint(0, y // 3), rng.randint(1, 64)
+            ratio = ctx.divide(decimal.Decimal(y + x), decimal.Decimal(y - x))
+            true = ctx.multiply(ctx.ln(ratio), decimal.Decimal(2**w))
+            assert milp._atanh2(x, y, w, False) <= true <= milp._atanh2(x, y, w, True)
 
     @pytest.mark.parametrize("bits", [8, 64, 128])
     def test_approx_log_row_is_a_dyadic_outer_approximation(self, bits):
