@@ -2,15 +2,19 @@
 
 Everything here is exact.  A tableau row is an integer vector over one row
 denominator, sparse (a map from column to nonzero int numerator, so a pivot
-touches nonzeros only) and reduced by one gcd after every update; reduced
-costs and values leave the tableau as `fractions.Fraction`.  Logarithmic
-quantities are never evaluated numerically.  A coefficient ``log q`` is
-carried as `FormalLog(q)`; linear combinations of formal logs (`LogSum`) are
-ordered by comparing the corresponding rational products exactly, so every
-pivoting and bounding decision that involves logarithms reduces to
-big-integer arithmetic.  A `LogSum` supports the arithmetic and comparisons
-the simplex needs, so one simplex and one branch and bound serve rational
-and formal-log objectives alike.
+touches nonzeros only) and reduced by one gcd after every update.  The
+reduced costs are rows of the same form, updated by the same step: one row
+for a rational objective, one per distinct log argument for a formal-log
+objective.  Values and the objective value leave the tableau as
+`fractions.Fraction` (or `LogSum`).  Logarithmic quantities are never
+evaluated numerically.  A coefficient ``log q`` is carried as
+`FormalLog(q)`, and the sign of a combination sum(e * log q) is one exact
+comparison of integer powers (`_ln_sign`), with the exponents divided by
+their gcd first, so every pivoting and bounding decision that involves
+logarithms reduces to big-integer arithmetic.  Outside the tableau, such
+combinations are `LogSum`s (model objectives, objective values and the
+bound comparisons of branch and bound), so one simplex and one branch and
+bound serve rational and formal-log objectives alike.
 
 Formal logs are allowed in objectives, where only *comparisons* of log
 combinations are ever needed.  They are rejected inside LP constraint rows:
@@ -76,9 +80,10 @@ class FormalLog:
 class LogSum:
     """Exact linear combination sum(coeff * log(arg)) of formal logarithms.
 
-    Comparisons reduce to exact rational product comparisons: after clearing
-    denominators, sum(m_i * log(q_i)) >= 0 holds iff the product of q_i**m_i
-    over positive m_i is at least the product over negative m_i.
+    Comparisons reduce to exact integer product comparisons (`_ln_sign`):
+    after clearing denominators, sum(m_i * log(q_i)) >= 0 holds iff the
+    product of q_i**m_i over positive m_i is at least the product over
+    negative m_i.
 
     As a number it supports ``+``, ``-``, unary ``-``, ``*`` by a rational,
     ``bool``, ``==`` and ``>`` against another `LogSum` or against 0; every
@@ -120,23 +125,10 @@ class LogSum:
         return LogSum({a: c * factor for a, c in self.terms.items()})
 
     def sign(self) -> int:
-        """Exact sign of the represented real number."""
-        if not self.terms:
-            return 0
-        denom_lcm = math.lcm(*(coeff.denominator for coeff in self.terms.values()))
-        up = Fraction(1)
-        down = Fraction(1)
-        for arg, coeff in self.terms.items():
-            m = int(coeff * denom_lcm)
-            if m > 0:
-                up *= arg**m
-            elif m < 0:
-                down *= arg**-m
-        if up > down:
-            return 1
-        if up < down:
-            return -1
-        return 0
+        """Exact sign of the represented real number (`_ln_sign`)."""
+        return _ln_sign([
+            (a.numerator, a.denominator, c.numerator, c.denominator) for a, c in self.terms.items()
+        ])
 
     def compare(self, other: "LogSum") -> int:
         return (self - other).sign()
@@ -163,6 +155,38 @@ class LogSum:
             return "LogSum(0)"
         parts = [f"{c}*log({a})" for a, c in sorted(self.terms.items())]
         return "LogSum(" + " + ".join(parts) + ")"
+
+
+def _ln_sign(terms) -> int:
+    """Exact sign of sum(num / den * ln(p / q)) over (p, q, num, den) in
+    `terms`, for ints p, q, den > 0 with p != q and num != 0.
+
+    Terms that all have one sign decide it at once.  Otherwise the
+    coefficients are scaled by the lcm of their denominators to int
+    exponents e, which are divided by their gcd, and the sign is that of
+    prod((p / q)**e) - 1: one comparison of two int products.
+    """
+    pos = neg = False
+    for p, q, num, _ in terms:
+        if (num > 0) == (p > q):
+            pos = True
+        else:
+            neg = True
+    if not (pos and neg):
+        return pos - neg
+    den = math.lcm(*(t[3] for t in terms))
+    exps = [num * (den // d) for _, _, num, d in terms]
+    g = math.gcd(*exps)
+    up = down = 1
+    for (p, q, _, _), e in zip(terms, exps):
+        e //= g
+        if e > 0:
+            up *= p**e
+            down *= q**e
+        else:
+            up *= q**-e
+            down *= p**-e
+    return (up > down) - (up < down)
 
 
 @lru_cache(maxsize=None)
@@ -240,11 +264,11 @@ def _ln2(w: int, up: bool) -> int:
 def _nonzero_entries(coeffs, *values) -> dict:
     """`coeffs` (a dict column -> coefficient) without its zero entries,
     once it and `values` are checked to hold ints, Fractions and FormalLogs
-    only."""
+    only.  A bool is refused: True would read as 1."""
     if not isinstance(coeffs, dict):
         raise ModelError(f"coefficients {coeffs!r} are not a dict from column index to value")
     for c in (*coeffs.values(), *values):
-        if not isinstance(c, (int, FormalLog, Fraction)):
+        if isinstance(c, bool) or not isinstance(c, (int, FormalLog, Fraction)):
             raise ModelError(f"model value {c!r} is not an int, a Fraction or a FormalLog")
     return {j: c for j, c in coeffs.items() if c != 0}
 
@@ -258,8 +282,11 @@ class MilpVariable:
     upper: Fraction | int | None = None
 
     def __post_init__(self) -> None:
-        if self.upper is not None and not isinstance(self.upper, (int, Fraction)):
-            raise ModelError(f"upper bound {self.upper!r} is not an int or a Fraction")
+        upper = self.upper
+        if upper is not None and (
+            isinstance(upper, bool) or not isinstance(upper, (int, Fraction))
+        ):
+            raise ModelError(f"upper bound {upper!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -268,7 +295,8 @@ class MilpRow:
 
     `coeffs` is a dict from each column index to its nonzero coefficient; a
     column absent from it has coefficient 0, and zero entries are dropped
-    here.  A coefficient or rhs is an int, a Fraction or a FormalLog.
+    here.  A coefficient or rhs is an int (not a bool), a Fraction or a
+    FormalLog, and a column index an int.
     """
 
     coeffs: dict
@@ -318,13 +346,16 @@ class MilpModel:
         object.__setattr__(self, "branch_groups", tuple(map(tuple, self.branch_groups)))
         n = len(self.variables)
         for i, row in enumerate((self.objective, *self.rows)):
-            bad = [j for j in row.coeffs if not (isinstance(j, int) and 0 <= j < n)]
+            bad = [j for j in row.coeffs if not (type(j) is int and 0 <= j < n)]
             if bad:
                 what = f"row {i - 1}" if i else "objective"
-                raise ModelError(f"{what} has an entry on column {bad[0]!r}, outside 0..{n - 1}")
+                raise ModelError(
+                    f"{what} has an entry on column {bad[0]!r}, not an int in 0..{n - 1}"
+                )
         int_cols = set(self.integer_columns())
         for group in self.branch_groups:
-            if not group or len(set(group)) < len(group) or not int_cols.issuperset(group):
+            if (not group or len(set(group)) < len(group) or not int_cols.issuperset(group)
+                    or any(type(j) is not int for j in group)):
                 raise ModelError(f"branch group {group!r} is not a set of integer columns")
 
     @property
@@ -401,6 +432,32 @@ def _reduced(row: dict, rhs: int, den: int) -> tuple[dict, int, int]:
     return {l: x // g for l, x in row.items()}, rhs // g, den // g
 
 
+def _clear(rows: list, rhs: list, den: list, j: int, row_i: dict, rhs_i: int, p: int,
+           skip: int = -1) -> None:
+    """Eliminate column j from every row of (`rows`, `rhs`, `den`) but `skip`
+    by the pivot row (`row_i`, `rhs_i`) over `p`, whose entry at j is p > 0.
+
+    Row k becomes (row_k * p - f * row_i) / (den_k * p), f its entry at j,
+    with p and f divided by their gcd first, and is then reduced by its gcd.
+    Constraint rows and objective rows are updated by this one step.
+    """
+    for k, row in enumerate(rows):
+        f = row.get(j)
+        if f is None or k == skip:
+            continue
+        g = math.gcd(p, f)
+        q, f = p // g, f // g
+        if q != 1:
+            row = {l: x * q for l, x in row.items()}
+        for l, y in row_i.items():
+            x = row.get(l, 0) - f * y
+            if x:
+                row[l] = x
+            else:
+                del row[l]
+        rows[k], rhs[k], den[k] = _reduced(row, rhs[k] * q - f * rhs_i, den[k] * q)
+
+
 class _Tableau:
     """Sparse simplex tableau over exact rationals, maximizing.
 
@@ -414,11 +471,18 @@ class _Tableau:
     slack per inequality row (a ``>=`` row is negated into ``<=`` form),
     and each branching bound appends one more slack.  A slack starts basic
     and may be negative; an ``==`` row starts with no basic column, marked
-    -1 in `basis` until `feasible` gives it one.  `cost` holds the reduced
-    costs (dense, as Fractions or LogSums) and `z` the objective value of
-    the current basis; both are None until `_simplex` first solves the
-    tableau.  Every pivot is charged to `pivots`, which the tableaux of one
-    solve share.
+    -1 in `basis` until `feasible` gives it one.
+
+    The reduced costs are integer rows of the same form, updated by the same
+    step (`_clear`): `cost[k]`, `cost_rhs[k]` and `cost_den[k]`, whose rhs is
+    the numerator of -z.  A rational objective is one row.  A formal-log
+    objective is one row per distinct log argument, `args[k]`, and the
+    reduced cost of column l is sum(cost[k][l] / cost_den[k] * log args[k]);
+    its sign is one exact power comparison (`_ln_sign`).  `args` is None for
+    a rational objective.  `cost` is None until `_simplex` first solves the
+    tableau, and `z` reads the objective value of the current basis as a
+    Fraction or a `LogSum`.  Every pivot is charged to `pivots`, which the
+    tableaux of one solve share.
     """
 
     def __init__(self, rows, num_structural: int, pivots: _Pivots):
@@ -428,7 +492,9 @@ class _Tableau:
         self.n = num_structural
         self.pivots = pivots
         self.cost = None
-        self.z = None
+        self.cost_rhs: list[int] = []
+        self.cost_den: list[int] = []
+        self.args = None
         self.body: list[dict] = []
         self.rhs: list[int] = []
         self.den: list[int] = []
@@ -453,6 +519,16 @@ class _Tableau:
         self.rhs.append(rhs)
         self.den.append(den)
 
+    @property
+    def z(self):
+        """The objective value of the current basis; None before pricing."""
+        if self.cost is None:
+            return None
+        if self.args is None:
+            return Fraction(-self.cost_rhs[0], self.cost_den[0])
+        terms = zip(self.args, self.cost_rhs, self.cost_den)
+        return LogSum({a: Fraction(-r, d) for a, r, d in terms})
+
     def copy(self) -> "_Tableau":
         twin = object.__new__(_Tableau)
         twin.__dict__.update(self.__dict__)
@@ -460,65 +536,77 @@ class _Tableau:
         twin.rhs = self.rhs[:]
         twin.den = self.den[:]
         twin.basis = self.basis[:]
-        twin.cost = self.cost[:]
+        twin.cost = [dict(row) for row in self.cost]
+        twin.cost_rhs = self.cost_rhs[:]
+        twin.cost_den = self.cost_den[:]
         return twin
 
     def _pivot(self, i: int, j: int) -> None:
         self.pivots.spend()
-        body, rhs, den = self.body, self.rhs, self.den
-        row_i, rhs_i = body[i], rhs[i]
+        row_i, rhs_i = self.body[i], self.rhs[i]
         p = row_i[j]
         if p < 0:
             row_i, rhs_i, p = {l: -x for l, x in row_i.items()}, -rhs_i, -p
         row_i, rhs_i, p = _reduced(row_i, rhs_i, p)
-        body[i], rhs[i], den[i] = row_i, rhs_i, p
-        for k, row in enumerate(body):
-            f = row.get(j)
-            if f is None or k == i:
-                continue
-            # row_k := (row_k * p - f * row_i) / (den_k * p), with p and f
-            # divided by their gcd first.
-            g = math.gcd(p, f)
-            q, f = p // g, f // g
-            if q != 1:
-                row = {l: x * q for l, x in row.items()}
-            for l, y in row_i.items():
-                x = row.get(l, 0) - f * y
-                if x:
-                    row[l] = x
-                else:
-                    del row[l]
-            body[k], rhs[k], den[k] = _reduced(row, rhs[k] * q - f * rhs_i, den[k] * q)
-        self._eliminate(self.cost[j], row_i, rhs_i, p)
+        self.body[i], self.rhs[i], self.den[i] = row_i, rhs_i, p
+        _clear(self.body, self.rhs, self.den, j, row_i, rhs_i, p, i)
+        _clear(self.cost, self.cost_rhs, self.cost_den, j, row_i, rhs_i, p)
         self.basis[i] = j
 
-    def _eliminate(self, cb, row: dict, rhs: int, den: int) -> None:
-        """Subtract cb times a basic row from the reduced costs and objective."""
-        if not cb:
-            return
-        cb = cb * Fraction(1, den)
-        cost = self.cost
-        for l, x in row.items():
-            cost[l] -= cb * x
-        self.z += cb * rhs
-
     def price(self, objective) -> None:
-        """Reduced costs of `objective` (zero past it) for the current basis."""
-        zero = objective[0] * 0 if objective else Fraction(0)
-        self.cost = list(objective) + [zero] * (self.total - len(objective))
-        self.z = zero
+        """Objective rows of `objective` (a list of Fractions, or of LogSums;
+        zero past its end) for the current basis."""
+        if any(isinstance(c, LogSum) for c in objective):
+            by_arg: dict = {}
+            for j, c in enumerate(objective):
+                for a, x in c.terms.items():
+                    by_arg.setdefault(a, {})[j] = x
+            self.args = tuple(by_arg)
+            rows = list(by_arg.values())
+        else:
+            self.args = None
+            rows = [{j: Fraction(c) for j, c in enumerate(objective) if c}]
+        self.cost, self.cost_rhs, self.cost_den = [], [], []
+        for coeffs in rows:
+            den = math.lcm(*(c.denominator for c in coeffs.values()))
+            row = {j: c.numerator * (den // c.denominator) for j, c in coeffs.items()}
+            row, rhs, den = _reduced(row, 0, den)
+            self.cost.append(row)
+            self.cost_rhs.append(rhs)
+            self.cost_den.append(den)
         for i, b in enumerate(self.basis):
-            self._eliminate(self.cost[b], self.body[i], self.rhs[i], self.den[i])
+            _clear(self.cost, self.cost_rhs, self.cost_den,
+                   b, self.body[i], self.rhs[i], self.den[i])
+
+    def _sign(self, combine) -> int:
+        """Sign of a combination of reduced costs.  `combine` maps one
+        objective row to an int: the combination is that int for a rational
+        objective, and sum(combine(cost[k]) / cost_den[k] * log args[k]) for
+        a formal-log one, whose sign is one `_ln_sign`."""
+        if self.args is None:
+            x = combine(self.cost[0])
+            return (x > 0) - (x < 0)
+        terms = []
+        for a, row, den in zip(self.args, self.cost, self.cost_den):
+            num = combine(row)
+            if num:
+                terms.append((a.numerator, a.denominator, num, den))
+        return _ln_sign(terms)
 
     def primal(self) -> str:
         """Primal simplex with Bland's rule from a primal feasible basis."""
         body, rhs, cost = self.body, self.rhs, self.cost
         while True:
-            enter = -1
-            for j, c in enumerate(cost):
-                if c > 0:
-                    enter = j
-                    break
+            # The lowest column with a positive reduced cost, among the
+            # columns that have a nonzero entry in an objective row.
+            if self.args is None:
+                enter = min((l for l, c in cost[0].items() if c > 0), default=-1)
+            else:
+                enter = next(
+                    (l for l in sorted(set().union(*cost))
+                     if self._sign(lambda row: row.get(l, 0)) > 0),
+                    -1,
+                )
             if enter < 0:
                 return OPTIMAL
             # Least ratio rhs / a: the row denominator cancels, and the
@@ -540,11 +628,14 @@ class _Tableau:
         """Dual simplex from a dual feasible basis, with a Bland-type rule.
 
         The leaving row is the one with a negative rhs whose basic column is
-        lowest; the entering column has a negative entry there and the least
-        ratio cost / entry, the lowest column winning ties.  A leaving row
-        with no such column proves the LP infeasible.
+        lowest; the entering column has a negative entry a there and the
+        least ratio cost / a, the lowest column winning ties.  Two ratios
+        are compared by cross-multiplying their entries (both negative), so
+        a rational comparison is one of ints and a formal-log one is one
+        `_ln_sign`.  A leaving row with no such column proves the LP
+        infeasible.
         """
-        body, rhs, basis, cost = self.body, self.rhs, self.basis, self.cost
+        body, rhs, basis = self.body, self.rhs, self.basis
         while True:
             leave = -1
             for i, b in enumerate(rhs):
@@ -552,14 +643,18 @@ class _Tableau:
                     leave = i
             if leave < 0:
                 return OPTIMAL
-            row, den = body[leave], self.den[leave]
+            row = body[leave]
             enter = -1
-            best = None
-            for l in sorted(l for l, a in row.items() if a < 0):
-                ratio = cost[l] * Fraction(den, row[l])
-                if best is None or best > ratio:
-                    best = ratio
-                    enter = l
+            for l, a in row.items():
+                if a >= 0:
+                    continue
+                if enter >= 0:
+                    # The sign of cost_l / a - cost_e / a_e, times a * a_e > 0.
+                    e, a_e = enter, row[enter]
+                    s = self._sign(lambda r: r.get(l, 0) * a_e - r.get(e, 0) * a)
+                    if s > 0 or (s == 0 and l > e):
+                        continue
+                enter = l
             if enter < 0:
                 return INFEASIBLE
             self._pivot(leave, enter)
@@ -576,8 +671,7 @@ class _Tableau:
         Every ``==`` row is handled before returning, so each row keeps a
         basic column even when the LP is infeasible.
         """
-        self.cost = [Fraction(0)] * self.total
-        self.z = Fraction(0)
+        self.cost, self.cost_rhs, self.cost_den, self.args = [{}], [0], [1], None
         consistent = True
         i = 0
         while i < len(self.body):
@@ -596,7 +690,8 @@ class _Tableau:
         The row is written in the current basis: each basic member's row is
         substituted for it, a nonbasic member is taken as it is, and a new
         slack is added, which is basic and may be negative.  Reduced costs
-        do not change, so an optimal tableau stays dual feasible.
+        do not change (the new slack has none), so an optimal tableau stays
+        dual feasible.
         """
         sign = 1 if relation == LE else -1
         where = {b: i for i, b in enumerate(self.basis)}
@@ -614,7 +709,6 @@ class _Tableau:
         row = {l: x for l, x in row.items() if x}
         s = self.total
         self.total += 1
-        self.cost.append(self.z * 0)
         row[s] = den
         self.basis.append(s)
         self._append(row, rhs, den)
@@ -626,10 +720,11 @@ def _simplex(tab: _Tableau, objective):
     A fresh tableau (slack basis, not yet priced) is solved cold: phase 1
     by `feasible`, the dual simplex under zero costs, then phase 2 on
     `objective` (a list of Fraction, or of LogSum for a formal-log
-    objective) by primal simplex with Bland's rule.  A tableau that has
-    been solved to optimality and then given a bound by `add_bound` keeps
-    its reduced costs, which are still dual feasible, and is re-optimised
-    by the dual simplex; `objective` is already priced into it.
+    objective), priced into the tableau's integer objective rows, by primal
+    simplex with Bland's rule.  A tableau that has been solved to optimality
+    and then given a bound by `add_bound` keeps its objective rows, which
+    are still dual feasible, and is re-optimised by the dual simplex;
+    `objective` is already priced into it.
     """
     if tab.cost is not None:
         status = tab.dual()
@@ -656,18 +751,23 @@ def _model_lp_rows(model: MilpModel, rows) -> list:
     return [(r.coeffs, r.relation, r.rhs) for r in rows] + bounds
 
 
-def _objective_vector(model: MilpModel) -> tuple[list, list]:
-    """The objective densified, as Fractions, or as LogSums when the
-    coefficients are formal logs; and the vector the simplex maximizes,
-    negated for a 'min' sense."""
+def _objective_vector(model: MilpModel) -> list:
+    """The objective the simplex maximizes, densified: Fractions, or LogSums
+    when the coefficients are formal logs, negated for a 'min' sense."""
     coeffs = model.objective.coeffs
     logs = sum(map(_is_log, coeffs.values()))
     if 0 < logs < len(coeffs):
         raise ModelError("objective mixes nonzero rational and formal-log coefficients")
+    sign = -1 if model.objective.sense == "min" else 1
     vec = [LogSum.zero() if logs else Fraction(0)] * model.num_variables
     for j, c in coeffs.items():
-        vec[j] = LogSum.of(c.argument) if logs else Fraction(c)
-    return vec, [-c for c in vec] if model.objective.sense == "min" else vec
+        vec[j] = LogSum.of(c.argument, sign) if logs else Fraction(c) * sign
+    return vec
+
+
+def _reported(model: MilpModel, z):
+    """The model's objective value for the maximized value `z`."""
+    return -z if model.objective.sense == "min" else z
 
 
 def _dot(vec: list, assignment: Sequence[Fraction]):
@@ -685,13 +785,13 @@ def solve_lp_exact(model: MilpModel) -> MilpSolution:
     Exact simplex with Bland's anti-cycling rules (dual simplex to a
     feasible basis, then primal), within `PIVOT_CAP` pivots.  Objectives
     may carry formal-log coefficients; constraint rows must be rational.
+    The objective value is read from the final tableau.
     """
     tab = _Tableau(_model_lp_rows(model, model.rows), model.num_variables, _Pivots(PIVOT_CAP))
-    values, objective = _objective_vector(model)
-    status, assignment = _simplex(tab, objective)
+    status, assignment = _simplex(tab, _objective_vector(model))
     if status != OPTIMAL:
         return MilpSolution(status)
-    return MilpSolution(OPTIMAL, assignment, _dot(values, assignment))
+    return MilpSolution(OPTIMAL, assignment, _reported(model, tab.z))
 
 
 # -- branch and bound ----------------------------------------------------------
@@ -760,10 +860,11 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     fractional integer column branches on the first of `model.branch_groups`
     whose sum s is fractional (sum <= floor(s), then sum >= ceil(s)), and on
     the lowest fractional integer column when no group sum is fractional.
+    The objective value is read from the incumbent node's final tableau.
     An unbounded relaxation is reported as unbounded.  More than `PIVOT_CAP`
     pivots in all raise `CapExceededError`.  A formal-log objective together
     with a formal-log row raises `ModelError`: the row's dyadic coefficients
-    would enter the `LogSum` reduced costs as exponents too large to compare.
+    would enter the formal-log reduced costs as exponents too large to compare.
     """
     for v in model.variables:
         if v.is_integer and v.upper is None:
@@ -772,17 +873,16 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     if log_rows and any(map(_is_log, model.objective.coeffs.values())):
         raise ModelError("a formal-log objective cannot be combined with formal-log rows")
     rows = _model_lp_rows(model, plain)
-    values, objective = _objective_vector(model)
+    objective = _objective_vector(model)
     bits = LOG_START_BITS
     pivots = _Pivots(PIVOT_CAP)
     for _ in range(LOG_MAX_ROUNDS):
         try:
-            status, incumbent = _branch_and_bound(model, rows, log_rows, objective, bits, pivots)
+            status, incumbent, z = _branch_and_bound(model, rows, log_rows, objective, bits, pivots)
         except _NeedsMorePrecision:
             bits *= 2
             continue
-        value = None if incumbent is None else _dot(values, incumbent)
-        return MilpSolution(status, incumbent, value)
+        return MilpSolution(status, incumbent, None if z is None else _reported(model, z))
     raise SolverError("log-row approximation failed to converge")
 
 
@@ -790,7 +890,8 @@ def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivo
     """One precision round: a cold root, then children re-optimised warm.
 
     `rows` are the model's rational LP rows and `objective` the vector to
-    maximize; returns (status, incumbent or None).
+    maximize; returns (status, incumbent or None, the incumbent node's
+    maximized objective value `z` or None).
     """
     approx = [_approx_log_row(sup, rhs, bits) for sup, rhs in log_rows]
     int_cols = model.integer_columns()
@@ -804,7 +905,7 @@ def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivo
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:
-            return UNBOUNDED, None
+            return UNBOUNDED, None, None
         if incumbent_val is not None and not tab.z > incumbent_val:
             continue
         frac_col = next((j for j in int_cols if assignment[j].denominator != 1), None)
@@ -826,7 +927,7 @@ def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivo
             raise _NeedsMorePrecision
         incumbent = assignment
         incumbent_val = tab.z
-    return (INFEASIBLE, None) if incumbent is None else (OPTIMAL, incumbent)
+    return (INFEASIBLE, None, None) if incumbent is None else (OPTIMAL, incumbent, incumbent_val)
 
 
 # -- total unimodularity -------------------------------------------------------
@@ -938,4 +1039,5 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     for p, j in enumerate(frac_cols):
         merged[j] = sub.assignment[p]
     merged_t = tuple(merged)
-    return MilpSolution(OPTIMAL, merged_t, _dot(_objective_vector(model)[0], merged_t))
+    value = _reported(model, _dot(_objective_vector(model), merged_t))
+    return MilpSolution(OPTIMAL, merged_t, value)

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from champbribe import (
     CapExceededError,
@@ -531,7 +531,8 @@ class TestSolveMilp:
 
     def test_log_objective_with_log_row_is_rejected_at_once(self):
         # Such reduced costs would carry the log row's 2**128-scale
-        # coefficients into LogSum exponents, which `sign` cannot evaluate.
+        # coefficients into the exponents of a power comparison, which
+        # could not be evaluated.
         m = model(
             [("x", True, 4), ("y", True, 4)],
             [((FormalLog(F(1, 2)), FormalLog(F(3, 4))), ">=", FormalLog(F(1, 5)))],
@@ -567,7 +568,10 @@ def _with_branch_groups(m, rng):
 
 def _assert_integer_rows(tab):
     """Each row is an int vector over one positive row denominator, reduced by
-    its gcd, with its basic column's entry equal to that denominator."""
+    its gcd, with its basic column's entry equal to that denominator.  Each
+    objective row is an int vector of the same form, zero on every basic
+    column; a rational objective has one, a formal-log one one per log
+    argument."""
     assert len(tab.body) == len(tab.rhs) == len(tab.den) == len(tab.basis)
     for row, rhs, den, b in zip(tab.body, tab.rhs, tab.den, tab.basis):
         assert type(rhs) is int and type(den) is int and den > 0
@@ -575,6 +579,13 @@ def _assert_integer_rows(tab):
         assert math.gcd(den, rhs, *row.values()) == 1
         assert row[b] == den
         assert sum(b in other for other in tab.body) == 1
+    assert len(tab.cost) == len(tab.cost_rhs) == len(tab.cost_den)
+    assert len(tab.cost) == 1 if tab.args is None else len(tab.args) == len(tab.cost)
+    for row, rhs, den in zip(tab.cost, tab.cost_rhs, tab.cost_den):
+        assert type(rhs) is int and type(den) is int and den > 0
+        assert all(type(x) is int and x != 0 for x in row.values())
+        assert math.gcd(den, rhs, *row.values()) == 1
+        assert not any(b in row for b in tab.basis)
 
 
 class TestWarmStart:
@@ -671,6 +682,35 @@ class TestFormalLog:
         assert LogSum.of(F(3, 2)).sign() == 1
         assert LogSum.of(F(1)).sign() == 0
         assert (LogSum.of(F(1, 2)) + LogSum.of(F(2))).sign() == 0
+
+    # Dependent arguments: 1/4, 1/2, 2, 4 and 8 are powers of 2, and 9/16
+    # is (3/4)**2.
+    LN_POOL = (F(1, 4), F(1, 2), F(2), F(4), F(8), F(3, 4), F(9, 16), F(1, 3), F(5, 3))
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(LN_POOL), st.integers(-6, 6), st.integers(1, 4)),
+            max_size=5,
+        )
+    )
+    @example([(F(1, 4), 1, 1), (F(1, 2), -2, 1)])
+    @example([(F(1, 4), 1, 2), (F(2), 1, 1)])
+    @example([(F(9, 16), 3, 1), (F(3, 4), -6, 1), (F(8), 1, 3), (F(1, 2), 1, 1)])
+    @example([(F(9, 16), 1, 1), (F(3, 4), -2, 1), (F(5, 3), 1, 4)])
+    def test_ln_sign_against_products(self, terms):
+        # sum(num / den * ln a) has the sign of prod(a ** (num * L / den)) - 1
+        # for L the lcm of the den; exact zeros come from dependent arguments.
+        terms = [(a, num, den) for a, num, den in terms if num]
+        lcm = math.lcm(*(den for _, _, den in terms)) if terms else 1
+        product = F(1)
+        for a, num, den in terms:
+            product *= a ** (num * lcm // den)
+        got = milp._ln_sign([(a.numerator, a.denominator, num, den) for a, num, den in terms])
+        assert got == (product > 1) - (product < 1)
+        lhs = LogSum.zero()
+        for a, num, den in terms:
+            lhs = lhs + LogSum.of(a, F(num, den))
+        assert lhs.sign() == got
 
     def test_rational_coefficients(self):
         # (1/2)*log(1/4) == log(1/2)
@@ -996,6 +1036,27 @@ class TestModelInput:
     def test_upper_bound_of_another_type(self, bad):
         with pytest.raises(ModelError):
             MilpVariable("x", upper=bad)
+
+    @pytest.mark.parametrize("place", [
+        "row column", "objective column", "branch group", "row coefficient",
+        "objective coefficient", "rhs", "upper bound",
+    ])
+    def test_bools_are_refused(self, place):
+        # True == 1 and False == 0, so a bool would silently read as a
+        # column index or a number.
+        ints = tuple(MilpVariable(name, is_integer=True, upper=3) for name in "xy")
+        ok_row, ok_obj = MilpRow({0: 1}, "<=", 1), MilpObjective({0: 1}, "max")
+        build = {
+            "row column": lambda: MilpModel(ints, (MilpRow({True: 1}, "<=", 3),), ok_obj),
+            "objective column": lambda: MilpModel(ints, (ok_row,), MilpObjective({True: 1}, "max")),
+            "branch group": lambda: MilpModel(ints, (ok_row,), ok_obj, [(0, True)]),
+            "row coefficient": lambda: MilpRow({0: True}, "<=", 3),
+            "objective coefficient": lambda: MilpObjective({0: False, 1: 1}, "max"),
+            "rhs": lambda: MilpRow({0: 1}, "<=", True),
+            "upper bound": lambda: MilpVariable("x", is_integer=True, upper=True),
+        }[place]
+        with pytest.raises(ModelError):
+            build()
 
     def test_dense_coefficients_are_rejected(self):
         with pytest.raises(ModelError):

@@ -469,6 +469,40 @@ class TestBranchingTail:
         assert r.best_probability == budget_sweep(inst).best_at()
 
 
+def test_lp_and_pivot_totals_are_pinned(monkeypatch):
+    # Bland's rule makes every pivot a function of the exact tableau, so a
+    # change to how the tableau is stored must leave these totals as they
+    # are.  Scale-pool draws, n in 10..40, budgets between 20n and 300n.
+    counts = {"lp": 0, "pivots": 0}
+    simplex, spend = milp._simplex, milp._Pivots.spend
+
+    def counted_simplex(tab, objective):
+        counts["lp"] += 1
+        return simplex(tab, objective)
+
+    def counted_spend(pivots):
+        counts["pivots"] += 1
+        return spend(pivots)
+
+    monkeypatch.setattr(milp, "_simplex", counted_simplex)
+    monkeypatch.setattr(milp._Pivots, "spend", counted_spend)
+    rng = split_rng(23, "pinned-counts")
+    draws = []
+    for idx in range(10):
+        n = rng.randint(10, 40)
+        draws.append(gen_cbcct(
+            23, n, 4, rng.randint(20 * n, 300 * n), verify.SCALE_VALUE_POOL,
+            verify.SCALE_PROB_POOL, canonical=True, index=idx,
+        ))
+    totals = {}
+    for solve in (solve_fpt_bribe_values, solve_fpt_prob_values):
+        counts.update(lp=0, pivots=0)
+        for inst in draws:
+            solve(inst)
+        totals[solve.__name__] = (counts["lp"], counts["pivots"])
+    assert totals == {"solve_fpt_bribe_values": (152, 577), "solve_fpt_prob_values": (62, 416)}
+
+
 class TestIntegralOptimum:
     def test_incumbent_is_returned_without_a_restricted_lp(self, monkeypatch):
         # The incumbent is a vertex with integral integer columns, so its
