@@ -5,16 +5,15 @@ denominator, sparse (a map from column to nonzero int numerator, so a pivot
 touches nonzeros only) and reduced by one gcd after every update.  The
 reduced costs are rows of the same form, updated by the same step: one row
 for a rational objective, one per distinct log argument for a formal-log
-objective.  Values and the objective value leave the tableau as
-`fractions.Fraction` (or `LogSum`).  Logarithmic quantities are never
-evaluated numerically.  A coefficient ``log q`` is carried as
-`FormalLog(q)`, and the sign of a combination sum(e * log q) is one exact
-comparison of integer powers (`_ln_sign`), with the exponents divided by
-their gcd first, so every pivoting and bounding decision that involves
-logarithms reduces to big-integer arithmetic.  Outside the tableau, such
-combinations are `LogSum`s (model objectives, objective values and the
-bound comparisons of branch and bound), so one simplex and one branch and
-bound serve rational and formal-log objectives alike.
+objective, read from the model's `MilpObjective` as it is.  Logarithmic
+quantities are never evaluated numerically.  A coefficient ``log q`` is
+carried as `FormalLog(q)`, and the sign of a combination sum(e * log q) is
+one exact comparison of integer powers (`_ln_sign`), with the exponents
+divided by their gcd first, so every pivoting and bounding decision that
+involves logarithms reduces to big-integer arithmetic, and one simplex and
+one branch and bound serve rational and formal-log objectives alike.
+Values leave the tableau as `fractions.Fraction`, and the objective value
+as a `Fraction` or, for a formal-log objective, a `LogSum`.
 
 Formal logs are allowed in objectives, where only *comparisons* of log
 combinations are ever needed.  They are rejected inside LP constraint rows:
@@ -61,17 +60,23 @@ _RELATIONS = (LE, EQ, GE)
 # -- formal logarithms --------------------------------------------------------
 
 
+def _rational(x) -> bool:
+    """Is `x` an int or a Fraction?  A bool is not: True would read as 1."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class FormalLog:
-    """The value log(argument) for a positive rational argument, unevaluated."""
+    """The value log(argument) for a positive int or Fraction, unevaluated."""
 
     argument: Fraction
 
     def __post_init__(self) -> None:
-        arg = Fraction(self.argument)
-        if arg <= 0:
-            raise ModelError(f"formal log argument must be positive, got {arg}")
-        object.__setattr__(self, "argument", arg)
+        if not _rational(self.argument):
+            raise ModelError(f"formal log argument {self.argument!r} is not an int or a Fraction")
+        if self.argument <= 0:
+            raise ModelError(f"formal log argument must be positive, got {self.argument}")
+        object.__setattr__(self, "argument", Fraction(self.argument))
 
     def __repr__(self) -> str:
         return f"log({self.argument})"
@@ -80,6 +85,8 @@ class FormalLog:
 class LogSum:
     """Exact linear combination sum(coeff * log(arg)) of formal logarithms.
 
+    Formal-log objective values leave the tableau as LogSums, which branch
+    and bound compares; models carry `FormalLog` coefficients instead.
     Comparisons reduce to exact integer product comparisons (`_ln_sign`):
     after clearing denominators, sum(m_i * log(q_i)) >= 0 holds iff the
     product of q_i**m_i over positive m_i is at least the product over
@@ -155,6 +162,10 @@ class LogSum:
             return "LogSum(0)"
         parts = [f"{c}*log({a})" for a, c in sorted(self.terms.items())]
         return "LogSum(" + " + ".join(parts) + ")"
+
+
+def _is_log(c) -> bool:
+    return isinstance(c, FormalLog)
 
 
 def _ln_sign(terms) -> int:
@@ -264,11 +275,11 @@ def _ln2(w: int, up: bool) -> int:
 def _nonzero_entries(coeffs, *values) -> dict:
     """`coeffs` (a dict column -> coefficient) without its zero entries,
     once it and `values` are checked to hold ints, Fractions and FormalLogs
-    only.  A bool is refused: True would read as 1."""
+    only (`_rational`)."""
     if not isinstance(coeffs, dict):
         raise ModelError(f"coefficients {coeffs!r} are not a dict from column index to value")
     for c in (*coeffs.values(), *values):
-        if isinstance(c, bool) or not isinstance(c, (int, FormalLog, Fraction)):
+        if not (_rational(c) or _is_log(c)):
             raise ModelError(f"model value {c!r} is not an int, a Fraction or a FormalLog")
     return {j: c for j, c in coeffs.items() if c != 0}
 
@@ -282,11 +293,10 @@ class MilpVariable:
     upper: Fraction | int | None = None
 
     def __post_init__(self) -> None:
-        upper = self.upper
-        if upper is not None and (
-            isinstance(upper, bool) or not isinstance(upper, (int, Fraction))
-        ):
-            raise ModelError(f"upper bound {upper!r} is not an int or a Fraction")
+        if not isinstance(self.is_integer, bool):
+            raise ModelError(f"is_integer {self.is_integer!r} is not a bool")
+        if self.upper is not None and not _rational(self.upper):
+            raise ModelError(f"upper bound {self.upper!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -403,10 +413,6 @@ class MilpSolution:
 
 
 # -- exact simplex -------------------------------------------------------------
-
-
-def _is_log(c) -> bool:
-    return isinstance(c, FormalLog)
 
 
 class _Pivots:
@@ -553,19 +559,22 @@ class _Tableau:
         _clear(self.cost, self.cost_rhs, self.cost_den, j, row_i, rhs_i, p)
         self.basis[i] = j
 
-    def price(self, objective) -> None:
-        """Objective rows of `objective` (a list of Fractions, or of LogSums;
-        zero past its end) for the current basis."""
-        if any(isinstance(c, LogSum) for c in objective):
+    def price(self, objective: MilpObjective) -> None:
+        """Objective rows of the `MilpObjective` for the current basis, to
+        maximize: one row of its rational coefficients, or one row per
+        distinct argument q != 1 with 1 on each column of coefficient log q,
+        all negated for a 'min' sense."""
+        sign = -1 if objective.sense == "min" else 1
+        if _log_objective(objective):
             by_arg: dict = {}
-            for j, c in enumerate(objective):
-                for a, x in c.terms.items():
-                    by_arg.setdefault(a, {})[j] = x
+            for j, c in objective.coeffs.items():
+                if c.argument != 1:
+                    by_arg.setdefault(c.argument, {})[j] = sign
             self.args = tuple(by_arg)
             rows = list(by_arg.values())
         else:
             self.args = None
-            rows = [{j: Fraction(c) for j, c in enumerate(objective) if c}]
+            rows = [{j: c * sign for j, c in objective.coeffs.items()}]
         self.cost, self.cost_rhs, self.cost_den = [], [], []
         for coeffs in rows:
             den = math.lcm(*(c.denominator for c in coeffs.values()))
@@ -714,13 +723,13 @@ class _Tableau:
         self._append(row, rhs, den)
 
 
-def _simplex(tab: _Tableau, objective):
-    """Optimise `tab` in place, maximizing; return (status, assignment or None).
+def _simplex(tab: _Tableau, objective: MilpObjective):
+    """Optimise `tab` in place for the `MilpObjective`, maximizing (a 'min'
+    objective negated); return (status, assignment or None).
 
     A fresh tableau (slack basis, not yet priced) is solved cold: phase 1
     by `feasible`, the dual simplex under zero costs, then phase 2 on
-    `objective` (a list of Fraction, or of LogSum for a formal-log
-    objective), priced into the tableau's integer objective rows, by primal
+    `objective`, priced into the tableau's integer objective rows, by primal
     simplex with Bland's rule.  A tableau that has been solved to optimality
     and then given a bound by `add_bound` keeps its objective rows, which
     are still dual feasible, and is re-optimised by the dual simplex;
@@ -751,18 +760,13 @@ def _model_lp_rows(model: MilpModel, rows) -> list:
     return [(r.coeffs, r.relation, r.rhs) for r in rows] + bounds
 
 
-def _objective_vector(model: MilpModel) -> list:
-    """The objective the simplex maximizes, densified: Fractions, or LogSums
-    when the coefficients are formal logs, negated for a 'min' sense."""
-    coeffs = model.objective.coeffs
-    logs = sum(map(_is_log, coeffs.values()))
-    if 0 < logs < len(coeffs):
+def _log_objective(objective: MilpObjective) -> bool:
+    """Are the coefficients of `objective` formal logs?  A mix of formal-log
+    and rational coefficients raises `ModelError`."""
+    logs = sum(map(_is_log, objective.coeffs.values()))
+    if 0 < logs < len(objective.coeffs):
         raise ModelError("objective mixes nonzero rational and formal-log coefficients")
-    sign = -1 if model.objective.sense == "min" else 1
-    vec = [LogSum.zero() if logs else Fraction(0)] * model.num_variables
-    for j, c in coeffs.items():
-        vec[j] = LogSum.of(c.argument, sign) if logs else Fraction(c) * sign
-    return vec
+    return logs > 0
 
 
 def _reported(model: MilpModel, z):
@@ -770,25 +774,18 @@ def _reported(model: MilpModel, z):
     return -z if model.objective.sense == "min" else z
 
 
-def _dot(vec: list, assignment: Sequence[Fraction]):
-    """sum(c * x), a Fraction or a LogSum like the entries of `vec`."""
-    total = vec[0] * 0 if vec else Fraction(0)
-    for c, x in zip(vec, assignment):
-        if x:
-            total += c * x
-    return total
-
-
 def solve_lp_exact(model: MilpModel) -> MilpSolution:
     """Optimal vertex of the LP relaxation (integrality flags ignored).
 
     Exact simplex with Bland's anti-cycling rules (dual simplex to a
     feasible basis, then primal), within `PIVOT_CAP` pivots.  Objectives
-    may carry formal-log coefficients; constraint rows must be rational.
-    The objective value is read from the final tableau.
+    may carry formal-log coefficients (not mixed with rational ones);
+    constraint rows must be rational.  The objective value is read from the
+    final tableau.
     """
+    _log_objective(model.objective)
     tab = _Tableau(_model_lp_rows(model, model.rows), model.num_variables, _Pivots(PIVOT_CAP))
-    status, assignment = _simplex(tab, _objective_vector(model))
+    status, assignment = _simplex(tab, model.objective)
     if status != OPTIMAL:
         return MilpSolution(status)
     return MilpSolution(OPTIMAL, assignment, _reported(model, tab.z))
@@ -810,7 +807,7 @@ class _NeedsMorePrecision(Exception):
 
 
 def _split_log_rows(model: MilpModel):
-    """Separate structured formal-log rows from plain rational rows."""
+    """The model's plain rational rows and its structured formal-log rows."""
     log_rows = []
     plain = []
     int_cols = set(model.integer_columns())
@@ -825,31 +822,32 @@ def _split_log_rows(model: MilpModel):
             raise ModelError("formal-log rows cannot mix rational coefficients")
         if not int_cols.issuperset(row.coeffs):
             raise ModelError("formal-log rows may involve integer columns only")
-        log_rows.append(([(j, c.argument) for j, c in row.coeffs.items()], row.rhs.argument))
+        log_rows.append(row)
     return plain, log_rows
 
 
-def _approx_log_row(support, rhs_arg: Fraction, bits: int):
-    """Sparse rational outer approximation of sum(x_j * ln q_j) >= ln(rhs_arg).
+def _approx_log_row(row: MilpRow, bits: int):
+    """Sparse rational outer approximation of the row sum(x_j * log q_j) >= log t.
 
     Each coefficient is an upper bound on ln q_j rounded up, and the
-    right-hand side a lower bound on ln(rhs_arg) rounded down, to the grid
+    right-hand side a lower bound on ln t rounded down, to the grid
     2**-bits, so the row's denominator is at most 2**bits.
     """
     grid = 1 << bits
-    coeffs = {j: math.ceil(ln_bounds(arg, bits)[1] * grid) for j, arg in support}
-    rhs = Fraction(math.floor(ln_bounds(rhs_arg, bits)[0] * grid), grid)
+    coeffs = {j: math.ceil(ln_bounds(c.argument, bits)[1] * grid) for j, c in row.coeffs.items()}
+    rhs = Fraction(math.floor(ln_bounds(row.rhs.argument, bits)[0] * grid), grid)
     return {j: Fraction(c, grid) for j, c in coeffs.items() if c}, GE, rhs
 
 
-def _log_row_satisfied(support, rhs_arg: Fraction, assignment) -> bool:
+def _log_row_satisfied(row: MilpRow, assignment) -> bool:
+    """Exactly prod(q_j ** x_j) >= t, for the row and an integral assignment."""
     product = Fraction(1)
-    for j, arg in support:
+    for j, c in row.coeffs.items():
         e = assignment[j]
         if e.denominator != 1:
             raise SolverError("exact log check requires integral values")
-        product *= arg ** int(e)
-    return product >= rhs_arg
+        product *= c.argument ** int(e)
+    return product >= row.rhs.argument
 
 
 def solve_milp(model: MilpModel) -> MilpSolution:
@@ -862,23 +860,23 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     the lowest fractional integer column when no group sum is fractional.
     The objective value is read from the incumbent node's final tableau.
     An unbounded relaxation is reported as unbounded.  More than `PIVOT_CAP`
-    pivots in all raise `CapExceededError`.  A formal-log objective together
-    with a formal-log row raises `ModelError`: the row's dyadic coefficients
-    would enter the formal-log reduced costs as exponents too large to compare.
+    pivots in all raise `CapExceededError`.  A mixed objective (as in
+    `solve_lp_exact`) raises `ModelError`, and so does a formal-log one
+    with a formal-log row: the row's dyadic coefficients would enter the
+    formal-log reduced costs as exponents too large to compare.
     """
     for v in model.variables:
         if v.is_integer and v.upper is None:
             raise ModelError(f"integer variable {v.name} needs a finite upper bound")
     plain, log_rows = _split_log_rows(model)
-    if log_rows and any(map(_is_log, model.objective.coeffs.values())):
+    if _log_objective(model.objective) and log_rows:
         raise ModelError("a formal-log objective cannot be combined with formal-log rows")
     rows = _model_lp_rows(model, plain)
-    objective = _objective_vector(model)
     bits = LOG_START_BITS
     pivots = _Pivots(PIVOT_CAP)
     for _ in range(LOG_MAX_ROUNDS):
         try:
-            status, incumbent, z = _branch_and_bound(model, rows, log_rows, objective, bits, pivots)
+            status, incumbent, z = _branch_and_bound(model, rows, log_rows, bits, pivots)
         except _NeedsMorePrecision:
             bits *= 2
             continue
@@ -886,14 +884,14 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     raise SolverError("log-row approximation failed to converge")
 
 
-def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivots):
+def _branch_and_bound(model, rows, log_rows, bits: int, pivots: _Pivots):
     """One precision round: a cold root, then children re-optimised warm.
 
-    `rows` are the model's rational LP rows and `objective` the vector to
-    maximize; returns (status, incumbent or None, the incumbent node's
+    `rows` are the model's rational LP rows and `log_rows` its formal-log
+    rows; returns (status, incumbent or None, the incumbent node's
     maximized objective value `z` or None).
     """
-    approx = [_approx_log_row(sup, rhs, bits) for sup, rhs in log_rows]
+    approx = [_approx_log_row(row, bits) for row in log_rows]
     int_cols = model.integer_columns()
 
     incumbent = None
@@ -901,7 +899,7 @@ def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivo
     nodes = [_Tableau(rows + approx, model.num_variables, pivots)]
     while nodes:
         tab = nodes.pop()
-        status, assignment = _simplex(tab, objective)
+        status, assignment = _simplex(tab, model.objective)
         if status == INFEASIBLE:
             continue
         if status == UNBOUNDED:
@@ -923,7 +921,7 @@ def _branch_and_bound(model, rows, log_rows, objective, bits: int, pivots: _Pivo
             tab.add_bound(cols, LE, Fraction(v))
             nodes += (ceil, tab)
             continue
-        if not all(_log_row_satisfied(sup, rhs, assignment) for sup, rhs in log_rows):
+        if not all(_log_row_satisfied(row, assignment) for row in log_rows):
             raise _NeedsMorePrecision
         incumbent = assignment
         incumbent_val = tab.z
@@ -1038,6 +1036,7 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     merged = list(mixed.assignment)
     for p, j in enumerate(frac_cols):
         merged[j] = sub.assignment[p]
-    merged_t = tuple(merged)
-    value = _reported(model, _dot(_objective_vector(model), merged_t))
-    return MilpSolution(OPTIMAL, merged_t, value)
+    log = _log_objective(model.objective)
+    terms = (LogSum.of(c.argument, x) if log else c * x
+             for j, c in model.objective.coeffs.items() if (x := merged[j]))
+    return MilpSolution(OPTIMAL, tuple(merged), sum(terms, LogSum.zero() if log else Fraction(0)))

@@ -25,7 +25,7 @@ from champbribe import (
 )
 from champbribe import milp
 from champbribe.milp import (
-    EQ, GE, LE, _approx_log_row, _dot, _Pivots, _simplex, _Tableau, ln_bounds,
+    EQ, GE, LE, _approx_log_row, _Pivots, _simplex, _Tableau, ln_bounds,
 )
 
 
@@ -108,12 +108,13 @@ class TestSolveLpExact:
             n,
             _Pivots(milp.PIVOT_CAP),
         )
-        status, x = _simplex(tab, list(obj))
+        objective = _objective(obj)
+        status, x = _simplex(tab, objective)
         _assert_integer_rows(tab)
         best, any_vertex = _vertex_enumeration(rows, obj, n)
         assert (status == "optimal") == any_vertex
         if any_vertex:
-            assert tab.z == best == _dot(list(obj), x)
+            assert tab.z == best == _objective_value(objective, x)
         return status, x
 
     def test_redundant_equality_rows(self):
@@ -145,14 +146,23 @@ class TestSolveLpExact:
         with pytest.raises(ModelError):
             solve_lp_exact(m)
 
-    def test_rejects_mixed_objective(self):
-        m = model(
-            [("x", False, None), ("y", False, None)],
-            [((F(1), F(1)), "<=", F(1))],
-            (F(2), FormalLog(F(1, 2))),
-        )
-        with pytest.raises(ModelError):
-            solve_lp_exact(m)
+    def test_rejects_mixed_objective(self, monkeypatch):
+        # Refused by both solvers before any pivot, so also where phase 1
+        # alone would end the solve as infeasible.  Both row sets start
+        # phase 1 with a pivot.
+        def spend(pivots):
+            raise AssertionError("pivoted before the objective was checked")
+
+        monkeypatch.setattr(_Pivots, "spend", spend)
+        feasible = [((F(1), F(1)), ">=", F(1))]
+        infeasible = [((F(1), F(1)), ">=", F(2)), ((F(1), F(1)), "<=", F(1))]
+        for solve in (solve_lp_exact, solve_milp):
+            for rows in (feasible, infeasible):
+                m = model(
+                    [("x", False, None), ("y", False, None)], rows, (F(2), FormalLog(F(1, 2)))
+                )
+                with pytest.raises(ModelError, match="mixes"):
+                    solve(m)
 
     def test_log_objective(self):
         # max x*log(1/2) + y*log(3/4) over x+y >= 2, x,y <= 2 minimizes decay:
@@ -229,16 +239,18 @@ class TestSolveLpExact:
 
 
 def _vertex_enumeration(rows, obj, n):
-    """LP oracle: evaluate every basic point of the constraint system."""
-    import itertools
+    """LP oracle: the best objective value over every vertex (`_vertices`)."""
+    values = [sum(c * v for c, v in zip(obj, point)) for point in _vertices(rows, n)]
+    return (max(values) if values else None), bool(values)
 
+
+def _vertices(rows, n):
+    """Every basic feasible point of the constraint system."""
     planes = [(coeffs, rhs) for coeffs, _, rhs in rows]
     for j in range(n):
         axis = [Fraction(0)] * n
         axis[j] = Fraction(1)
         planes.append((tuple(axis), Fraction(0)))
-    best = None
-    any_vertex = False
     for subset in itertools.combinations(range(len(planes)), n):
         point = _solve_square([planes[i][0] for i in subset], [planes[i][1] for i in subset], n)
         if point is None or any(v < 0 for v in point):
@@ -251,13 +263,8 @@ def _vertex_enumeration(rows, obj, n):
             ):
                 ok = False
                 break
-        if not ok:
-            continue
-        any_vertex = True
-        val = sum(c * v for c, v in zip(obj, point))
-        if best is None or val > best:
-            best = val
-    return best, any_vertex
+        if ok:
+            yield point
 
 
 def _solve_square(A, b, n):
@@ -559,6 +566,97 @@ class TestSolveMilp:
             solve_lp_exact(m)
 
 
+class TestFormalLogObjectives:
+    """'max' and 'min' formal-log objectives that put one argument on
+    several columns, against vertex enumeration (LP) and the lattice (MILP).
+    The value of x is sum(x_j * log q_j), compared exactly as `LogSum`s."""
+
+    POOL = (F(1, 3), F(1, 2), F(3, 4), F(5, 4), F(2))
+
+    def test_min_with_a_shared_argument(self):
+        # min x log(1/2) + y log(1/2) + z log(3/4) with x + y + z <= 3 and
+        # x, y <= 1: log(1/2) < log(3/4) < 0, so x = y = 1 and z = 1, with
+        # value log(3/16) below log(9/32) at x = 1, z = 2.
+        m = model(
+            [("x", True, 1), ("y", True, 1), ("z", True, 2)],
+            [((F(1), F(1), F(1)), "<=", F(3))],
+            (FormalLog(F(1, 2)), FormalLog(F(1, 2)), FormalLog(F(3, 4))),
+            sense="min",
+        )
+        for s in (solve_lp_exact(m), solve_milp(m)):
+            assert s.assignment == (1, 1, 1)
+            assert s.objective_value == LogSum.of(F(3, 16))
+
+    def _draws(self, seed, sense, integer):
+        """40 random models with columns in [0, ub], as (model, n, ub, rows,
+        arguments), whose objective puts the argument of column 0 on at
+        least one more column."""
+        import random
+
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, ub = rng.randint(2, 4), rng.randint(1, 3)
+            rows = [
+                (
+                    tuple(F(rng.randint(-3, 3)) for _ in range(n)),
+                    rng.choice(("<=", "<=", ">=")),
+                    F(rng.randint(-3, 9), rng.randint(1, 2)),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            qs = [rng.choice(self.POOL) for _ in range(n)]
+            qs[rng.randrange(1, n)] = qs[0]
+            variables = [(f"x{j}", integer, ub) for j in range(n)]
+            yield model(variables, rows, tuple(map(FormalLog, qs)), sense), n, ub, rows, qs
+
+    @staticmethod
+    def _best(values, sense):
+        best = values[0]
+        for v in values[1:]:
+            if (v > best) if sense == "max" else (best > v):
+                best = v
+        return best
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_lp_against_vertex_enumeration(self, sense):
+        optimal = 0
+        for m, n, ub, rows, _ in self._draws(31, sense, False):
+            got = solve_lp_exact(m)
+            bounds = [(tuple(F(i == j) for i in range(n)), "<=", F(ub)) for j in range(n)]
+            values = [_objective_value(m.objective, p) for p in _vertices(rows + bounds, n)]
+            if not values:
+                assert got.status == "infeasible"
+                continue
+            optimal += 1
+            assert got.status == "optimal"
+            assert _feasible([(r.coeffs, r.relation, r.rhs) for r in m.rows], got.assignment)
+            best = self._best(values, sense)
+            assert got.objective_value == _objective_value(m.objective, got.assignment) == best
+        assert optimal >= 20
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_milp_against_the_lattice(self, sense):
+        optimal = 0
+        for m, n, ub, _, qs in self._draws(32, sense, True):
+            got = solve_milp(m)
+            sparse = [(r.coeffs, r.relation, r.rhs) for r in m.rows]
+            products = [
+                math.prod((q**v for q, v in zip(qs, point)), start=F(1))
+                for point in itertools.product(range(ub + 1), repeat=n)
+                if _feasible(sparse, point)
+            ]
+            if not products:
+                assert got.status == "infeasible"
+                continue
+            optimal += 1
+            best = max(products) if sense == "max" else min(products)
+            assert got.status == "optimal"
+            assert _feasible(sparse, got.assignment)
+            value = _objective_value(m.objective, got.assignment)
+            assert got.objective_value == value == LogSum.of(best)
+        assert optimal >= 20
+
+
 def _with_branch_groups(m, rng):
     """`m` with up to two random branch groups over its integer columns."""
     cols = m.integer_columns()
@@ -648,15 +746,32 @@ class TestWarmStart:
                     continue
                 assert status == "optimal"
                 assert _feasible(rows + bounds, x)
-                assert tab.z == cold.z == _dot(objective, x) == _dot(objective, cold_x)
+                value = _objective_value(objective, x)
+                assert tab.z == cold.z == value == _objective_value(objective, cold_x)
         assert min(seen.values()) > 0, seen
 
     def test_rational_objective(self):
-        self._check(11, lambda rng, n: [F(rng.randint(-3, 3)) for _ in range(n)], 150)
+        self._check(11, lambda rng, n: _objective([F(rng.randint(-3, 3)) for _ in range(n)]), 150)
 
     def test_log_objective(self):
         pool = (F(1, 3), F(1, 2), F(3, 4), F(1), F(5, 4), F(2))
-        self._check(12, lambda rng, n: [LogSum.of(rng.choice(pool)) for _ in range(n)], 100)
+        self._check(
+            12, lambda rng, n: _objective([FormalLog(rng.choice(pool)) for _ in range(n)]), 100
+        )
+
+
+def _objective(coeffs):
+    return MilpObjective(dict(enumerate(coeffs)), "max")
+
+
+def _objective_value(objective, x):
+    """sum(c_j * x_j) over the entries of `objective`: a Fraction, or a
+    LogSum of the terms x_j * log q_j for formal-log coefficients."""
+    logs = any(isinstance(c, FormalLog) for c in objective.coeffs.values())
+    total = LogSum.zero() if logs else F(0)
+    for j, c in objective.coeffs.items():
+        total = total + (LogSum.of(c.argument, x[j]) if isinstance(c, FormalLog) else c * x[j])
+    return total
 
 
 def _feasible(rows, x):
@@ -831,12 +946,12 @@ class TestFormalLog:
     def test_approx_log_row_is_a_dyadic_outer_approximation(self, bits):
         pool = (F(1, 1000), F(1, 4), F(1, 2), F(3, 4), F(2**200 - 1, 2**200), F(1),
                 F(5, 4), F(2), F(7, 3), F(10**6))
-        support = list(enumerate(pool))
+        head = {j: FormalLog(q) for j, q in enumerate(pool)}
         for t in pool:
-            coeffs, relation, rhs = _approx_log_row(support, t, bits)
+            coeffs, relation, rhs = _approx_log_row(MilpRow(head, GE, FormalLog(t)), bits)
             assert relation == GE
             assert all(c != 0 for c in coeffs.values())
-            for j, q in support:
+            for j, q in enumerate(pool):
                 c = coeffs.get(j, F(0))
                 assert (c * 2**bits).denominator == 1
                 assert c >= ln_bounds(q, bits)[1]
@@ -1023,8 +1138,12 @@ class TestModelInput:
         with pytest.raises(ModelError):
             MilpModel(self.VARS, (), MilpObjective({col: 1}, "max"))
 
-    @pytest.mark.parametrize("bad", [1.5, "1/2", None, 1j])
+    @pytest.mark.parametrize("bad", [1.5, 0.5, "1/2", "3/4", "no", None, 1j])
     def test_value_of_another_type(self, bad):
+        with pytest.raises(ModelError):
+            FormalLog(bad)
+        with pytest.raises(ModelError):
+            MilpVariable("x", is_integer=bad)
         with pytest.raises(ModelError):
             MilpRow({0: bad}, "<=", 1)
         with pytest.raises(ModelError):
@@ -1039,7 +1158,7 @@ class TestModelInput:
 
     @pytest.mark.parametrize("place", [
         "row column", "objective column", "branch group", "row coefficient",
-        "objective coefficient", "rhs", "upper bound",
+        "objective coefficient", "rhs", "upper bound", "formal log argument",
     ])
     def test_bools_are_refused(self, place):
         # True == 1 and False == 0, so a bool would silently read as a
@@ -1054,6 +1173,7 @@ class TestModelInput:
             "objective coefficient": lambda: MilpObjective({0: False, 1: 1}, "max"),
             "rhs": lambda: MilpRow({0: 1}, "<=", True),
             "upper bound": lambda: MilpVariable("x", is_integer=True, upper=True),
+            "formal log argument": lambda: FormalLog(True),
         }[place]
         with pytest.raises(ModelError):
             build()
