@@ -31,8 +31,6 @@ from .knapsack import (
 from .rational import check_field, format_rational, parse_rational
 from .reductions import cbcct_to_cup, ksum_to_pkp, mpk_to_cbcct, pkp_to_mpk, shift_ksum
 from .solvers import (
-    bribe_value_set,
-    probability_profile,
     solve_bruteforce,
     solve_dp,
     solve_fpt_bribe_values,
@@ -220,8 +218,8 @@ def _distinct_counts(inst) -> tuple[int, int]:
     values = set()
     probs = set()
     for v in inst.bribe_vectors:
-        values.update(bribe_value_set(v))
-        probs.update(probability_profile(v))
+        values.update(v.bribe_values())
+        probs.update(v.probabilities())
     return len(values), len(probs)
 
 

@@ -22,6 +22,11 @@ from .rational import check_field, check_probability, format_rational, parse_rat
 
 Pair = tuple[int, int]
 
+# Most pairwise bribe vectors a cup may be built with, by `generators.gen_cup`
+# or `reductions.cbcct_to_cup`.  C(2**rounds, 2) grows as 4**rounds; 2**16
+# allows a full cup of up to 8 rounds (256 players, 32 640 pairs).
+CUP_PAIRS_CAP = 1 << 16
+
 
 @dataclass(frozen=True)
 class CupInstance:

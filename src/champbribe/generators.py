@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import BribeEntry, BribePlan, BribeVector, CbcctInstance, evaluate_plan, normalize_bribe_vector
-from .cup import CupInstance
+from .cup import CUP_PAIRS_CAP, CupInstance
 from .errors import CapExceededError, InstanceError
 from .knapsack import MpkInstance, PkpInstance, PkpItem, SmallKSumInstance, ksum_bound
 from .rational import check_field
@@ -25,10 +25,6 @@ from .rational import check_field
 # Largest default k-sum magnitude n^2k, in bits, that `gen_ksum` draws from;
 # 8192 bits is 2467 digits, inside Python's default int-to-str digit limit.
 KSUM_BITS_CAP = 1 << 13
-
-# Most pairwise bribe vectors `gen_cup` draws.  C(2**rounds, 2) grows as
-# 4**rounds; 2**16 allows up to 8 rounds (256 players, 32 640 pairs).
-CUP_PAIRS_CAP = 1 << 16
 
 DEFAULT_VALUE_POOL: tuple[int, ...] = (0, 1, 2, 3, 5)
 DEFAULT_PROB_POOL: tuple[Fraction, ...] = (

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import BribeEntry, BribePlan, BribeVector, CbcctInstance
-from .cup import CupInstance, Pair
+from .cup import CUP_PAIRS_CAP, CupInstance, Pair
 from .errors import CapExceededError, ReductionError
 from .knapsack import MpkInstance, PkpInstance, PkpItem, SmallKSumInstance
 
@@ -142,10 +142,22 @@ def cbcct_to_cup(inst: CbcctInstance) -> CupInstance:
     (main i vs favorite) vectors are the original bribe vectors; every other
     stored vector is a single zero-price entry.  Budget and threshold carry
     over unchanged.
+
+    More than `CUP_PAIRS_CAP` stored vectors (any m >= 10) raises
+    `CapExceededError` before anything is built.
     """
     m = inst.num_challengers
     if m < 1:
         raise ReductionError("cup construction needs at least one challenger")
+    # C(m + 1, 2) pairs among the favorite and the main players, and C(2**i, 2)
+    # inside main player i+1's subtree of 2**i leaves; the count only grows.
+    pairs = m * (m + 1) // 2
+    for i in range(m):
+        pairs += (1 << i) * ((1 << i) - 1) // 2
+        if pairs > CUP_PAIRS_CAP:
+            raise CapExceededError(
+                f"a cup image of {m} challengers needs more than {CUP_PAIRS_CAP} pairwise vectors"
+            )
     n = 1 << m
     half = Fraction(1, 2)
     # Player indices: 0 = favorite, 1..m = main players, rest dummies.

@@ -6,14 +6,18 @@ selects exactly one entry of its bribe vector; if even the cheapest entries
 exceed the budget there is no plan at all, which every solver reports as a
 "no" with no witness.
 
-The MILP routes group challengers by (probability profile, bribe-value set):
-under monotone vectors two players sharing both have identical vectors, so a
-solution only needs to say how many players of each group are bribed with
-each value.  The two routes share one model builder and one solve routine,
-oriented either way: the bribe-value model counts bribes per (value, value
-set) and maximizes the formal-log win probability under the budget; the
+The MILP routes group challengers by (probability profile, bribe-value set).
+A monotone vector lists both in ascending order, so its group key is the
+pair of its probability and price tuples, and two players share a group iff
+their vectors are equal.  A solution then only needs to say how many
+players of each group are bribed with each value.  The two routes share one
+model builder, one column layout and one solve routine, oriented either
+way: the bribe-value model counts bribes per (value, value set) and
+maximizes the formal-log win probability under the budget; the
 probability-value model counts them per (probability, profile) and
-minimizes the budget needed to reach the threshold.
+minimizes the budget needed to reach the threshold.  The witness is read
+back from the per-group columns, which follow the integer columns group by
+group, and each count's price names the entry it buys.
 
 The integer columns that share a bribe value (value 0 left out) or a
 probability differ only in the value set or profile they count over, so
@@ -60,8 +64,8 @@ from .milp import (
     solve_milp,
 )
 
-ProbabilityProfile = tuple[Fraction, ...]
-BribeValueSet = tuple[int, ...]
+# A monotone vector's (probabilities, prices), both strictly increasing.
+GroupKey = tuple[tuple[Fraction, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -70,15 +74,6 @@ class SolveResult:
     witness: BribePlan | None
     decision: bool
     algorithm: str
-
-
-def probability_profile(v: BribeVector) -> ProbabilityProfile:
-    """The set of probability values of a vector, as a sorted tuple."""
-    return tuple(sorted(set(v.probabilities())))
-
-
-def bribe_value_set(v: BribeVector) -> BribeValueSet:
-    return tuple(sorted(set(v.bribe_values())))
 
 
 def _min_cost(inst: CbcctInstance) -> int:
@@ -130,44 +125,41 @@ def solve_dp(inst: CbcctInstance) -> SolveResult:
 
 @dataclass(frozen=True)
 class VariableMap:
-    """Column bookkeeping for the FPT models.
+    """Column layout of an FPT model.
 
-    int_cols maps each counting variable's key to its column; frac_cols maps
-    each (profile, value, value set) per-group variable to its column, each
-    group's columns together and in the order of group_players.
-    group_players lists the challenger indices (input order) of each
-    (profile, value set) group.
+    group_players maps each group key (probabilities, prices) to its
+    challenger indices in input order, groups in sorted key order.  Columns
+    0 .. num_int - 1 are the integer counting columns.  The per-group
+    columns follow them, group by group in the order of group_players, one
+    per entry of the group's vectors in ascending price.
     """
 
-    int_cols: dict
-    frac_cols: dict
-    group_players: dict
+    group_players: dict[GroupKey, list[int]]
     num_int: int
 
 
-def _grouping(inst: CbcctInstance) -> dict[tuple[ProbabilityProfile, BribeValueSet], list[int]]:
-    """Challenger indices of each realized (profile, value set) group, sorted by key."""
+def _grouping(inst: CbcctInstance) -> dict[GroupKey, list[int]]:
+    """Challenger indices of each realized group, sorted by key.
+
+    Raises `ModelError` on a vector that is not monotone or that has a
+    zero-probability entry.
+    """
     groups: dict = {}
     for idx, v in enumerate(inst.bribe_vectors):
         if not v.monotone:
             raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
-        # Monotone vectors list strictly increasing values and probabilities,
-        # so these are `probability_profile(v)` and `bribe_value_set(v)`.  The
-        # profile is looked up by its exact int ratios, which hash far faster
-        # than Fractions.
-        probs, values = v.probabilities(), v.bribe_values()
-        ratios = tuple(map(Fraction.as_integer_ratio, probs))
-        groups.setdefault((ratios, values), ((probs, values), []))[1].append(idx)
-    return dict(sorted(groups.values()))
-
-
-def _check_positive_probabilities(inst: CbcctInstance) -> None:
-    for idx, v in enumerate(inst.bribe_vectors):
-        if any(e.losing_probability == 0 for e in v.entries):
+        # A monotone vector's first entry has its least probability.
+        if v.entries[0].losing_probability == 0:
             raise ModelError(
                 f"challenger {idx + 1} has a zero probability entry; "
                 "log-domain models need positive probabilities"
             )
+        # The key is looked up by its probabilities' exact int ratios, which
+        # hash far faster than Fractions.
+        probs, values = v.probabilities(), v.bribe_values()
+        ratios = tuple(map(Fraction.as_integer_ratio, probs))
+        groups.setdefault((ratios, values), ((probs, values), []))[1].append(idx)
+    return dict(sorted(groups.values()))
 
 
 def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, VariableMap]:
@@ -178,18 +170,18 @@ def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, Var
     matching entry of the sorted profile, since monotone vectors align sorted
     values with sorted probabilities).  Integer variables sum them over the
     groups sharing a value set (by_value: one per (value, value set)) or a
-    profile (otherwise: one per (probability, profile)).  The head row is
-    the budget row over integer columns (by_value) or the formal-log
-    threshold row; the objective maximizes the formal-log win probability
-    (by_value) or minimizes the spent budget.  Rows are ordered so that
-    everything touching the per-group columns forms the tail block: head
-    row, then the linking rows, then the group-size rows.
+    profile (otherwise: one per (probability, profile)).  The per-group
+    columns follow the integer columns in the layout of `VariableMap`.  The
+    head row is the budget row over integer columns (by_value) or the
+    formal-log threshold row; the objective maximizes the formal-log win
+    probability (by_value) or minimizes the spent budget.  Rows are ordered
+    so that everything touching the per-group columns forms the tail block:
+    head row, then the linking rows, then the group-size rows.
 
     The integer columns that share a value (by_value, value 0 left out) or a
     probability are interchangeable up to their sets, so each such set of
     two or more is a branch group of the model, lowest column first.
     """
-    _check_positive_probabilities(inst)
     if not by_value and inst.threshold == 0:
         raise ModelError("threshold 0 is trivially satisfiable; no model to build")
     groups = _grouping(inst)
@@ -212,38 +204,35 @@ def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, Var
     # items[col] is the value or probability column col counts.
     counted_sets, names = (value_sets, vs_names) if by_value else (profiles, prof_names)
     variables: list[MilpVariable] = []
-    int_cols: dict = {}
     base = []
     items = []
     for counted, name in zip(counted_sets, names):
         base.append(len(variables))
         for item in counted:
-            int_cols[(item, counted)] = len(variables)
             items.append(item)
             variables.append(MilpVariable(f"x[{item},{name}]", is_integer=True, upper=n))
     num_int = len(variables)
+    # The linking row of integer column c reads -x_c + (the per-group
+    # columns that c counts) == 0; each per-group column joins its row as
+    # it is laid out.
+    linking: list[dict] = [{col: -1} for col in range(num_int)]
+    sizes = []
     objective: dict = {}
-    frac_cols: dict = {}
-    linked: list[list[int]] = [[] for _ in range(num_int)]
-    group_cols = []
-    for (prof, vs), (pid, vid) in zip(groups, group_ids):
+    for ((prof, vs), players), (pid, vid) in zip(groups.items(), group_ids):
         first = base[vid if by_value else pid]
-        group_cols.append(range(len(variables), len(variables) + len(vs)))
+        start = len(variables)
         for t, (prob, value) in enumerate(zip(prof, vs)):
-            linked[first + t].append(len(variables))
-            frac_cols[(prof, value, vs)] = len(variables)
+            linking[first + t][len(variables)] = 1
             objective[len(variables)] = FormalLog(prob) if by_value else value
             variables.append(MilpVariable(f"y[{prof_names[pid]},{value},{vs_names[vid]}]"))
+        sizes.append(MilpRow(dict.fromkeys(range(start, len(variables)), 1), "==", len(players)))
 
     if by_value:
-        rows = [MilpRow(dict(enumerate(items)), "<=", inst.budget)]
+        head = MilpRow(dict(enumerate(items)), "<=", inst.budget)
     else:
-        head = {col: FormalLog(prob) for col, prob in enumerate(items)}
-        rows = [MilpRow(head, ">=", FormalLog(inst.threshold))]
-    for col in range(num_int):
-        rows.append(MilpRow({col: -1, **dict.fromkeys(linked[col], 1)}, "==", 0))
-    for cols, players in zip(group_cols, groups.values()):
-        rows.append(MilpRow(dict.fromkeys(cols, 1), "==", len(players)))
+        logs = {col: FormalLog(prob) for col, prob in enumerate(items)}
+        head = MilpRow(logs, ">=", FormalLog(inst.threshold))
+    rows = [head, *(MilpRow(coeffs, "==", 0) for coeffs in linking), *sizes]
 
     sharing: dict = {}
     for col, item in enumerate(items):
@@ -255,7 +244,7 @@ def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, Var
     model = MilpModel(
         tuple(variables), tuple(rows), MilpObjective(objective, sense), branch_groups
     )
-    return model, VariableMap(int_cols, frac_cols, groups, num_int)
+    return model, VariableMap(groups, num_int)
 
 
 def build_bribe_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
@@ -294,40 +283,36 @@ def _drop_zero_entries(inst: CbcctInstance) -> CbcctInstance | None:
 def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) -> BribePlan:
     """Assemble a plan from the integral per-group counts.
 
-    Within a group, ascending bribe values are assigned to players in input
-    order (group members are interchangeable).  Entry indices are then looked
-    up in the original vectors by (bribe, probability), which is unique per
-    vector.  Raises `SolverError` if a count is negative or not integral, or
-    if a group's counts do not add up to its players.
+    The per-group columns are walked from `vmap.num_int` in the layout of
+    `VariableMap`.  Within a group, ascending prices are assigned to players
+    in input order (group members are interchangeable).  Each price names
+    one entry of the player's vector in `inst`, since prices rise strictly,
+    so `inst` may hold the caller's vectors from before normalization and
+    the zero-entry drop.  Raises `SolverError` if a count is negative or not
+    integral, or if a group's counts do not add up to its players.
     """
-    cols = iter(vmap.frac_cols.values())
+    col = vmap.num_int
     choices = [0] * inst.num_challengers
-    for (prof, vs), players in vmap.group_players.items():
+    for (_, prices), players in vmap.group_players.items():
         bought = []
-        for prob, value in zip(prof, vs):
-            col = next(cols)
+        for price in prices:
             count = assignment[col]
             if count.denominator != 1 or count < 0:
                 raise SolverError(f"per-group count {count} in column {col} is not a count")
-            bought += [(value, prob)] * int(count)
+            bought += [price] * int(count)
+            col += 1
         if len(bought) != len(players):
             raise SolverError(
                 f"per-group counts cover {len(bought)} of the {len(players)} players of a group"
             )
-        for player, (value, prob) in zip(players, bought):
-            choices[player] = next(
-                j
-                for j, e in enumerate(inst.bribe_vectors[player].entries, start=1)
-                if e.bribe == value and e.losing_probability == prob
-            )
+        for player, price in zip(players, bought):
+            choices[player] = inst.bribe_vectors[player].bribe_values().index(price) + 1
     return BribePlan(tuple(choices))
 
 
 def _solve_fpt(inst: CbcctInstance, by_value: bool) -> SolveResult:
     """Normalize, restrict to positive probabilities, solve, integralize, extract."""
     algorithm = "fpt-bribes" if by_value else "fpt-probs"
-    if inst.num_challengers == 0:
-        return _result(inst, BribePlan(()), algorithm)
     no = SolveResult(None, None, False, algorithm)
     if _min_cost(inst) > inst.budget:
         return no

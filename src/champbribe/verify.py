@@ -11,7 +11,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from . import generators
 from .core import BribePlan, CbcctInstance, evaluate_plan, normalize_instance
@@ -468,9 +468,52 @@ def suite_cup_chain(count: int = 100, seed: int = 5, plan_equality_instances: in
     return report
 
 
+# Seeded pure-integer models that `suite_lp_unit` checks by lattice enumeration.
+LP_UNIT_MODELS = 200
+
+
+def _draw_bounded_milp(rng) -> MilpModel:
+    """2-3 integer columns with upper bounds 0-4 and 1-3 rows of small rationals."""
+    width = rng.randint(2, 3)
+
+    def coeffs():
+        return {j: Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for j in range(width)}
+
+    variables = [MilpVariable(f"x{j}", True, rng.randint(0, 4)) for j in range(width)]
+    rows = [
+        MilpRow(coeffs(), rng.choice(("<=", "<=", ">=", "==")), Fraction(rng.randint(-4, 16), 2))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return MilpModel(variables, rows, MilpObjective(coeffs(), rng.choice(("max", "min"))))
+
+
+def _lattice_point_value(model: MilpModel, x) -> Fraction | None:
+    """The objective at the integer point x within the bounds; None if x is infeasible."""
+    if any(xj.denominator != 1 or not 0 <= xj <= v.upper for xj, v in zip(x, model.variables)):
+        return None
+    for row in model.rows:
+        lhs = Fraction(sum(c * x[j] for j, c in row.coeffs.items()))
+        if not {"<=": lhs <= row.rhs, "==": lhs == row.rhs, ">=": lhs >= row.rhs}[row.relation]:
+            return None
+    return Fraction(sum(c * x[j] for j, c in model.objective.coeffs.items()))
+
+
+def _lattice_optimum(model: MilpModel) -> Fraction | None:
+    """Best objective over every integer point in the bounding box; None if none is feasible."""
+    values = [
+        value
+        for x in product(*(range(v.upper + 1) for v in model.variables))
+        if (value := _lattice_point_value(model, x)) is not None
+    ]
+    if not values:
+        return None
+    return max(values) if model.objective.sense == "max" else min(values)
+
+
 @_timed
 def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
-    """Worked LP/MILP examples plus the formal-log comparison law."""
+    """Worked LP/MILP examples, seeded bounded integer models against lattice
+    enumeration, and the formal-log comparison law."""
     report = SuiteReport("lp-unit", total=0)
 
     def check(label: str, ok: bool) -> None:
@@ -534,6 +577,30 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
         MilpObjective({0: 1}, "max"),
     )
     check("integer-slice MILP", solve_milp(m6).status == "infeasible")
+
+    # Seeded bounded integer models: the status and optimum must match
+    # enumeration, and the reported point must be a feasible lattice point.
+    rng = generators.split_rng(seed, "lp-unit-models")
+    statuses: dict[str, int] = {}
+    for idx in range(LP_UNIT_MODELS):
+        model = _draw_bounded_milp(rng)
+        best = _lattice_optimum(model)
+        sol = solve_milp(model)
+        statuses[sol.status] = statuses.get(sol.status, 0) + 1
+        if best is None:
+            ok = sol.status == "infeasible"
+        else:
+            ok = (
+                sol.status == OPTIMAL
+                and sol.objective_value == best
+                and _lattice_point_value(model, sol.assignment) == best
+            )
+        check(
+            f"seeded model {idx}: {sol.status} {sol.objective_value} at {sol.assignment}, "
+            f"enumeration {best}",
+            ok,
+        )
+    report.details["seeded_models"] = statuses
 
     # Formal-log comparison law against direct rational product comparison.
     rng = generators.split_rng(seed, "logs")

@@ -161,6 +161,27 @@ class TestReduce:
         assert proc.returncode == 2, proc.stderr
         assert "exceeds" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_large_cup_image_exits_two_promptly(self, tmp_path):
+        # A 17-challenger cup image would store over 5 * 10**9 pairwise
+        # vectors; the reduction refuses it before building any.
+        payload = {
+            "players": [{"entries": [{"bribe": 0, "p": "1/2"}]}] * 17,
+            "budget": 0,
+            "threshold": "1/2",
+        }
+        src = tmp_path / "inst.json"
+        src.write_text(json.dumps(payload))
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "champbribe.cli", "reduce", str(src), "--from", "cbcct",
+             "--to", "cup"],
+            capture_output=True, text=True, timeout=10, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "pairwise vectors" in proc.stderr and "Traceback" not in proc.stderr
+        assert time.perf_counter() - start < 5
+
     def test_too_long_result_exit_two(self, tmp_path, capsys):
         # The shift for n=3, k=100 has 4772 digits: within the shift cap, but
         # over Python's 4300-digit limit for writing an integer as text.

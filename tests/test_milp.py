@@ -22,6 +22,7 @@ from champbribe import (
     is_totally_unimodular,
     solve_lp_exact,
     solve_milp,
+    verify,
 )
 from champbribe import milp
 from champbribe.milp import (
@@ -1209,3 +1210,30 @@ class TestDump:
         assert "3/2 x" in text
         assert "<= 7/2" in text
         assert "integer" in text
+
+
+class TestLpUnitSuite:
+    def test_seed_reaches_the_engine(self, monkeypatch):
+        # Each seed draws its own bounded integer models, with both optimal
+        # and infeasible ones among them, and all match lattice enumeration.
+        solved = {}
+        for seed in (6, 13):
+            models = solved[seed] = []
+
+            def recording(m, *args, **kwargs):
+                models.append(m.dump())
+                return solve_milp(m, *args, **kwargs)
+
+            monkeypatch.setattr(verify, "solve_milp", recording)
+            report = verify.suite_lp_unit(draws=0, seed=seed)
+            assert report.passed, report.failures[:3]
+            assert set(report.details["seeded_models"]) == {"optimal", "infeasible"}
+            assert len(models) == 3 + verify.LP_UNIT_MODELS
+        assert solved[6][:3] == solved[13][:3]
+        assert len(set(solved[6][3:]) & set(solved[13][3:])) < verify.LP_UNIT_MODELS // 10
+
+    def test_enumeration_catches_a_relaxed_optimum(self, monkeypatch):
+        # An engine that returned the LP relaxation's optimum must fail.
+        monkeypatch.setattr(verify, "solve_milp", lambda m: solve_lp_exact(m))
+        report = verify.suite_lp_unit(draws=0, seed=6)
+        assert any(f.startswith("seeded model") for f in report.failures)

@@ -26,7 +26,7 @@ from champbribe import (
     verify_reduction,
 )
 from champbribe.core import vector
-from champbribe.cup import bracket_distribution
+from champbribe.cup import CUP_PAIRS_CAP, bracket_distribution
 from champbribe.generators import gen_pkp
 from champbribe.reductions import (
     SHIFT_BITS_CAP,
@@ -242,6 +242,15 @@ class TestCbcctToCup:
         with pytest.raises(ReductionError):
             cbcct_to_cup(CbcctInstance((), 0, F(1)))
 
+    def test_pairs_cap(self):
+        # Nine challengers store 43 480 vectors, within the cap; ten would
+        # store 174 306, which is refused before anything is built.
+        one = vector([(0, "1/2")])
+        cup = cbcct_to_cup(CbcctInstance((one,) * 9, 0, F(1, 2)))
+        assert len(cup.pairwise) == 43480 <= CUP_PAIRS_CAP
+        with pytest.raises(CapExceededError):
+            cbcct_to_cup(CbcctInstance((one,) * 10, 0, F(1, 2)))
+
     def test_main_player_meets_favorite_each_round(self):
         # With the favorite forced to win (opponents' losing probability 1),
         # the favorite must reach every round, meeting each main player with
@@ -310,8 +319,20 @@ class TestVerifyReduction:
         assert not report.equivalent
 
     def test_tuple_oracle_protocol(self):
+        # An oracle may return a plain (decision, witness) pair, which has no
+        # `decision` attribute; its first item is the decision.
         src = SmallKSumInstance((-1, 1, 2), 2)
-        report = verify_reduction(
-            src, src, solve_small_ksum_bruteforce, solve_small_ksum_bruteforce
-        )
+        expected = solve_small_ksum_bruteforce(src)
+
+        def pair_oracle(inst):
+            result = solve_small_ksum_bruteforce(inst)
+            return (result.decision, result.witness)
+
+        assert type(pair_oracle(src)) is tuple and not hasattr(pair_oracle(src), "decision")
+        report = verify_reduction(src, src, pair_oracle, solve_small_ksum_bruteforce)
         assert report.equivalent and report.source_decision
+        assert report.source_witness == report.target_witness == expected.witness
+        # A "no" pair is read as no, though the pair itself is truthy.
+        report = verify_reduction(src, src, lambda _: (False, None), solve_small_ksum_bruteforce)
+        assert not report.equivalent and not report.source_decision
+        assert report.source_witness is None

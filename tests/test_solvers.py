@@ -1,5 +1,6 @@
 """The four solver routes and the FPT model builders."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,11 @@ from champbribe import (
     verify,
 )
 from champbribe import milp
-from champbribe.core import vector
+from champbribe.cli import _distinct_counts
+from champbribe.core import normalize_bribe_vector, vector
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
-from champbribe.solvers import _plan_from_assignment, bribe_value_set, probability_profile
+from champbribe.solvers import _plan_from_assignment
 
 ALL_SOLVERS = (solve_bruteforce, solve_dp, solve_fpt_bribe_values, solve_fpt_prob_values)
 
@@ -177,22 +179,28 @@ class TestPermutationInvariance:
 
 class TestProfiles:
     def test_profile_is_set_of_probabilities(self):
+        # A raw vector's distinct counts read its value and probability sets.
         v = vector([(0, "1/2"), (3, "1/2"), (5, "3/4")])
-        assert probability_profile(v) == (F(1, 2), F(3, 4))
-        assert bribe_value_set(v) == (0, 3, 5)
+        assert _distinct_counts(CbcctInstance((v,), 0, F(1))) == (3, 2)
+        # Its normalized form's group key is (profile, value set), both sorted.
+        w = vector([(0, "1/2"), (5, "3/4")])
+        _, vmap = build_bribe_value_milp(CbcctInstance((w, w), 0, F(1)))
+        assert vmap.group_players == {((F(1, 2), F(3, 4)), (0, 5)): [0, 1]}
 
     def test_monotone_vectors_with_same_group_are_identical(self):
+        # The builders' groups hold equal vectors, and distinct groups differ.
         rng = split_rng(23, "profiles")
         for idx in range(30):
             inst = gen_cbcct(23, rng.randint(2, 6), 3, 10, index=idx)
-            seen = {}
-            for v in inst.bribe_vectors:
-                assert len(probability_profile(v)) == len(v)
-                key = (probability_profile(v), bribe_value_set(v))
-                if key in seen:
-                    assert seen[key] == v
-                else:
-                    seen[key] = v
+            _, vmap = build_bribe_value_milp(inst)
+            members = [
+                {inst.bribe_vectors[p] for p in players} for players in vmap.group_players.values()
+            ]
+            assert all(len(vectors) == 1 for vectors in members)
+            assert len(set().union(*members)) == len(members)
+            assert sorted(p for ps in vmap.group_players.values() for p in ps) == list(
+                range(inst.num_challengers)
+            )
 
 
 class TestBribeValueModel:
@@ -202,7 +210,8 @@ class TestBribeValueModel:
         inst = CbcctInstance((shared, shared), 1, F(1, 2))
         model, vmap = build_bribe_value_milp(inst)
         assert vmap.num_int == 2
-        assert len(vmap.frac_cols) == 2
+        # One per-group column per entry, right after the integer columns.
+        assert model.fractional_columns() == [2, 3]
         group_row = model.rows[-1]
         assert group_row.rhs == 2  # n_{P,V'} for the single group
 
@@ -287,9 +296,10 @@ class TestBribeValueModel:
                     for c in (*coeffs.values(), rhs):
                         assert isinstance(c, FormalLog) or type(c) is int, (build, c)
                 for (prof, vs), players in vmap.group_players.items():
+                    assert list(prof) == sorted(set(prof)) and list(vs) == sorted(set(vs))
                     for p in players:
                         v = inst.bribe_vectors[p]
-                        assert (prof, vs) == (probability_profile(v), bribe_value_set(v))
+                        assert (prof, vs) == (v.probabilities(), v.bribe_values())
 
 
     def test_branch_groups_share_a_value_or_a_probability(self):
@@ -305,14 +315,15 @@ class TestBribeValueModel:
             2,
             F(1, 8),
         )
-        model, vmap = build_bribe_value_milp(inst)
+        model, _ = build_bribe_value_milp(inst)
         assert model.branch_groups == ((1, 3), (4, 6))
-        assert [vmap.int_cols[(v, (0, 1, 2))] for v in (0, 1, 2)] == [2, 3, 4]
+        names = [model.variables[col].name for col in (2, 3, 4)]
+        assert names == ["x[0,{0, 1, 2}]", "x[1,{0, 1, 2}]", "x[2,{0, 1, 2}]"]
         # Profiles {1/4, 1/2}, {1/4, 1/2, 1}, {1/2, 3/4}: 1/4 at 0 and 2,
         # 1/2 at 1, 3 and 5.
-        model, vmap = build_prob_value_milp(inst)
+        model, _ = build_prob_value_milp(inst)
         assert model.branch_groups == ((0, 2), (1, 3, 5))
-        assert vmap.int_cols[(F(1, 2), (F(1, 2), F(3, 4)))] == 5
+        assert model.variables[5].name == f"x[1/2,{set((F(1, 2), F(3, 4)))}]"
 
 
 class TestProbValueModel:
@@ -414,6 +425,50 @@ class TestFptSolvers:
                     cost, prob = evaluate_plan(inst, r.witness)
                     assert cost <= inst.budget
                     assert prob == r.best_probability
+
+    def test_witnesses_on_raw_vectors(self):
+        # Raw vectors: unsorted probabilities, leading zeros and dominated
+        # entries, which normalization and the zero-entry drop remove before
+        # the model is built.  Each witness must index the caller's vectors.
+        rng = split_rng(47, "raw")
+        pool = [F(0), F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)]
+        shifted = 0  # witness entries whose index normalization would move
+        for idx in range(150):
+            vectors = []
+            for _ in range(rng.randint(1, 4)):
+                prices = sorted(rng.sample(range(7), rng.randint(1, 4)))
+                probs = [rng.choice(pool) for _ in prices]
+                if rng.random() < 0.3:
+                    probs[0] = F(0)
+                vectors.append(vector(zip(prices, probs)))
+            budget = rng.randint(0, 12)
+            plans = [
+                (evaluate_plan(CbcctInstance(vectors, budget, F(0)), BribePlan(c)), c)
+                for c in itertools.product(*(range(1, len(v) + 1) for v in vectors))
+            ]
+            values = sorted({p for (cost, p), _ in plans if cost <= budget})
+            threshold = rng.choice(values + [F(1, 2)]) if values else F(1, 2)
+            inst = CbcctInstance(vectors, budget, threshold)
+            b = solve_bruteforce(inst)
+            fb = solve_fpt_bribe_values(inst)
+            fp = solve_fpt_prob_values(inst)
+            assert fb.best_probability == b.best_probability, idx
+            assert fb.decision == fp.decision == b.decision, idx
+            for r in (fb, fp):
+                if r.witness is None:
+                    continue
+                cost, prob = evaluate_plan(inst, r.witness)
+                assert cost <= budget and prob == r.best_probability, (idx, r)
+                for v, j in zip(vectors, r.witness.choices):
+                    kept = normalize_bribe_vector(v).entries
+                    usable = [e for e in kept if e.losing_probability > 0]
+                    entry = v.entries[j - 1]
+                    shifted += entry in usable and usable.index(entry) + 1 != j
+            if fp.decision:
+                # The cheapest plan that reaches the threshold.
+                least = min(cost for (cost, p), _ in plans if p >= threshold)
+                assert evaluate_plan(inst, fp.witness).cost == least, idx
+        assert shifted >= 30, shifted
 
     @pytest.mark.parametrize("n, factors", [(300, (20, 100)), (1000, (20, 50))])
     def test_fpt_bribes_value_matches_dp_at_scale(self, n, factors):
@@ -540,7 +595,7 @@ class TestIntegralOptimum:
         inst = CbcctInstance((shared, shared), 1, F(1, 2))
         model, vmap = build_bribe_value_milp(inst)
         assignment = list(solve_milp(model).assignment)
-        low, high = (col for _, col in sorted(vmap.frac_cols.items()))
+        low, high = model.fractional_columns()
         assert _plan_from_assignment(inst, vmap, assignment) == BribePlan((1, 2))
         # Fractional counts, counts short of the group, and a negative count.
         for counts in ((F(1, 2), F(3, 2)), (F(1), F(0)), (F(-1), F(2))):
