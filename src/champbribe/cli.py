@@ -3,7 +3,8 @@
 Exit codes are a stable contract: for `solve`, 0 means yes, 1 means no, and
 2 means error; the other subcommands use 0 for success, 1 for a verification
 failure, and 2 for error.  Machine-readable output always prints exact
-rationals (num/den), never decimals.
+rationals (num/den), never decimals; `solve` prints `OVER_DIGIT_LIMIT` for
+an optimum too long to write as text.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import traceback
 from . import generators, jsonio, verify
 from .core import instance_from_dict, instance_to_dict
 from .cup import cup_from_dict, cup_to_dict, solve_cup_bruteforce
-from .errors import ChampBribeError
+from .errors import CapExceededError, ChampBribeError
 from .knapsack import (
     ksum_from_dict,
     ksum_to_dict,
@@ -45,6 +46,19 @@ _CBCCT_ALGOS = {
 }
 
 
+# What `solve` prints in place of a best probability whose numerator or
+# denominator has more digits than Python writes as text
+# (`sys.get_int_max_str_digits()`); the decision and the witness still print.
+OVER_DIGIT_LIMIT = "over-digit-limit"
+
+
+def _probability_text(value) -> str:
+    try:
+        return format_rational(value)
+    except CapExceededError:
+        return OVER_DIGIT_LIMIT
+
+
 def _cmd_solve(args) -> int:
     data = jsonio.load_json(args.file)
     start = time.perf_counter()
@@ -65,7 +79,7 @@ def _cmd_solve(args) -> int:
             else " ".join(str(j) for j in result.witness.choices)
         )
     elapsed_ms = (time.perf_counter() - start) * 1000
-    best = "none" if result.best_probability is None else format_rational(result.best_probability)
+    best = "none" if result.best_probability is None else _probability_text(result.best_probability)
     print(f"{'yes' if result.decision else 'no'} {best}")
     print(f"witness {witness}")
     print(f"wall_ms {elapsed_ms:.3f}")

@@ -18,9 +18,11 @@ function, so shared instances are safe to use concurrently.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InstanceError, PlanError
 from .rational import check_field, check_probability, format_rational, parse_rational
@@ -80,11 +82,13 @@ class BribeVector:
         return tuple(e.losing_probability for e in self.entries)
 
 
+def _entry(bribe, p) -> BribeEntry:
+    return BribeEntry(bribe, p if isinstance(p, Fraction) else parse_rational(p))
+
+
 def vector(pairs: Iterable[tuple[int, Fraction | int | str]]) -> BribeVector:
     """Convenience constructor from (bribe, probability) pairs."""
-    return BribeVector(
-        tuple(BribeEntry(b, p if isinstance(p, Fraction) else parse_rational(p)) for b, p in pairs)
-    )
+    return BribeVector(tuple(_entry(b, p) for b, p in pairs))
 
 
 @dataclass(frozen=True)
@@ -122,20 +126,49 @@ class PlanEvaluation(NamedTuple):
 
 
 def evaluate_plan(inst: CbcctInstance, plan: BribePlan) -> PlanEvaluation:
-    """Total cost and champ win probability of a plan (empty product is 1)."""
+    """Total cost and champ win probability of a plan (empty product is 1).
+
+    The chosen probabilities are counted by object identity (a decoded
+    instance shares them, `instance_from_dict`), and each distinct one is
+    raised to its count as an int numerator and denominator, so no
+    `Fraction` is hashed or multiplied per player.
+    """
     if len(plan.choices) != inst.num_challengers:
         raise PlanError(
             f"plan has {len(plan.choices)} choices for {inst.num_challengers} challengers"
         )
     cost = 0
-    prob = Fraction(1)
+    probs = []
     for i, (v, j) in enumerate(zip(inst.bribe_vectors, plan.choices)):
-        if not 1 <= j <= len(v):
+        if not 1 <= j <= len(v.entries):
             raise PlanError(f"choice {j} out of range 1..{len(v)} for challenger {i + 1}")
         entry = v.entries[j - 1]
         cost += entry.bribe
-        prob *= entry.losing_probability
-    return PlanEvaluation(cost, prob)
+        probs.append(entry.losing_probability)
+    by_id = dict(zip(map(id, probs), probs))
+    powers: Counter = Counter()
+    for key, count in Counter(map(id, probs)).items():
+        powers[by_id[key].as_integer_ratio()] += count
+    num = den = 1
+    for (p, q), count in powers.items():
+        num *= p**count
+        den *= q**count
+    return PlanEvaluation(cost, Fraction(num, den))
+
+
+def map_distinct(fn: Callable, vectors: Iterable[BribeVector]) -> list:
+    """`fn` of each vector, called once per distinct vector object.
+
+    Keyed by identity: hashing a vector would hash its `Fraction`s again.
+    """
+    done: dict = {}
+    out = []
+    for v in vectors:
+        key = id(v)
+        if key not in done:
+            done[key] = fn(v)
+        out.append(done[key])
+    return out
 
 
 def normalize_bribe_vector(v: BribeVector) -> BribeVector:
@@ -157,9 +190,9 @@ def normalize_bribe_vector(v: BribeVector) -> BribeVector:
 
 
 def normalize_instance(inst: CbcctInstance) -> CbcctInstance:
-    """Apply `normalize_bribe_vector` to every challenger."""
-    vectors = tuple(normalize_bribe_vector(v) for v in inst.bribe_vectors)
-    if vectors == inst.bribe_vectors:
+    """Apply `normalize_bribe_vector` to every challenger, once per vector object."""
+    vectors = tuple(map_distinct(normalize_bribe_vector, inst.bribe_vectors))
+    if all(map(operator.is_, vectors, inst.bribe_vectors)):
         return inst
     return CbcctInstance(vectors, inst.budget, inst.threshold)
 
@@ -202,6 +235,16 @@ def instance_to_dict(inst: CbcctInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> CbcctInstance:
+    """Decode an instance record.
+
+    Players whose entry lists are equal, value types included (JSON ``1``,
+    ``1.0`` and ``true`` compare equal in Python), share one `BribeVector`,
+    and players whose entries are equal share one `BribeEntry`, so each
+    distinct entry is parsed and checked once.  An entry list that the key
+    cannot hold (not a list, an entry that is not an object or lacks a
+    field, an unhashable value) is decoded on its own by `vector_from_json`,
+    which raises the error it always raised.
+    """
     try:
         players = data["players"]
         budget = data["budget"]
@@ -210,7 +253,28 @@ def instance_from_dict(data: dict) -> CbcctInstance:
         raise InstanceError(f"missing instance field: {exc}") from exc
     if not isinstance(players, list):
         raise InstanceError(f"'players' must be a list, got {players!r}")
-    vectors = tuple(
-        vector_from_json(p.get("entries") if isinstance(p, dict) else None) for p in players
-    )
-    return CbcctInstance(vectors, budget, parse_rational(threshold))
+    vectors = []
+    shared: dict = {}  # entry-list key -> BribeVector
+    entries: dict = {}  # entry key -> BribeEntry
+
+    def entry(key) -> BribeEntry:
+        found = entries.get(key)
+        if found is None:
+            found = entries[key] = _entry(key[1], key[3])
+        return found
+
+    for p in players:
+        raw = p.get("entries") if isinstance(p, dict) else None
+        key = v = None
+        if isinstance(raw, list):
+            try:
+                key = tuple([(type(e["bribe"]), e["bribe"], type(e["p"]), e["p"]) for e in raw])
+                v = shared.get(key)
+            except (KeyError, TypeError):  # a missing field, a non-object entry, an unhashable value
+                key = None
+        if key is None:
+            v = vector_from_json(raw)
+        elif v is None:
+            v = shared[key] = BribeVector(tuple(map(entry, key)))
+        vectors.append(v)
+    return CbcctInstance(tuple(vectors), budget, parse_rational(threshold))

@@ -48,7 +48,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .core import BribePlan, CbcctInstance
+from .core import BribePlan, BribeVector, CbcctInstance, map_distinct
 from .errors import CapExceededError
 
 from . import _dpkernel_py
@@ -170,23 +170,27 @@ class BudgetSweep:
         return BribePlan(tuple(choices))
 
 
+def _prepared(vec: BribeVector) -> tuple[int, list[int], list[int]]:
+    """A vector's L_i, its entry costs and its probability numerators over L_i."""
+    probs = [e.losing_probability for e in vec.entries]
+    scale = math.lcm(*(p.denominator for p in probs))
+    return scale, [e.bribe for e in vec.entries], [p.numerator * (scale // p.denominator) for p in probs]
+
+
 def budget_sweep(inst: CbcctInstance) -> BudgetSweep:
     """Run the suffix DP over the challengers and return the full sweep.
 
     Refuses instances whose rows form more than CANDIDATE_CAP candidates.
     """
     # Per row challenger: input position, entry costs and probability
-    # numerators over L_i.  Positive one-entry challengers fold instead.
+    # numerators over L_i, prepared once per distinct vector object.  Positive
+    # one-entry challengers fold instead.
     chall = []
     fixed_cost = 0
     factor = 1  # product of the folded numerators
     denominator = 1  # D_1, the product of every L_i
-    for i, vec in enumerate(inst.bribe_vectors):
-        probs = [e.losing_probability for e in vec.entries]
-        scale = math.lcm(*(p.denominator for p in probs))
+    for i, (scale, costs, nums) in enumerate(map_distinct(_prepared, inst.bribe_vectors)):
         denominator *= scale
-        costs = [e.bribe for e in vec.entries]
-        nums = [p.numerator * (scale // p.denominator) for p in probs]
         if len(nums) == 1 and nums[0]:
             fixed_cost += costs[0]
             factor *= nums[0]

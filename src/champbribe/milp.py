@@ -275,11 +275,12 @@ def _ln2(w: int, up: bool) -> int:
 def _nonzero_entries(coeffs, *values) -> dict:
     """`coeffs` (a dict column -> coefficient) without its zero entries,
     once it and `values` are checked to hold ints, Fractions and FormalLogs
-    only (`_rational`)."""
+    only (`_rational`).  The FormalLog test goes first: `_rational`'s
+    isinstance check on `Fraction`, an ABC, is slow to refuse a FormalLog."""
     if not isinstance(coeffs, dict):
         raise ModelError(f"coefficients {coeffs!r} are not a dict from column index to value")
     for c in (*coeffs.values(), *values):
-        if not (_rational(c) or _is_log(c)):
+        if not (_is_log(c) or _rational(c)):
             raise ModelError(f"model value {c!r} is not an int, a Fraction or a FormalLog")
     return {j: c for j, c in coeffs.items() if c != 0}
 

@@ -39,6 +39,7 @@ only for a mixed optimum that is not a vertex.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -49,6 +50,7 @@ from .core import (
     BribeVector,
     CbcctInstance,
     evaluate_plan,
+    map_distinct,
     normalize_instance,
 )
 from .errors import CapExceededError, ModelError, SolverError
@@ -141,25 +143,35 @@ class VariableMap:
 def _grouping(inst: CbcctInstance) -> dict[GroupKey, list[int]]:
     """Challenger indices of each realized group, sorted by key.
 
-    Raises `ModelError` on a vector that is not monotone or that has a
+    Each distinct vector object is checked and keyed once.  Raises
+    `ModelError` on a vector that is not monotone or that has a
     zero-probability entry.
     """
     groups: dict = {}
+    members: dict = {}  # id(vector) -> its group's player list
     for idx, v in enumerate(inst.bribe_vectors):
-        if not v.monotone:
-            raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
-        # A monotone vector's first entry has its least probability.
-        if v.entries[0].losing_probability == 0:
-            raise ModelError(
-                f"challenger {idx + 1} has a zero probability entry; "
-                "log-domain models need positive probabilities"
-            )
-        # The key is looked up by its probabilities' exact int ratios, which
-        # hash far faster than Fractions.
-        probs, values = v.probabilities(), v.bribe_values()
-        ratios = tuple(map(Fraction.as_integer_ratio, probs))
-        groups.setdefault((ratios, values), ((probs, values), []))[1].append(idx)
+        players = members.get(id(v))
+        if players is None:
+            if not v.monotone:
+                raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
+            # A monotone vector's first entry has its least probability.
+            if v.entries[0].losing_probability == 0:
+                raise ModelError(
+                    f"challenger {idx + 1} has a zero probability entry; "
+                    "log-domain models need positive probabilities"
+                )
+            # The key is looked up by its probabilities' exact int ratios, which
+            # hash far faster than Fractions.
+            probs, values = v.probabilities(), v.bribe_values()
+            ratios = tuple(map(Fraction.as_integer_ratio, probs))
+            players = members[id(v)] = groups.setdefault((ratios, values), ((probs, values), []))[1]
+        players.append(idx)
     return dict(sorted(groups.values()))
+
+
+def _set_name(items) -> str:
+    """A sorted profile or value set as ``{a, b/c, ...}``, for variable names."""
+    return "{" + ", ".join(map(str, items)) + "}"
 
 
 def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, VariableMap]:
@@ -197,8 +209,8 @@ def _build_fpt_milp(inst: CbcctInstance, by_value: bool) -> tuple[MilpModel, Var
         if not profiles or profiles[-1] != prof:
             profiles.append(prof)
         group_ids.append((len(profiles) - 1, vs_id[vs]))
-    prof_names = [str(set(prof)) for prof in profiles]
-    vs_names = [str(set(vs)) for vs in value_sets]
+    prof_names = list(map(_set_name, profiles))
+    vs_names = list(map(_set_name, value_sets))
 
     # The integer columns of counted set c are base[c] + position in c, and
     # items[col] is the value or probability column col counts.
@@ -270,13 +282,23 @@ def build_prob_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
 
 
 def _drop_zero_entries(inst: CbcctInstance) -> CbcctInstance | None:
-    """Instance restricted to positive-probability entries; None if a vector empties."""
-    vectors = []
-    for v in inst.bribe_vectors:
+    """Instance restricted to positive-probability entries; None if a vector empties.
+
+    Each distinct vector object is restricted once, and `inst` itself is
+    returned when no entry has probability 0.
+    """
+
+    def positive(v: BribeVector) -> BribeVector | None:
         kept = tuple(e for e in v.entries if e.losing_probability > 0)
-        if not kept:
-            return None
-        vectors.append(BribeVector(kept))
+        if len(kept) == len(v.entries):
+            return v
+        return BribeVector(kept) if kept else None
+
+    vectors = map_distinct(positive, inst.bribe_vectors)
+    if any(v is None for v in vectors):
+        return None
+    if all(map(operator.is_, vectors, inst.bribe_vectors)):
+        return inst
     return CbcctInstance(tuple(vectors), inst.budget, inst.threshold)
 
 
@@ -293,6 +315,8 @@ def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) ->
     """
     col = vmap.num_int
     choices = [0] * inst.num_challengers
+    # price -> 1-based entry index, once per distinct vector object
+    index = map_distinct(lambda v: {b: j for j, b in enumerate(v.bribe_values(), 1)}, inst.bribe_vectors)
     for (_, prices), players in vmap.group_players.items():
         bought = []
         for price in prices:
@@ -306,7 +330,7 @@ def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) ->
                 f"per-group counts cover {len(bought)} of the {len(players)} players of a group"
             )
         for player, price in zip(players, bought):
-            choices[player] = inst.bribe_vectors[player].bribe_values().index(price) + 1
+            choices[player] = index[player][price]
     return BribePlan(tuple(choices))
 
 

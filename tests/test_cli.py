@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from champbribe import CapExceededError, cli, milp, verify
+from champbribe import BribePlan, CapExceededError, CbcctInstance, cli, evaluate_plan, milp, verify
+from champbribe import solve_fpt_bribe_values
+from champbribe.core import instance_to_dict
+from champbribe.generators import gen_cbcct
+from champbribe.rational import format_rational
 from champbribe.cli import main
 from champbribe.jsonio import dump_json, load_json, save_json
 
@@ -76,6 +80,41 @@ class TestSolve:
         path.write_text(json.dumps({"players": players, "budget": 0, "threshold": "0"}))
         assert main(["solve", str(path), "--algo", "dp"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[{"bribe": 0}], [{"bribe": 0, "p": "1/2"}, 5], [{"bribe": [0], "p": "1/2"}], "x"],
+        ids=["missing-field", "entry-not-an-object", "unhashable-bribe", "not-a-list"],
+    )
+    def test_malformed_after_a_valid_vector_exit_two(self, tmp_path, capsys, bad):
+        # Equal entry lists share one decoded vector; a malformed list after
+        # a valid one still gets the message it gets alone.
+        errors = []
+        for players in ([{"entries": bad}], [{"entries": [{"bribe": 0, "p": "1/2"}]}, {"entries": bad}]):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"players": players, "budget": 0, "threshold": "0"}))
+            assert main(["solve", str(path), "--algo", "fpt-bribes"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("error: ")
+
+    def test_best_probability_over_the_digit_limit(self, tmp_path, capsys):
+        # At n = 2*10**4 the optimum's denominator has far more digits than
+        # Python writes as text; the answer still prints, with a marker.
+        inst = gen_cbcct(
+            9, 2 * 10**4, 4, 2 * 10**6, verify.SCALE_VALUE_POOL, verify.SCALE_PROB_POOL,
+            canonical=True,
+        )
+        inst = CbcctInstance(inst.bribe_vectors, inst.budget, Fraction(1, 1000))
+        path = tmp_path / "big.json"
+        save_json(path, instance_to_dict(inst))
+        assert main(["solve", str(path), "--algo", "fpt-bribes"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"no {cli.OVER_DIGIT_LIMIT}"
+        plan = BribePlan(tuple(map(int, lines[1].split()[1:])))
+        cost, prob = evaluate_plan(inst, plan)
+        assert cost <= inst.budget and prob == solve_fpt_bribe_values(inst).best_probability
+        with pytest.raises(CapExceededError):
+            format_rational(prob)
 
     def test_too_long_integer_exit_two(self, tmp_path, capsys):
         # Python reads no integer of more than 4300 digits from text.

@@ -18,7 +18,8 @@ from champbribe import (
     normalize_bribe_vector,
     normalize_instance,
 )
-from champbribe.core import best_purchasable, vector
+from champbribe.core import best_purchasable, vector, vector_from_json
+from champbribe.generators import gen_cbcct, split_rng
 
 
 def F(*args):
@@ -147,6 +148,37 @@ class TestEvaluatePlan:
         with pytest.raises(PlanError):
             evaluate_plan(inst, BribePlan(()))
 
+    def test_messages(self):
+        inst = CbcctInstance((vector([(0, "1/2")]), vector([(0, "1/3"), (1, "1")])), 5, F(0))
+        cases = [
+            ((1,), "plan has 1 choices for 2 challengers"),
+            ((1, 3), "choice 3 out of range 1..2 for challenger 2"),
+            ((0, 9), "choice 0 out of range 1..1 for challenger 1"),
+        ]
+        for choices, message in cases:
+            with pytest.raises(PlanError) as err:
+                evaluate_plan(inst, BribePlan(choices))
+            assert str(err.value) == message
+
+    def test_counts_equal_the_product(self):
+        # Seeded plans over pools with 0 and 1, on generated instances (no
+        # shared objects) and on the same instances decoded (shared vectors).
+        rng = split_rng(5, "evaluate")
+        pools = [(F(0), F(1, 3), F(1, 2), F(1)), (F(1, 4), F(2, 7), F(3, 4), F(1))]
+        for idx in range(60):
+            pool = pools[idx % 2]
+            inst = gen_cbcct(5, rng.randint(0, 40), 3, 20, prob_pool=pool, index=idx)
+            inst = CbcctInstance(inst.bribe_vectors, inst.budget, F(1, 2))
+            decoded = instance_from_dict(instance_to_dict(inst))
+            for _ in range(5):
+                plan = BribePlan(tuple(rng.randint(1, len(v)) for v in inst.bribe_vectors))
+                cost, prob = 0, F(1)
+                for v, j in zip(inst.bribe_vectors, plan.choices):
+                    cost += v.entries[j - 1].bribe
+                    prob *= v.entries[j - 1].losing_probability
+                assert evaluate_plan(inst, plan) == (cost, prob), idx
+                assert evaluate_plan(decoded, plan) == (cost, prob), idx
+
     def test_cost_is_order_independent(self):
         vs = (
             vector([(0, "1/2"), (4, "3/4")]),
@@ -185,3 +217,83 @@ class TestJson:
         for players in ([{"entries": [{"bribe": 0}]}], [{"entries": "x"}], "x"):
             with pytest.raises(InstanceError):
                 instance_from_dict({"players": players, "budget": 1, "threshold": "1/2"})
+
+
+class TestDecodeSharing:
+    """Equal entry lists decode to one vector; everything else as before."""
+
+    @staticmethod
+    def _decode(*entry_lists):
+        players = [{"entries": entries} for entries in entry_lists]
+        return instance_from_dict({"players": players, "budget": 1, "threshold": "1/2"})
+
+    def test_equal_entry_lists_share_one_vector(self):
+        a = [{"bribe": 0, "p": "1/2"}, {"bribe": 3, "p": "3/4"}]
+        b = [{"bribe": 0, "p": "1/2"}, {"bribe": 2, "p": "3/4"}]
+        inst = self._decode(a, b, [dict(e) for e in a], a)
+        v = inst.bribe_vectors
+        assert v[0] is v[2] is v[3] and v[1] is not v[0]
+        assert v[0].entries[0] is v[1].entries[0]  # one entry, parsed once
+        assert v == (
+            vector([(0, "1/2"), (3, "3/4")]),
+            vector([(0, "1/2"), (2, "3/4")]),
+            vector([(0, "1/2"), (3, "3/4")]),
+            vector([(0, "1/2"), (3, "3/4")]),
+        )
+
+    def test_values_of_another_type_are_not_shared(self):
+        # true, 1.0 and 1 are equal in Python, but only 1 is a JSON integer.
+        good = [{"bribe": 1, "p": 1}]
+        for field, bad in [("bribe", True), ("bribe", 1.0), ("bribe", "1"), ("p", True), ("p", 1.0)]:
+            other = [{**good[0], field: bad}]
+            with pytest.raises(InstanceError):
+                self._decode(good, other)
+        assert self._decode(good, [{"bribe": 1, "p": "1"}]).bribe_vectors[1].entries[0].losing_probability == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            None,
+            "x",
+            {"bribe": 0, "p": "1/2"},
+            [{"bribe": 0, "p": "1/2"}, 5],
+            [{"bribe": 0, "p": "1/2"}, ["bribe", "p"]],
+            [{"bribe": 0}],
+            [{"bribe": 0, "p": "1/2"}, {"p": "3/4"}],
+            [{"bribe": [0], "p": "1/2"}],
+            [{"bribe": 0, "p": {"num": 1}}],
+            [{"bribe": 0, "p": "1/2"}, {"bribe": 0, "p": "3/4"}],
+            [{"bribe": 0, "p": "3/2"}],
+            [{"bribe": 0, "p": "1/0"}],
+            [{"bribe": -1, "p": "1/2"}],
+            [],
+        ],
+    )
+    def test_malformed_after_a_valid_vector(self, bad):
+        # Each message is the one `vector_from_json` gives for the list alone.
+        valid = [{"bribe": 0, "p": "1/2"}]
+        with pytest.raises(InstanceError) as alone:
+            vector_from_json(bad)
+        for lists in ([bad], [valid, bad], [valid, valid, bad]):
+            with pytest.raises(InstanceError) as err:
+                self._decode(*lists)
+            assert str(err.value) == str(alone.value)
+
+    def test_pinned_messages(self):
+        cases = [
+            ([{"bribe": 0}], "entry must be an object with 'bribe' and 'p': KeyError('p')"),
+            ("x", "bribe vector must be a list of entries, got 'x'"),
+            ([{"bribe": 0, "p": "1/2"}, 5],
+             "entry must be an object with 'bribe' and 'p': "
+             "TypeError(\"'int' object is not subscriptable\")"),
+            ([{"bribe": [0], "p": "1/2"}], "bribe must be an integer >= 0, got [0]"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(InstanceError) as err:
+                self._decode([{"bribe": 0, "p": "1/2"}], bad)
+            assert str(err.value) == message
+
+    def test_player_that_is_not_an_object(self):
+        players = [{"entries": [{"bribe": 0, "p": "1/2"}]}, 7]
+        with pytest.raises(InstanceError, match="got None"):
+            instance_from_dict({"players": players, "budget": 1, "threshold": "1/2"})

@@ -1179,6 +1179,30 @@ class TestModelInput:
         with pytest.raises(ModelError):
             build()
 
+    def test_value_check_order(self):
+        # Formal logs are tested before ints and Fractions; what is accepted
+        # stays the same, next to formal logs too: bools refused, int and
+        # Fraction subclasses taken.
+        class Half(Fraction):
+            pass
+
+        class Two(int):
+            pass
+
+        log = FormalLog(F(1, 2))
+        for bad in (True, False):
+            with pytest.raises(ModelError):
+                MilpRow({0: log, 1: bad}, ">=", log)
+            with pytest.raises(ModelError):
+                MilpRow({0: bad, 1: log}, ">=", log)
+            with pytest.raises(ModelError):
+                MilpObjective({0: log, 1: bad}, "max")
+            with pytest.raises(ModelError):
+                MilpRow({0: 1}, "<=", bad)
+        for ok in (Half(1, 2), Two(2), 3, F(3, 4), log):
+            assert MilpRow({0: ok}, "<=", 1).coeffs == {0: ok}
+            assert MilpObjective({0: ok}, "max").coeffs == {0: ok}
+
     def test_dense_coefficients_are_rejected(self):
         with pytest.raises(ModelError):
             MilpRow((1, 0), "<=", 1)

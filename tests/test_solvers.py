@@ -25,10 +25,11 @@ from champbribe import (
 )
 from champbribe import milp
 from champbribe.cli import _distinct_counts
-from champbribe.core import normalize_bribe_vector, vector
+from champbribe.core import normalize_bribe_vector, normalize_instance, vector
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
-from champbribe.solvers import _plan_from_assignment
+from champbribe.core import instance_from_dict, instance_to_dict
+from champbribe.solvers import _drop_zero_entries, _grouping, _plan_from_assignment
 
 ALL_SOLVERS = (solve_bruteforce, solve_dp, solve_fpt_bribe_values, solve_fpt_prob_values)
 
@@ -323,7 +324,7 @@ class TestBribeValueModel:
         # 1/2 at 1, 3 and 5.
         model, _ = build_prob_value_milp(inst)
         assert model.branch_groups == ((0, 2), (1, 3, 5))
-        assert model.variables[5].name == f"x[1/2,{set((F(1, 2), F(3, 4)))}]"
+        assert model.variables[5].name == "x[1/2,{1/2, 3/4}]"
 
 
 class TestProbValueModel:
@@ -483,6 +484,76 @@ class TestFptSolvers:
             assert r.best_probability == budget_sweep(inst).best_at(), (n, budget, idx)
             cost, prob = evaluate_plan(inst, r.witness)
             assert cost <= budget and prob == r.best_probability, (n, budget, idx)
+
+
+class TestSharedVectors:
+    """The front end keys on vector objects: sharing them changes no answer."""
+
+    def test_shared_and_separate_vectors_agree(self):
+        # Raw draws (dominated entries, zero probabilities) with few distinct
+        # vectors, solved as generated (one object per player) and decoded
+        # (one object per distinct entry list): equal models and results.
+        rng = split_rng(23, "shared")
+        pool = (F(0), F(1, 3), F(1, 2), F(1))
+        shared = 0
+        for idx in range(40):
+            drawn = gen_cbcct(
+                23, rng.randint(0, 24), 2, rng.randint(0, 12), (0, 1, 2), pool,
+                normalize=idx % 2 == 0, index=idx,
+            )
+            inst = CbcctInstance(drawn.bribe_vectors, drawn.budget, max(drawn.threshold, F(1, 64)))
+            decoded = instance_from_dict(instance_to_dict(inst))
+            assert decoded == inst
+            shared += len(set(map(id, decoded.bribe_vectors))) < inst.num_challengers
+            for solver in (solve_fpt_bribe_values, solve_fpt_prob_values, solve_dp):
+                assert solver(decoded) == solver(inst), (idx, solver)
+            restricted = _drop_zero_entries(normalize_instance(inst))
+            if restricted is None:
+                assert _drop_zero_entries(normalize_instance(decoded)) is None
+                continue
+            again = _drop_zero_entries(normalize_instance(decoded))
+            assert again == restricted and _grouping(again) == _grouping(restricted)
+            for build in (build_bribe_value_milp, build_prob_value_milp):
+                assert build(again)[0].dump() == build(restricted)[0].dump()
+        assert shared >= 25, shared
+
+    def test_front_end_keeps_sharing(self):
+        a = vector([(0, "1/2"), (1, "1/2"), (2, "3/4")])
+        b = vector([(0, "0"), (1, "1/4")])
+        inst = CbcctInstance((a, b, a, b), 3, F(1, 8))
+        restricted = _drop_zero_entries(normalize_instance(inst))
+        v = restricted.bribe_vectors
+        assert v[0] is v[2] and v[1] is v[3]
+        assert v[0] == vector([(0, "1/2"), (2, "3/4")]) and v[1] == vector([(1, "1/4")])
+        assert _drop_zero_entries(restricted) is restricted
+        assert list(_grouping(restricted).values()) == [[1, 3], [0, 2]]
+
+
+class TestScale:
+    """n=10**5 scale-pool draw at B=100n: 56 distinct vectors, no DP.
+
+    The frontier tail of `fpt-probs` (a threshold at a frontier value takes
+    thousands of LPs at this size, ROADMAP item 2) is left out: its
+    threshold here is the product of every top entry, above the optimum.
+    """
+
+    def test_fpt_routes_at_n_1e5(self):
+        n = 10**5
+        drawn = gen_cbcct(
+            9, n, 4, 100 * n, verify.SCALE_VALUE_POOL, verify.SCALE_PROB_POOL,
+            canonical=True, index=0,
+        )
+        inst = CbcctInstance(drawn.bribe_vectors, drawn.budget, F(1, 1000))
+        decoded = instance_from_dict(instance_to_dict(inst))
+        assert len(set(map(id, decoded.bribe_vectors))) == 56
+        r = solve_fpt_bribe_values(decoded)
+        assert r == solve_fpt_bribe_values(inst)
+        cost, prob = evaluate_plan(inst, r.witness)
+        assert cost <= inst.budget and prob == r.best_probability and not r.decision
+        top = evaluate_plan(inst, BribePlan(tuple(len(v) for v in inst.bribe_vectors)))
+        assert top.cost > inst.budget and top.win_probability > r.best_probability
+        probs = solve_fpt_prob_values(CbcctInstance(inst.bribe_vectors, inst.budget, top.win_probability))
+        assert not probs.decision and probs.witness is None
 
 
 class TestBranchingTail:
