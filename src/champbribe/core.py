@@ -160,14 +160,16 @@ def map_distinct(fn: Callable, vectors: Iterable[BribeVector]) -> list:
     """`fn` of each vector, called once per distinct vector object.
 
     Keyed by identity: hashing a vector would hash its `Fraction`s again.
+    Each keyed vector is held until the call returns, so a vector that the
+    caller's iterable frees cannot pass its id on to the next one.
     """
-    done: dict = {}
+    done: dict = {}  # id(vector) -> (vector, fn(vector))
     out = []
     for v in vectors:
-        key = id(v)
-        if key not in done:
-            done[key] = fn(v)
-        out.append(done[key])
+        hit = done.get(id(v))
+        if hit is None:
+            hit = done[id(v)] = (v, fn(v))
+        out.append(hit[1])
     return out
 
 

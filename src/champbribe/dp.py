@@ -13,8 +13,8 @@ pays its price and is scaled by its probability, so it only shifts the
 optimum of every budget by a fixed cost and multiplies it by a fixed factor:
 the prices of all such challengers are reserved from B before the rows are
 built, and their probabilities are applied once, to the top row.  A one-entry
-challenger of probability 0 keeps its row, since it makes every plan worth 0
-and the witness must still find the cheapest affordable rest after it.
+challenger of probability 0 keeps its row: folded, it would make every top
+value 0, and the frontier's breakpoints would no longer rise strictly.
 
 A sweep is read through its top row.  `BudgetSweep.frontier()` lists that
 row's breakpoints, shifted by the fixed cost, as (budget, probability) pairs;
@@ -136,21 +136,23 @@ class BudgetSweep:
     def witness(self, budget: int | None = None) -> BribePlan | None:
         """Lexicographically smallest optimal plan at the given budget.
 
-        A folded challenger takes its only entry.  The others are walked in
+        When the optimum is 0 every affordable plan is optimal, and the
+        all-first plan is the cheapest one and the smallest.  Otherwise a
+        folded challenger takes its only entry, and the others are walked in
         input order with the budget left after the fixed cost: entry j of a
         row challenger is optimal when it reaches the rank that its row holds
-        at the remaining budget, since equal ranks are equal values.  Once a
-        chosen entry has probability 0 the plan is worth 0 whatever follows,
-        so from there on the first entry with an affordable rest is taken.
+        at the remaining budget, since equal ranks are equal values.  The
+        optimum is positive, so the walk never takes an entry of probability 0.
         """
         b = self._clamp(budget)
         k = bisect_right(self._starts, b) - 1
         if k < 0:
             return None
-        b -= self._fixed
         vectors = self._inst.bribe_vectors
         choices = [1] * len(vectors)
-        zero = False
+        if not self._top[k]:
+            return BribePlan(tuple(choices))
+        b -= self._fixed
         for t, i in enumerate(self._kept, start=1):
             row, nxt = self._rows[t], self._rows[t + 1]
             need = row.ranks[k]
@@ -158,12 +160,10 @@ class BudgetSweep:
                 if entry.bribe > b:
                     continue
                 r = nxt.index_at(b - entry.bribe)
-                optimal = r >= 0 if zero else row.rmap[j, r + 1] == need
-                if optimal:
+                if row.rmap[j, r + 1] == need:
                     choices[i] = j + 1
                     b -= entry.bribe
                     k = r
-                    zero = zero or not entry.losing_probability
                     break
             else:  # pragma: no cover - contradicts DP construction
                 raise AssertionError("witness reconstruction lost the optimal value")

@@ -58,16 +58,26 @@ def _draw_vector(
     prob_pool: Sequence[Fraction],
     normalize: bool,
     canonical: bool,
+    drawn: dict,
 ) -> BribeVector:
+    """One random vector; equal draws share one object through `drawn`.
+
+    A draw is keyed by its prices and the ids of the pool `Fraction`s it
+    chose, so `prob_pool` must stay alive while `drawn` is in use.
+    """
     length = rng.randint(1, lmax)
     if canonical:
         rest = [v for v in value_pool if v != 0]
         bribes = [0] + sorted(rng.sample(rest, length - 1))
     else:
         bribes = sorted(rng.sample(list(value_pool), length))
-    entries = tuple(BribeEntry(b, rng.choice(list(prob_pool))) for b in bribes)
-    vec = BribeVector(entries)
-    return normalize_bribe_vector(vec) if normalize else vec
+    probs = [rng.choice(prob_pool) for _ in bribes]
+    key = (tuple(bribes), tuple(map(id, probs)))
+    vec = drawn.get(key)
+    if vec is None:
+        vec = BribeVector(tuple(map(BribeEntry, bribes, probs)))
+        vec = drawn[key] = normalize_bribe_vector(vec) if normalize else vec
+    return vec
 
 
 def gen_cbcct(
@@ -102,8 +112,9 @@ def gen_cbcct(
     if any(not 0 <= p <= 1 for p in probs):
         raise InstanceError("probability pool values must lie in [0, 1]")
     rng = split_rng(seed, "cbcct", index)
+    drawn: dict = {}
     vectors = tuple(
-        _draw_vector(rng, lmax, pool, probs, normalize, canonical) for _ in range(n)
+        _draw_vector(rng, lmax, pool, probs, normalize, canonical, drawn) for _ in range(n)
     )
     threshold = _draw_threshold(rng, vectors, budget)
     return CbcctInstance(vectors, budget, threshold)
@@ -319,8 +330,9 @@ def gen_cup(
     n = 1 << rounds
     pool = sorted(set(value_pool))
     probs = [Fraction(p) for p in prob_pool]
+    drawn: dict = {}
     pairwise = {
-        (i, j): _draw_vector(rng, lmax, pool, probs, normalize=True, canonical=False)
+        (i, j): _draw_vector(rng, lmax, pool, probs, normalize=True, canonical=False, drawn=drawn)
         for i in range(n)
         for j in range(i + 1, n)
     }

@@ -8,9 +8,14 @@ exceed the budget there is no plan at all, which every solver reports as a
 
 The MILP routes group challengers by (probability profile, bribe-value set).
 A monotone vector lists both in ascending order, so its group key is the
-pair of its probability and price tuples, and two players share a group iff
-their vectors are equal.  A solution then only needs to say how many
-players of each group are bribed with each value.  The two routes share one
+pair of its probability and price tuples.  An entry of probability 0 has
+no log, so the models never buy it: the grouping leaves it out of the key
+(a monotone vector can hold one only as its first entry), and two players
+share a group iff their positive entries are equal.  When a challenger has no
+positive entry, or no plan of positive entries fits the budget, every plan
+is worth 0; `fpt-bribes` then answers with the all-first plan and
+`fpt-probs` with "no".  A solution only needs to say how many players of
+each group are bribed with each value.  The two routes share one
 model builder, one column layout and one solve routine, oriented either
 way: the bribe-value model counts bribes per (value, value set) and
 maximizes the formal-log win probability under the budget; the
@@ -39,7 +44,6 @@ only for a mixed optimum that is not a vertex.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -47,7 +51,6 @@ from itertools import product as iter_product
 from . import dp
 from .core import (
     BribePlan,
-    BribeVector,
     CbcctInstance,
     evaluate_plan,
     map_distinct,
@@ -66,7 +69,7 @@ from .milp import (
     solve_milp,
 )
 
-# A monotone vector's (probabilities, prices), both strictly increasing.
+# A monotone vector's positive (probabilities, prices), both strictly increasing.
 GroupKey = tuple[tuple[Fraction, ...], tuple[int, ...]]
 
 
@@ -143,9 +146,11 @@ class VariableMap:
 def _grouping(inst: CbcctInstance) -> dict[GroupKey, list[int]]:
     """Challenger indices of each realized group, sorted by key.
 
-    Each distinct vector object is checked and keyed once.  Raises
-    `ModelError` on a vector that is not monotone or that has a
-    zero-probability entry.
+    Each distinct vector object is checked and keyed once.  A zero-probability
+    entry has no log, so it is left out of the key and with it out of the
+    model's columns; a monotone vector can hold one only as its first entry.
+    Raises `ModelError` on a vector that is not monotone or that has no
+    positive entry.
     """
     groups: dict = {}
     members: dict = {}  # id(vector) -> its group's player list
@@ -154,15 +159,16 @@ def _grouping(inst: CbcctInstance) -> dict[GroupKey, list[int]]:
         if players is None:
             if not v.monotone:
                 raise ModelError(f"challenger {idx + 1} has a non-monotone bribe vector")
-            # A monotone vector's first entry has its least probability.
-            if v.entries[0].losing_probability == 0:
+            probs, values = v.probabilities(), v.bribe_values()
+            if not probs[0]:
+                probs, values = probs[1:], values[1:]
+            if not probs:
                 raise ModelError(
-                    f"challenger {idx + 1} has a zero probability entry; "
-                    "log-domain models need positive probabilities"
+                    f"challenger {idx + 1} has no positive probability entry; "
+                    "log-domain models need one"
                 )
             # The key is looked up by its probabilities' exact int ratios, which
             # hash far faster than Fractions.
-            probs, values = v.probabilities(), v.bribe_values()
             ratios = tuple(map(Fraction.as_integer_ratio, probs))
             players = members[id(v)] = groups.setdefault((ratios, values), ((probs, values), []))[1]
         players.append(idx)
@@ -281,27 +287,6 @@ def build_prob_value_milp(inst: CbcctInstance) -> tuple[MilpModel, VariableMap]:
 # -- solving and witness extraction ----------------------------------------------
 
 
-def _drop_zero_entries(inst: CbcctInstance) -> CbcctInstance | None:
-    """Instance restricted to positive-probability entries; None if a vector empties.
-
-    Each distinct vector object is restricted once, and `inst` itself is
-    returned when no entry has probability 0.
-    """
-
-    def positive(v: BribeVector) -> BribeVector | None:
-        kept = tuple(e for e in v.entries if e.losing_probability > 0)
-        if len(kept) == len(v.entries):
-            return v
-        return BribeVector(kept) if kept else None
-
-    vectors = map_distinct(positive, inst.bribe_vectors)
-    if any(v is None for v in vectors):
-        return None
-    if all(map(operator.is_, vectors, inst.bribe_vectors)):
-        return inst
-    return CbcctInstance(tuple(vectors), inst.budget, inst.threshold)
-
-
 def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) -> BribePlan:
     """Assemble a plan from the integral per-group counts.
 
@@ -309,9 +294,10 @@ def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) ->
     `VariableMap`.  Within a group, ascending prices are assigned to players
     in input order (group members are interchangeable).  Each price names
     one entry of the player's vector in `inst`, since prices rise strictly,
-    so `inst` may hold the caller's vectors from before normalization and
-    the zero-entry drop.  Raises `SolverError` if a count is negative or not
-    integral, or if a group's counts do not add up to its players.
+    so `inst` may hold the caller's vectors from before normalization, with
+    the zero-probability entries that the model leaves out.  Raises
+    `SolverError` if a count is negative or not integral, or if a group's
+    counts do not add up to its players.
     """
     col = vmap.num_int
     choices = [0] * inst.num_challengers
@@ -335,20 +321,22 @@ def _plan_from_assignment(inst: CbcctInstance, vmap: VariableMap, assignment) ->
 
 
 def _solve_fpt(inst: CbcctInstance, by_value: bool) -> SolveResult:
-    """Normalize, restrict to positive probabilities, solve, integralize, extract."""
+    """Normalize, solve, integralize, extract."""
     algorithm = "fpt-bribes" if by_value else "fpt-probs"
     no = SolveResult(None, None, False, algorithm)
     if _min_cost(inst) > inst.budget:
         return no
     if not by_value and inst.threshold == 0:
         return _result(inst, _first_entries_plan(inst), algorithm)
-    restricted = _drop_zero_entries(normalize_instance(inst))
-    if restricted is not None:
+    normalized = normalize_instance(inst)
+    # A normalized vector can end in probability 0 only as its single entry.
+    positive = all(v.entries[-1].losing_probability for v in normalized.bribe_vectors)
+    if positive:
         # Through the public builders: perfbench/tracing.py times them by name.
         build = build_bribe_value_milp if by_value else build_prob_value_milp
-        model, vmap = build(restricted)
+        model, vmap = build(normalized)
         solution = solve_milp(model)
-    if restricted is None or solution.status == INFEASIBLE:
+    if not positive or solution.status == INFEASIBLE:
         # No all-positive plan exists within the budget, so every feasible plan
         # wins with probability 0: below the probability route's threshold,
         # which is positive here.

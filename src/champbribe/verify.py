@@ -99,6 +99,11 @@ def _check_witness(report, label, inst, result) -> None:
         )
 
 
+# Every fifth agreement instance draws raw vectors from this pool, so the
+# routes meet leading zeros, zero-only challengers and dominated entries.
+ZERO_PROB_POOL = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+
 @_timed
 def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
     """Brute force, DP, and both MILP routes agree on seeded random instances."""
@@ -108,7 +113,11 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
     for idx in range(count):
         n = rng.randint(0, 6)
         budget = rng.randint(0, 20)
-        inst = generators.gen_cbcct(seed, n, 3, budget, index=idx)
+        raw = idx % 5 == 4
+        inst = generators.gen_cbcct(
+            seed, n, 3, budget, generators.DEFAULT_VALUE_POOL,
+            ZERO_PROB_POOL if raw else generators.DEFAULT_PROB_POOL, normalize=not raw, index=idx,
+        )
         label = f"instance {idx} (n={n}, B={budget})"
         brute = solve_bruteforce(inst)
         results = [brute, solve_dp(inst), solve_fpt_bribe_values(inst)]
@@ -127,6 +136,7 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
         _check_witness(report, f"{label} fpt-probs", inst, probs)
         yes += brute.decision
     report.details["yes_rate"] = yes / count if count else 0.0
+    report.details["zero_pool_instances"] = count // 5
     return report
 
 

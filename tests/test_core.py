@@ -1,5 +1,6 @@
 """Domain types, normalization, and plan evaluation."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from champbribe import (
     normalize_bribe_vector,
     normalize_instance,
 )
-from champbribe.core import best_purchasable, vector, vector_from_json
+from champbribe.core import best_purchasable, map_distinct, vector, vector_from_json
 from champbribe.generators import gen_cbcct, split_rng
 
 
@@ -189,6 +190,28 @@ class TestEvaluatePlan:
         rev = CbcctInstance(vs[::-1], 20, F(1, 2))
         plan = BribePlan((2, 1, 2))
         assert evaluate_plan(inst, plan) == evaluate_plan(rev, BribePlan(plan.choices[::-1]))
+
+
+class TestMapDistinct:
+    def test_short_lived_vectors_keep_their_own_results(self):
+        # Only map_distinct holds the generator's vectors.  A freed one could
+        # pass its id on to a later one, which would get the freed one's
+        # result, so every vector seen must stay alive for the call.
+        seen = []
+
+        def fn(v):
+            assert all(ref() is not None for ref in seen)
+            seen.append(weakref.ref(v))
+            return v.entries[0].losing_probability
+
+        out = map_distinct(fn, (vector([(0, p)]) for p in ["1/3", "1/2", "2/3", "3/4"]))
+        assert out == [F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
+
+    def test_one_call_per_vector_object(self):
+        a, b = vector([(0, "1/2")]), vector([(0, "1/2")])
+        calls = []
+        assert map_distinct(lambda v: calls.append(v) or len(calls), [a, b, a, b]) == [1, 2, 1, 2]
+        assert calls[0] is a and calls[1] is b
 
 
 class TestJson:

@@ -201,6 +201,13 @@ class TestBudgetSweep:
         )
         assert budget_sweep(inst).frontier() == scan_rises(brute_sweep(inst))
 
+    def test_zero_optimum_takes_the_all_first_plan(self):
+        # Every plan is worth 0, so the cheapest, (1, 1), is the witness; ranks
+        # alone would also accept (1, 2), whose value 0 * 1 ties.
+        inst = CbcctInstance((vector([(0, "0")]), vector([(0, "1/2"), (1, "1")])), 1, F(1, 2))
+        assert budget_sweep(inst).witness() == solve_bruteforce(inst).witness
+        assert budget_sweep(inst).witness().choices == (1, 1)
+
 
 def folding_instances():
     """Instances that interleave the four kinds of challenger the sweep treats apart.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from champbribe import InstanceError, solve_bruteforce, solve_small_ksum_bruteforce
-from champbribe.core import instance_to_dict
+from champbribe.core import instance_to_dict, normalize_bribe_vector
 from champbribe.generators import (
     gen_cbcct,
     gen_cup,
@@ -62,6 +62,15 @@ class TestCbcct:
     def test_canonical_vectors_start_free(self):
         inst = gen_cbcct(6, 8, 3, 10, canonical=True)
         assert all(v.canonical_first_zero for v in inst.bribe_vectors)
+
+    def test_equal_draws_share_one_vector(self):
+        # Raw draws share one object exactly when their values are equal;
+        # normalized ones may also equal a draw of another key.
+        raw = gen_cbcct(16, 300, 2, 10, (0, 1, 2), normalize=False)
+        assert len(set(map(id, raw.bribe_vectors))) == len(set(raw.bribe_vectors)) < 300
+        inst = gen_cbcct(16, 300, 2, 10, (0, 1, 2))
+        assert len(set(map(id, inst.bribe_vectors))) < 300
+        assert inst.bribe_vectors == tuple(map(normalize_bribe_vector, raw.bribe_vectors))
 
     def test_lmax_must_fit_pool(self):
         with pytest.raises(InstanceError):
@@ -133,3 +142,4 @@ class TestOthers:
         assert inst.num_players == 8
         assert sorted(inst.seeding) == list(range(8))
         assert len(inst.pairwise) == 28
+        assert len(set(map(id, inst.pairwise.values()))) < 28  # equal draws share

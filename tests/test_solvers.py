@@ -25,11 +25,11 @@ from champbribe import (
 )
 from champbribe import milp
 from champbribe.cli import _distinct_counts
-from champbribe.core import normalize_bribe_vector, normalize_instance, vector
+from champbribe.core import BribeVector, normalize_bribe_vector, normalize_instance, vector
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
 from champbribe.core import instance_from_dict, instance_to_dict
-from champbribe.solvers import _drop_zero_entries, _grouping, _plan_from_assignment
+from champbribe.solvers import _grouping, _plan_from_assignment
 
 ALL_SOLVERS = (solve_bruteforce, solve_dp, solve_fpt_bribe_values, solve_fpt_prob_values)
 
@@ -248,9 +248,36 @@ class TestBribeValueModel:
             build_bribe_value_milp(inst)
 
     def test_rejects_zero_probability(self):
-        inst = CbcctInstance((vector([(0, "0"), (1, "1/2")]),), 1, F(1, 2))
-        with pytest.raises(ModelError):
-            build_bribe_value_milp(inst)
+        # A vector with no positive entry leaves the log-domain model nothing to buy.
+        inst = CbcctInstance((vector([(0, "1/2"), (1, "1")]), vector([(2, "0")])), 3, F(1, 2))
+        for build in (build_bribe_value_milp, build_prob_value_milp):
+            with pytest.raises(ModelError, match="challenger 2 has no positive"):
+                build(inst)
+
+    def test_leading_zero_entry_left_out(self):
+        # The model of a leading zero entry's instance is that of the instance
+        # without the entry; the witness still indexes the caller's vectors.
+        rng = split_rng(29, "leading-zero")
+        pool = (F(0), F(1, 3), F(1, 2), F(1))
+        left_out = 0
+        for idx in range(30):
+            drawn = gen_cbcct(
+                29, rng.randint(1, 6), 3, rng.randint(0, 12), (0, 1, 2, 3), pool, index=idx
+            )
+            if not all(v.entries[-1].losing_probability for v in drawn.bribe_vectors):
+                continue
+            inst = CbcctInstance(drawn.bribe_vectors, drawn.budget, max(drawn.threshold, F(1, 64)))
+            positive = [
+                vector((e.bribe, e.losing_probability) for e in v.entries if e.losing_probability)
+                for v in inst.bribe_vectors
+            ]
+            left_out += positive != list(inst.bribe_vectors)
+            without = CbcctInstance(positive, inst.budget, inst.threshold)
+            for build in (build_bribe_value_milp, build_prob_value_milp):
+                model, vmap = build(inst)
+                assert model.dump() == build(without)[0].dump(), idx
+                assert vmap == build(without)[1], idx
+        assert left_out >= 10, left_out
 
     def test_tail_block_row_ordering(self):
         inst = CbcctInstance(
@@ -491,8 +518,9 @@ class TestSharedVectors:
 
     def test_shared_and_separate_vectors_agree(self):
         # Raw draws (dominated entries, zero probabilities) with few distinct
-        # vectors, solved as generated (one object per player) and decoded
-        # (one object per distinct entry list): equal models and results.
+        # vectors, solved with one object per player, as generated and as
+        # decoded (one object per distinct draw or entry list): equal models
+        # and results.
         rng = split_rng(23, "shared")
         pool = (F(0), F(1, 3), F(1, 2), F(1))
         shared = 0
@@ -501,32 +529,45 @@ class TestSharedVectors:
                 23, rng.randint(0, 24), 2, rng.randint(0, 12), (0, 1, 2), pool,
                 normalize=idx % 2 == 0, index=idx,
             )
-            inst = CbcctInstance(drawn.bribe_vectors, drawn.budget, max(drawn.threshold, F(1, 64)))
+            threshold = max(drawn.threshold, F(1, 64))
+            inst = CbcctInstance(drawn.bribe_vectors, drawn.budget, threshold)
+            separate = CbcctInstance(
+                tuple(BribeVector(v.entries) for v in inst.bribe_vectors), inst.budget, threshold
+            )
             decoded = instance_from_dict(instance_to_dict(inst))
-            assert decoded == inst
+            assert decoded == inst == separate
+            assert len(set(map(id, separate.bribe_vectors))) == separate.num_challengers
             shared += len(set(map(id, decoded.bribe_vectors))) < inst.num_challengers
             for solver in (solve_fpt_bribe_values, solve_fpt_prob_values, solve_dp):
-                assert solver(decoded) == solver(inst), (idx, solver)
-            restricted = _drop_zero_entries(normalize_instance(inst))
-            if restricted is None:
-                assert _drop_zero_entries(normalize_instance(decoded)) is None
-                continue
-            again = _drop_zero_entries(normalize_instance(decoded))
-            assert again == restricted and _grouping(again) == _grouping(restricted)
+                assert solver(decoded) == solver(inst) == solver(separate), (idx, solver)
+            normalized = [normalize_instance(x) for x in (separate, inst, decoded)]
+            assert normalized[0] == normalized[1] == normalized[2]
+            positive = all(v.entries[-1].losing_probability for v in normalized[0].bribe_vectors)
             for build in (build_bribe_value_milp, build_prob_value_milp):
-                assert build(again)[0].dump() == build(restricted)[0].dump()
+                if not positive:  # a zero-only challenger: no model to build
+                    for x in normalized:
+                        with pytest.raises(ModelError):
+                            build(x)
+                    continue
+                (model, vmap), *others = map(build, normalized)
+                for other_model, other_vmap in others:
+                    assert other_model.dump() == model.dump() and other_vmap == vmap, idx
         assert shared >= 25, shared
 
     def test_front_end_keeps_sharing(self):
         a = vector([(0, "1/2"), (1, "1/2"), (2, "3/4")])
         b = vector([(0, "0"), (1, "1/4")])
         inst = CbcctInstance((a, b, a, b), 3, F(1, 8))
-        restricted = _drop_zero_entries(normalize_instance(inst))
-        v = restricted.bribe_vectors
-        assert v[0] is v[2] and v[1] is v[3]
-        assert v[0] == vector([(0, "1/2"), (2, "3/4")]) and v[1] == vector([(1, "1/4")])
-        assert _drop_zero_entries(restricted) is restricted
-        assert list(_grouping(restricted).values()) == [[1, 3], [0, 2]]
+        normalized = normalize_instance(inst)
+        v = normalized.bribe_vectors
+        assert v[0] is v[2] and v[1] is v[3] is b
+        assert v[0] == vector([(0, "1/2"), (2, "3/4")])
+        assert normalize_instance(normalized) is normalized
+        # b's leading zero entry is left out of its group key.
+        assert _grouping(normalized) == {
+            ((F(1, 4),), (1,)): [1, 3],
+            ((F(1, 2), F(3, 4)), (0, 2)): [0, 2],
+        }
 
 
 class TestScale:
