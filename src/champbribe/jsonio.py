@@ -15,22 +15,28 @@ from .errors import CapExceededError, InstanceError
 
 
 def load_json(path: str | Path) -> dict:
-    """Read a JSON instance file, skipping leading '#' comment lines."""
+    """Read a JSON instance file, skipping leading blank and '#' comment lines.
+
+    Only a line feed ends a line (text mode reads CR LF and a lone CR as one).
+    The body is the rest of the text from its first line, unsplit, so any
+    other line separator in it, U+2028 included, is for `json.loads` to
+    accept or refuse.
+    """
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise InstanceError(f"{path}: not UTF-8 text ({exc})") from exc
-    lines = text.splitlines()
-    body_start = 0
-    for i, line in enumerate(lines):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        line = text[start:end]
         if line.strip() and not line.lstrip().startswith("#"):
-            body_start = i
             break
+        start = end
     else:
         raise InstanceError(f"{path}: no JSON body found")
-    body = "\n".join(lines[body_start:])
-    try:
-        data = json.loads(body)
+    try:  # minus one final newline: an error at the end is placed on the last line
+        data = json.loads(text[start : len(text) - text.endswith("\n")])
     except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InstanceError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

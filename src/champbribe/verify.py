@@ -203,20 +203,16 @@ def suite_dp_scale(
     return report
 
 
-@_timed
-def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
-    """Optimal values of both FPT routes against the DP sweep, past brute force.
+# Prime-denominator pool: (q - 1 - (i mod 3)) / q over the first eight odd
+# primes, so the challengers' denominators differ and exact ties are rare.
+PRIME_PROB_POOL = tuple(
+    Fraction(q - 1 - i % 3, q) for i, q in enumerate((3, 5, 7, 11, 13, 17, 19, 23))
+)
 
-    Scale-pool instances.  Every fourth one has n in 100..150 and B = 50n;
-    the rest have n in 20..40, a threshold drawn at B = 1000n and a budget
-    cut to a random B <= 200n, so both decisions occur.  On every instance
-    the fpt-bribes optimum must equal `best_at(B)`.  On the small ones the
-    fpt-probs witness must cost exactly `min_cost_for(threshold)`, the least
-    b with best_at(b) >= threshold, and on a "no" no b <= B may reach it.
-    """
-    report = SuiteReport("value-agreement", total=count)
+
+def _value_instances(count: int, seed: int):
+    """(label, instance, large) for suite_value_agreement, in draw order."""
     rng = generators.split_rng(seed, "value-params")
-    yes = no = 0
     for idx in range(count):
         large = idx % 4 == 0
         n = rng.randint(100, 150) if large else rng.randint(20, 40)
@@ -226,7 +222,34 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
         )
         if not large:
             inst = CbcctInstance(inst.bribe_vectors, rng.randint(0, 200 * n), inst.threshold)
-        label = f"instance {idx} (n={n}, B={inst.budget})"
+        yield f"instance {idx} (n={n}, B={inst.budget})", inst, large
+    rng = generators.split_rng(seed, "value-primes")
+    for k in range(count // 4):
+        n = rng.randint(20, 40)
+        # Negative indices: generator streams that no scale-pool instance uses.
+        inst = generators.gen_cbcct(
+            seed, n, 4, 1000 * n, SCALE_VALUE_POOL, PRIME_PROB_POOL, canonical=True, index=-1 - k
+        )
+        inst = CbcctInstance(inst.bribe_vectors, rng.randint(0, 200 * n), inst.threshold)
+        yield f"prime-pool instance {k} (n={n}, B={inst.budget})", inst, False
+
+
+@_timed
+def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
+    """Optimal values of both FPT routes against the DP sweep, past brute force.
+
+    `count` scale-pool instances.  Every fourth one has n in 100..150 and
+    B = 50n; the rest have n in 20..40, a threshold drawn at B = 1000n and a
+    budget cut to a random B <= 200n, so both decisions occur.  Then count // 4
+    more small instances, from a stream of their own, take their probabilities
+    from PRIME_PROB_POOL.  On every instance the fpt-bribes optimum must equal
+    `best_at(B)`.  On the small ones the fpt-probs witness must cost exactly
+    `min_cost_for(threshold)`, the least b with best_at(b) >= threshold, and on
+    a "no" no b <= B may reach it.
+    """
+    report = SuiteReport("value-agreement", total=count + count // 4)
+    yes = no = 0
+    for label, inst, large in _value_instances(count, seed):
         sweep = budget_sweep(inst)
         bribes = solve_fpt_bribe_values(inst)
         if bribes.best_probability != sweep.best_at():
@@ -251,6 +274,7 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
         _check_witness(report, f"{label} fpt-probs", inst, probs)
     report.details["yes"] = yes
     report.details["no"] = no
+    report.details["prime_pool_instances"] = count // 4
     return report
 
 

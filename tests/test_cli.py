@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from champbribe import BribePlan, CapExceededError, CbcctInstance, cli, evaluate_plan, milp, verify
-from champbribe import solve_fpt_bribe_values
+from champbribe import InstanceError, solve_fpt_bribe_values
 from champbribe.core import instance_to_dict
 from champbribe.generators import gen_cbcct
 from champbribe.rational import format_rational
@@ -410,6 +410,41 @@ class TestJsonIo:
         text = path.read_text()
         assert text.startswith("# first line\n# second line\n")
         assert load_json(path) == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '# first\r\n# second\r\n{"a": 1}\r\n',
+            '\n   \n  # indented\n\t# tabbed\n\n{"a": 1}\n',
+            '# lone carriage returns\r{"a": 1}',
+        ],
+    )
+    def test_header_lines_skipped(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_bytes(text.encode())
+        assert load_json(path) == {"a": 1}
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only a header\n\n  # and more\n"])
+    def test_no_body_refused(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(InstanceError, match="no JSON body found"):
+            load_json(path)
+
+    def test_error_positions_count_from_the_body(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'# header\n{"a":\n')
+        with pytest.raises(InstanceError, match=r"line 1 column 6 \(char 5\)"):
+            load_json(path)
+
+    def test_line_separator_is_left_to_json(self, tmp_path):
+        # U+2028 is no JSON whitespace, but a string may hold it.
+        path = tmp_path / "x.json"
+        path.write_bytes('{"a":  1}\n'.encode())
+        with pytest.raises(InstanceError, match="invalid JSON"):
+            load_json(path)
+        path.write_bytes('# header\n{"a": "x y"}\n'.encode())
+        assert load_json(path) == {"a": "x y"}
 
     def test_too_long_integer_refused(self, tmp_path):
         with pytest.raises(CapExceededError):

@@ -1,6 +1,8 @@
 """Budget sweep internals: breakpoint rows, exactness, witnesses."""
 
+import functools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from champbribe import CbcctInstance, evaluate_plan, solve_bruteforce
 from champbribe.core import normalize_bribe_vector, vector
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, make_nonmonotone, split_rng
+from champbribe.verify import PRIME_PROB_POOL, SCALE_PROB_POOL, SCALE_VALUE_POOL, ZERO_PROB_POOL
 
 
 def F(*args):
@@ -53,6 +56,36 @@ def scan_rises(scan):
     return [(b, p) for b, p in enumerate(scan) if p is not None and [p] != scan[b - 1 : b]]
 
 
+def mixed_denominator_instances():
+    """Six instances; each challenger draws its probabilities over its own odd primes.
+
+    So the challengers' denominators differ, and planted pairs give exact
+    cross-challenger ties (1/2 * 1/3 = 1/3 * 1/2 = 1/6 * 1).
+    """
+    primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    tie_pair = (
+        vector([(0, "1/6"), (4, "1/3"), (9, "1/2")]),
+        vector([(0, "1/3"), (4, "1/2"), (9, "1")]),
+    )
+    rng = split_rng(59, "mixed-denominators")
+    instances = []
+    for _ in range(6):
+        vectors = []
+        for _ in range(rng.randint(20, 60)):
+            if rng.random() < 0.15:
+                vectors.extend(tie_pair)
+                continue
+            own = rng.sample(primes, rng.randint(1, 3))
+            costs = sorted(rng.sample(range(40), rng.randint(1, 4)))
+            probs = []
+            for _ in costs:
+                d = rng.choice(own)
+                probs.append(F(rng.randint(0, d), d))
+            vectors.append(vector(zip(costs, probs)))
+        instances.append(CbcctInstance(tuple(vectors), rng.randint(50, 300), F(1, 2)))
+    return instances
+
+
 class TestBudgetSweep:
     def test_matches_enumeration_per_budget(self):
         rng = split_rng(41, "sweep")
@@ -93,29 +126,8 @@ class TestBudgetSweep:
                 assert all(a < b for a, b in zip(row.ranks, row.ranks[1:]))
 
     def test_mixed_denominators_match_fraction_dp(self):
-        # Each challenger draws its probabilities over its own odd primes, so
-        # the challengers' denominators differ; planted pairs give exact
-        # cross-challenger ties (1/2 * 1/3 = 1/3 * 1/2 = 1/6 * 1).
-        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-        tie_pair = (
-            vector([(0, "1/6"), (4, "1/3"), (9, "1/2")]),
-            vector([(0, "1/3"), (4, "1/2"), (9, "1")]),
-        )
-        rng = split_rng(59, "mixed-denominators")
-        for idx in range(6):
-            vectors = []
-            for _ in range(rng.randint(20, 60)):
-                if rng.random() < 0.15:
-                    vectors.extend(tie_pair)
-                    continue
-                own = rng.sample(primes, rng.randint(1, 3))
-                costs = sorted(rng.sample(range(40), rng.randint(1, 4)))
-                probs = []
-                for _ in costs:
-                    d = rng.choice(own)
-                    probs.append(F(rng.randint(0, d), d))
-                vectors.append(vector(zip(costs, probs)))
-            inst = CbcctInstance(tuple(vectors), rng.randint(50, 300), F(1, 2))
+        for idx, inst in enumerate(mixed_denominator_instances()):
+            vectors = inst.bribe_vectors
             denominators = {math.lcm(*(p.denominator for p in v.probabilities())) for v in vectors}
             assert len(denominators) > 1
             sweep = budget_sweep(inst)
@@ -207,6 +219,73 @@ class TestBudgetSweep:
         inst = CbcctInstance((vector([(0, "0")]), vector([(0, "1/2"), (1, "1")])), 1, F(1, 2))
         assert budget_sweep(inst).witness() == solve_bruteforce(inst).witness
         assert budget_sweep(inst).witness().choices == (1, 1)
+
+
+def rank_instances():
+    """Seeded sweeps with many exact ties, many denominators, and probability 0.
+
+    Scale prices with the scale probabilities (many exact ties) or the prime
+    denominators of `verify.PRIME_PROB_POOL`, normalized and raw; the
+    mixed-denominator instances with their planted cross-challenger ties;
+    and raw vectors over a pool holding 0.
+    """
+    rng = split_rng(71, "ranks")
+    instances = []
+    for idx in range(12):
+        instances.append(
+            gen_cbcct(
+                71, rng.randint(10, 30), 4, rng.randint(0, 40000), SCALE_VALUE_POOL,
+                (SCALE_PROB_POOL, PRIME_PROB_POOL)[idx % 2], canonical=True,
+                normalize=idx % 4 < 2, index=idx,
+            )
+        )
+    instances += mixed_denominator_instances()
+    for idx in range(12):
+        instances.append(
+            gen_cbcct(
+                73, rng.randint(1, 8), 3, rng.randint(0, 15), prob_pool=ZERO_PROB_POOL,
+                normalize=False, index=idx,
+            )
+        )
+    return instances
+
+
+class TestRowRanks:
+    def test_rank_is_the_last_position_of_the_value(self):
+        # Recompute every row's candidate values as Fractions, by a memoized
+        # suffix optimum: rmap[j, r + 1] must count the row's candidates worth
+        # at most candidate (j, r), less one, and ranks[k] must be the rank of
+        # the row's own optimum from breakpoint k on.
+        ties = 0
+        for idx, inst in enumerate(rank_instances()):
+            sweep = budget_sweep(inst)
+            vectors = [inst.bribe_vectors[i] for i in sweep._kept]
+
+            @functools.cache
+            def best(t, budget):
+                """Optimum of the challengers vectors[t:] within budget; None if none fits."""
+                if t == len(vectors):
+                    return F(1)
+                options = [
+                    e.losing_probability * value
+                    for e in vectors[t].entries
+                    if e.bribe <= budget and (value := best(t + 1, budget - e.bribe)) is not None
+                ]
+                return max(options, default=None)
+
+            for t, vec in enumerate(vectors, start=1):
+                row, nxt = sweep._rows[t], sweep._rows[t + 1]
+                below = [best(t, start) for start in nxt.starts]
+                values = sorted(e.losing_probability * v for e in vec.entries for v in below)
+                ties += len(values) - len(set(values))
+                expected = [
+                    [-1] + [bisect_right(values, e.losing_probability * v) - 1 for v in below]
+                    for e in vec.entries
+                ]
+                assert row.rmap.tolist() == expected, (idx, t)
+                ranks = [bisect_right(values, best(t - 1, start)) - 1 for start in row.starts]
+                assert row.ranks.tolist() == ranks, (idx, t)
+        assert ties > 0
 
 
 def folding_instances():
