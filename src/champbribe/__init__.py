@@ -57,7 +57,6 @@ from .reductions import (
     ksum_to_pkp,
     mpk_to_cbcct,
     shift_ksum,
-    verify_reduction,
 )
 from .solvers import (
     SolveResult,

@@ -88,6 +88,14 @@ def _cmd_solve(args) -> int:
 
 _CHAIN = ["ksum", "pkp", "mpk", "cbcct", "cup"]
 
+# The step out of each kind but the last, with its provenance line.
+_STEPS = {
+    "ksum": (ksum_to_pkp, "ksum->pkp: weight s'_i, profit (1 - s'_i/T^2)^-1, C=T"),
+    "pkp": (pkp_to_mpk, "pkp->mpk: singleton classes, each padded with a (0, 1) skip item"),
+    "mpk": (mpk_to_cbcct, "mpk->cbcct: entries (w_j, v_j) per class, B=C, t=V"),
+    "cbcct": (cbcct_to_cup, "cbcct->cup: favorite at position 1, main player i at 2^(i-1)+1"),
+}
+
 _LOADERS = {
     "ksum": ksum_from_dict,
     "pkp": pkp_from_dict,
@@ -114,31 +122,13 @@ def _cmd_reduce(args) -> int:
         raise ChampBribeError(f"no reduction from {src_kind} to {dst_kind}")
     inst = _LOADERS[src_kind](jsonio.load_json(args.file))
     provenance = [f"reduced from {src_kind} via champbribe"]
-    kind = src_kind
-    while kind != dst_kind:
-        if kind == "ksum":
-            if not inst.shifted:
-                inst = shift_ksum(inst)
-                provenance.append("shift: s'_i = s_i + 2n^2k + n^(k^2), target T = k*shift")
-            inst = ksum_to_pkp(inst)
-            provenance.append("ksum->pkp: weight s'_i, profit (1 - s'_i/T^2)^-1, C=T")
-            kind = "pkp"
-        elif kind == "pkp":
-            inst = pkp_to_mpk(inst)
-            provenance.append(
-                "pkp->mpk: singleton classes, each padded with a (0, 1) skip item"
-            )
-            kind = "mpk"
-        elif kind == "mpk":
-            inst = mpk_to_cbcct(inst)
-            provenance.append("mpk->cbcct: entries (w_j, v_j) per class, B=C, t=V")
-            kind = "cbcct"
-        elif kind == "cbcct":
-            inst = cbcct_to_cup(inst)
-            provenance.append(
-                "cbcct->cup: favorite at position 1, main player i at 2^(i-1)+1"
-            )
-            kind = "cup"
+    if src_kind == "ksum" and not inst.shifted:
+        inst = shift_ksum(inst)
+        provenance.append("shift: s'_i = s_i + 2n^2k + n^(k^2), target T = k*shift")
+    for kind in _CHAIN[si:di]:
+        step, note = _STEPS[kind]
+        inst = step(inst)
+        provenance.append(note)
     payload = _DUMPERS[dst_kind](inst)
     if args.output:
         jsonio.save_json(args.output, payload, provenance)

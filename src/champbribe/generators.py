@@ -106,7 +106,7 @@ def gen_cbcct(
             f"lmax {lmax} exceeds the {len(set(value_pool))} distinct pool values"
         )
     pool = sorted(set(value_pool))
-    if canonical and (0 not in pool or lmax > len(pool)):
+    if canonical and 0 not in pool:
         raise InstanceError("canonical vectors need 0 in the value pool")
     probs = [Fraction(p) for p in prob_pool]
     if any(not 0 <= p <= 1 for p in probs):

@@ -6,21 +6,19 @@ The chain is
     --> multicolored product knapsack --> challenge-the-champ bribery --> cup
 
 Each transformer is a pure function from a source instance to a target
-instance, paired here with `verify_reduction`, which runs brute-force oracles
-on both sides and reports whether the decisions agree.  The equivalence
-argument behind the k-sum chain assumes sizable instances (k >= 4, shifted
-target >= 4); desk-scale instances below those sizes are still transformed
-and checked empirically, and `chain_preconditions_met` tells a verifier which
-regime an instance is in.
+instance; the chain suites in `verify` run a brute-force oracle once on each
+side and compare the decisions and optima.  The equivalence argument behind
+the k-sum chain assumes sizable instances (k >= 4, shifted target >= 4);
+desk-scale instances below those sizes are still transformed and checked
+empirically, and `chain_preconditions_met` tells a verifier which regime an
+instance is in.
 
 Profits stay exact rationals end to end; no integer rescaling is applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import BribeEntry, BribePlan, BribeVector, CbcctInstance
 from .cup import CUP_PAIRS_CAP, CupInstance, Pair
@@ -196,39 +194,3 @@ def cbcct_to_cup(inst: CbcctInstance) -> CupInstance:
 def cup_choices_from_plan(plan: BribePlan) -> dict[Pair, int]:
     """Translate a source plan into bribe choices on the cup image."""
     return {(i, 0): j for i, j in enumerate(plan.choices, start=1)}
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    source_decision: bool
-    target_decision: bool
-    source_witness: object
-    target_witness: object
-
-    @property
-    def equivalent(self) -> bool:
-        return self.source_decision == self.target_decision
-
-
-def verify_reduction(
-    source,
-    target,
-    source_oracle: Callable,
-    target_oracle: Callable,
-) -> ReductionReport:
-    """Run brute-force oracles on both sides of a reduction.
-
-    Oracles return anything with a boolean `decision` attribute (all solver
-    results here do) or a (decision, witness) pair.
-    """
-
-    def run(oracle, inst):
-        out = oracle(inst)
-        if hasattr(out, "decision"):
-            return bool(out.decision), getattr(out, "witness", None)
-        decision, witness = out
-        return bool(decision), witness
-
-    s_dec, s_wit = run(source_oracle, source)
-    t_dec, t_wit = run(target_oracle, target)
-    return ReductionReport(s_dec, t_dec, s_wit, t_wit)

@@ -89,9 +89,7 @@ def _first_entries_plan(inst: CbcctInstance) -> BribePlan:
     return BribePlan((1,) * inst.num_challengers)
 
 
-def _result(inst: CbcctInstance, plan: BribePlan | None, algorithm: str) -> SolveResult:
-    if plan is None:
-        return SolveResult(None, None, False, algorithm)
+def _result(inst: CbcctInstance, plan: BribePlan, algorithm: str) -> SolveResult:
     _, prob = evaluate_plan(inst, plan)
     return SolveResult(prob, plan, prob >= inst.threshold, algorithm)
 

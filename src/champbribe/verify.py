@@ -43,7 +43,6 @@ from .reductions import (
     mpk_to_cbcct,
     pkp_to_mpk,
     shift_ksum,
-    verify_reduction,
 )
 from .solvers import (
     build_bribe_value_milp,
@@ -436,61 +435,47 @@ def suite_ksum_chain(n_max: int = 6, magnitude: int = 3) -> SuiteReport:
 
 @_timed
 def suite_mpk_chain(count: int = 200, seed: int = 4) -> SuiteReport:
-    """Multicolored knapsack -> challenge-the-champ decision preservation."""
+    """Multicolored knapsack -> challenge-the-champ: the decision and the
+    optimum (None when nothing is affordable) must carry over."""
     report = SuiteReport("mpk-chain", total=count)
     rng = generators.split_rng(seed, "mpk-params")
     for idx in range(count):
         k = rng.randint(1, 4)
         sizes = [rng.randint(1, 3) for _ in range(k)]
         inst = generators.gen_mpk(seed, sizes, index=idx)
-        chain = verify_reduction(
-            inst, mpk_to_cbcct(inst), solve_mpk_bruteforce, solve_bruteforce
-        )
-        if not chain.equivalent:
+        mpk = solve_mpk_bruteforce(inst)
+        cbc = solve_bruteforce(mpk_to_cbcct(inst))
+        if (mpk.decision, mpk.best_product) != (cbc.decision, cbc.best_probability):
             report.failures.append(
-                f"instance {idx} (classes {sizes}): knapsack says "
-                f"{chain.source_decision}, tournament says {chain.target_decision}"
+                f"instance {idx} (classes {sizes}): knapsack says {mpk.decision} at "
+                f"{mpk.best_product}, tournament says {cbc.decision} at {cbc.best_probability}"
             )
-        else:
-            mpk = solve_mpk_bruteforce(inst)
-            cbc = solve_bruteforce(mpk_to_cbcct(inst))
-            if mpk.best_product is not None and cbc.best_probability is not None:
-                if mpk.best_product != cbc.best_probability:
-                    report.failures.append(
-                        f"instance {idx}: optimal product {mpk.best_product} != "
-                        f"optimal probability {cbc.best_probability}"
-                    )
     return report
 
 
+PLAN_EQUALITY_INSTANCES = 20
+
+
 @_timed
-def suite_cup_chain(count: int = 100, seed: int = 5, plan_equality_instances: int = 20) -> SuiteReport:
-    """Challenge-the-champ -> cup decision preservation and per-plan equality."""
+def suite_cup_chain(count: int = 100, seed: int = 5) -> SuiteReport:
+    """Challenge-the-champ -> cup: the decision and the optimum (None when
+    nothing is affordable) must carry over, and on the first
+    `PLAN_EQUALITY_INSTANCES` images so must every plan's win probability."""
     report = SuiteReport("cup-chain", total=count)
     rng = generators.split_rng(seed, "cup-params")
     for idx in range(count):
         n = rng.randint(1, 3)
         inst = generators.gen_cbcct(seed, n, 3, rng.randint(0, 10), index=idx)
         image = cbcct_to_cup(inst)
-        chain = verify_reduction(inst, image, solve_bruteforce, solve_cup_bruteforce)
-        if not chain.equivalent:
-            report.failures.append(
-                f"instance {idx} (n={n}): tournament says {chain.source_decision}, "
-                f"cup says {chain.target_decision}"
-            )
-            continue
         src = solve_bruteforce(inst)
         tgt = solve_cup_bruteforce(image)
-        if (src.best_probability is None) != (tgt.best_probability is None):
-            report.failures.append(f"instance {idx}: feasibility mismatch on image")
-        elif src.best_probability is not None and src.best_probability != tgt.best_probability:
+        if (src.decision, src.best_probability) != (tgt.decision, tgt.best_probability):
             report.failures.append(
-                f"instance {idx}: best {src.best_probability} != cup best {tgt.best_probability}"
+                f"instance {idx} (n={n}): tournament says {src.decision} at "
+                f"{src.best_probability}, cup says {tgt.decision} at {tgt.best_probability}"
             )
-        if idx < plan_equality_instances:
-            from itertools import product as iter_product
-
-            for choices in iter_product(*(range(1, len(v) + 1) for v in inst.bribe_vectors)):
+        if idx < PLAN_EQUALITY_INSTANCES:
+            for choices in product(*(range(1, len(v) + 1) for v in inst.bribe_vectors)):
                 plan = BribePlan(choices)
                 direct = evaluate_plan(inst, plan).win_probability
                 via_cup = cup_win_probability(image, cup_choices_from_plan(plan))

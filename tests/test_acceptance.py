@@ -72,7 +72,7 @@ def test_criterion_6_mpk_chain():
 
 def test_criterion_7_cup_chain():
     """100 instances with <= 3 challengers through the cup embedding; < 120 s."""
-    report = verify.suite_cup_chain(count=100, seed=5, plan_equality_instances=20)
+    report = verify.suite_cup_chain(count=100, seed=5)
     _assert_report("criterion-7 cup-chain", report, 120.0)
 
 

@@ -186,6 +186,47 @@ class TestReduce:
             weights = [data["items"][i]["weight"] for i in cls]
             assert Fraction(1) in profits and 0 in weights
 
+    SHIFT = "shift: s'_i = s_i + 2n^2k + n^(k^2), target T = k*shift"
+    KSUM_PKP = "ksum->pkp: weight s'_i, profit (1 - s'_i/T^2)^-1, C=T"
+    PKP_MPK = "pkp->mpk: singleton classes, each padded with a (0, 1) skip item"
+
+    @pytest.mark.parametrize(
+        "source, kinds, steps",
+        [
+            ({"numbers": [-1, 1, 2], "k": 2}, ("ksum", "mpk"), [SHIFT, KSUM_PKP, PKP_MPK]),
+            (
+                {"numbers": [242, 244, 245], "k": 2, "target": 486, "shifted": True},
+                ("ksum", "mpk"),
+                [KSUM_PKP, PKP_MPK],
+            ),
+            (
+                {
+                    "items": [{"weight": 1, "profit": "1/2"}, {"weight": 2, "profit": "1"}],
+                    "capacity": 2,
+                    "target": "1/2",
+                },
+                ("pkp", "cup"),
+                [
+                    PKP_MPK,
+                    "mpk->cbcct: entries (w_j, v_j) per class, B=C, t=V",
+                    "cbcct->cup: favorite at position 1, main player i at 2^(i-1)+1",
+                ],
+            ),
+        ],
+    )
+    def test_provenance_header(self, tmp_path, capsys, source, kinds, steps):
+        src_kind, dst_kind = kinds
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(source))
+        expected = [f"# reduced from {src_kind} via champbribe"] + [f"# {s}" for s in steps]
+        assert main(["reduce", str(src), "--from", src_kind, "--to", dst_kind]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[: len(expected)] == expected
+        assert not printed[len(expected)].startswith("#")
+        out = tmp_path / "out.json"
+        assert main(["reduce", str(src), "--from", src_kind, "--to", dst_kind, "-o", str(out)]) == 0
+        assert out.read_text().splitlines() == printed
+
     def test_huge_k_exits_two_promptly(self, tmp_path):
         # n^(2k) and n^(k^2) for this k have billions of digits; neither the
         # loader nor the shift may build them.

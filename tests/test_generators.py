@@ -76,6 +76,18 @@ class TestCbcct:
         with pytest.raises(InstanceError):
             gen_cbcct(1, 2, 4, 10, value_pool=(0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"value_pool": ()}, "nonempty"),
+            ({"value_pool": (1, 2, 3), "canonical": True}, "need 0"),
+            ({"prob_pool": (F(1, 2), F(3, 2))}, r"\[0, 1\]"),
+        ],
+    )
+    def test_pool_refusals(self, kwargs, message):
+        with pytest.raises(InstanceError, match=message):
+            gen_cbcct(1, 2, 2, 10, **kwargs)
+
     def test_yes_rate_regression_band(self):
         # Measured once by brute force and pinned: the threshold policy keeps
         # the yes-rate in a useful band.

@@ -1,11 +1,15 @@
-"""The reduction chain and its equivalence verifiers."""
+"""The reduction chain: transformers, caps and decision preservation."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 
 from champbribe import (
+    BribeEntry,
     BribePlan,
+    BribeVector,
     CapExceededError,
     CbcctInstance,
     MpkInstance,
@@ -23,7 +27,7 @@ from champbribe import (
     solve_mpk_bruteforce,
     solve_pkp_bruteforce,
     solve_small_ksum_bruteforce,
-    verify_reduction,
+    verify,
 )
 from champbribe.core import vector
 from champbribe.cup import CUP_PAIRS_CAP, bracket_distribution
@@ -106,13 +110,10 @@ class TestKsumToPkp:
         for numbers, k in [((-1, 1, 2), 2), ((1, 2, 4), 2), ((0, 0), 2), ((-2, 1, 1), 3)]:
             src = SmallKSumInstance(numbers, k)
             shifted = shift_ksum(src)
-            report = verify_reduction(
-                shifted,
-                ksum_to_pkp(shifted),
-                solve_small_ksum_bruteforce,
-                solve_pkp_bruteforce,
+            assert (
+                solve_small_ksum_bruteforce(shifted).decision
+                == solve_pkp_bruteforce(ksum_to_pkp(shifted)).decision
             )
-            assert report.equivalent
 
     def test_preconditions_flag(self):
         assert not chain_preconditions_met(SmallKSumInstance((-1, 1, 2), 2))
@@ -125,11 +126,9 @@ class TestPkpToMpk:
         decisions = set()
         for idx in range(40):
             src = gen_pkp(61, 1 + idx % 6, index=idx)
-            report = verify_reduction(
-                src, pkp_to_mpk(src), solve_pkp_bruteforce, solve_mpk_bruteforce
-            )
-            assert report.equivalent, idx
-            decisions.add(report.source_decision)
+            decision = solve_pkp_bruteforce(src).decision
+            assert solve_mpk_bruteforce(pkp_to_mpk(src)).decision == decision, idx
+            decisions.add(decision)
         assert decisions == {True, False}
 
 
@@ -148,19 +147,13 @@ class TestMpkToCbcct:
         assert out.bribe_vectors[0] == vector([(1, "1/2"), (3, "3/4")])
         assert out.bribe_vectors[1] == vector([(0, "1/3"), (2, "2/3")])
         assert out.budget == 3 and out.threshold == F(1, 3)
-        report = verify_reduction(
-            self._example(), out, solve_mpk_bruteforce, solve_bruteforce
-        )
-        assert report.equivalent and report.source_decision
+        assert solve_mpk_bruteforce(self._example()).decision
+        assert solve_bruteforce(out).decision
 
     def test_no_instance_preserved(self):
-        report = verify_reduction(
-            self._example("1/2"),
-            mpk_to_cbcct(self._example("1/2")),
-            solve_mpk_bruteforce,
-            solve_bruteforce,
-        )
-        assert report.equivalent and not report.source_decision
+        inst = self._example("1/2")
+        assert not solve_mpk_bruteforce(inst).decision
+        assert not solve_bruteforce(mpk_to_cbcct(inst)).decision
 
     def test_single_free_item(self):
         inst = MpkInstance((PkpItem(0, F(1)),), ((0,),), 1, F(1))
@@ -194,8 +187,8 @@ class TestMpkToCbcct:
     def test_infeasible_maps_to_infeasible(self):
         inst = MpkInstance((PkpItem(5, F(1, 2)),), ((0,),), 3, F(1, 4))
         out = mpk_to_cbcct(inst)
-        report = verify_reduction(inst, out, solve_mpk_bruteforce, solve_bruteforce)
-        assert report.equivalent and not report.source_decision
+        assert not solve_mpk_bruteforce(inst).decision
+        assert not solve_bruteforce(out).decision
 
 
 def two_challenger_instance(budget=1, threshold="1/3"):
@@ -288,10 +281,10 @@ class TestCbcctToCup:
     def test_decision_preserved(self):
         for budget, threshold in [(1, "1/3"), (2, "1/2"), (0, "1")]:
             inst = two_challenger_instance(budget, threshold)
-            report = verify_reduction(
-                inst, cbcct_to_cup(inst), solve_bruteforce, solve_cup_bruteforce
+            assert (
+                solve_bruteforce(inst).decision
+                == solve_cup_bruteforce(cbcct_to_cup(inst)).decision
             )
-            assert report.equivalent
 
     def test_per_plan_probability_equality(self):
         from itertools import product
@@ -310,29 +303,37 @@ class TestCbcctToCup:
         assert sum(bracket_distribution(cup).values()) == 1
 
 
-class TestVerifyReduction:
-    def test_negative_control(self):
-        # Corrupt the target threshold: equivalence must fail.
-        inst = two_challenger_instance(1, "1/3")
-        broken = CbcctInstance(inst.bribe_vectors, inst.budget, F(99, 100))
-        report = verify_reduction(inst, broken, solve_bruteforce, solve_bruteforce)
-        assert not report.equivalent
+class TestChainSuites:
+    """The chain suites report a corrupted transformer."""
 
-    def test_tuple_oracle_protocol(self):
-        # An oracle may return a plain (decision, witness) pair, which has no
-        # `decision` attribute; its first item is the decision.
-        src = SmallKSumInstance((-1, 1, 2), 2)
-        expected = solve_small_ksum_bruteforce(src)
+    def test_mpk_chain_catches_a_lowered_budget(self, monkeypatch):
+        reduce = verify.mpk_to_cbcct
 
-        def pair_oracle(inst):
-            result = solve_small_ksum_bruteforce(inst)
-            return (result.decision, result.witness)
+        def lowered(inst):
+            image = reduce(inst)
+            return dataclasses.replace(image, budget=image.budget - 1)
 
-        assert type(pair_oracle(src)) is tuple and not hasattr(pair_oracle(src), "decision")
-        report = verify_reduction(src, src, pair_oracle, solve_small_ksum_bruteforce)
-        assert report.equivalent and report.source_decision
-        assert report.source_witness == report.target_witness == expected.witness
-        # A "no" pair is read as no, though the pair itself is truthy.
-        report = verify_reduction(src, src, lambda _: (False, None), solve_small_ksum_bruteforce)
-        assert not report.equivalent and not report.source_decision
-        assert report.source_witness is None
+        monkeypatch.setattr(verify, "mpk_to_cbcct", lowered)
+        report = verify.suite_mpk_chain()
+        assert not report.passed
+        # The decisions agree but only one side has an affordable plan: a
+        # mismatch that comparing decisions alone would miss.
+        pattern = re.compile(r"knapsack says (\w+) at (\S+), tournament says (\w+) at (\S+)$")
+        found = [m.groups() for m in map(pattern.search, report.failures) if m]
+        assert any(a == c and (b == "None") != (d == "None") for a, b, c, d in found)
+
+    def test_cup_chain_catches_halved_probabilities(self, monkeypatch):
+        reduce = verify.cbcct_to_cup
+
+        def halved(inst):
+            image = reduce(inst)
+            first = image.pairwise[(1, 0)]
+            half = BribeVector(
+                tuple(BribeEntry(e.bribe, e.losing_probability / 2) for e in first.entries)
+            )
+            return dataclasses.replace(image, pairwise={**image.pairwise, (1, 0): half})
+
+        monkeypatch.setattr(verify, "cbcct_to_cup", halved)
+        report = verify.suite_cup_chain()
+        assert not report.passed
+        assert any(" plan (" in f for f in report.failures)
