@@ -28,20 +28,20 @@ Exactness at scale comes from two layers:
   L_i, the lcm of its entries' denominators, so every value of row i is an
   integer numerator over D_i = L_i * L_(i+1) * ... * L_n and value
   comparisons within a row are integer comparisons.
-* Within a row, the candidates' indices are sorted once by their exact
-  integer numerators and turned into ranks, so the row transition compares
-  small integer *ranks* instead of big integers, in `_dpkernel_py`.  Each
-  entry's candidates ascend with the row below, so sorting the indices as
-  formed only merges l_max runs.  One pass down the sorted order then gives
-  each candidate its rank: a value's last position, taken over from the
-  neighbour above when the two are equal.  That `!=` test stops at the
-  first differing digit, and no numerator is hashed.  Only the row being
-  built and the row below it hold numerators; a finished row keeps the rank
-  reached at each breakpoint (an `array`) and its candidate rank map (a 2-D
-  memoryview over an `array`), and the sweep keeps the top row's numerators
-  alone.  Exactly equal products share one rank, so the witness tests value
-  equality as rank equality, with no big-integer product.  No float is
-  computed anywhere in the sweep.
+* Within a row, `_dpkernel_py.transition_compact` sorts the candidates'
+  indices once by their exact integer numerators.  Each entry's candidates
+  ascend with the row below, so the sort only merges l_max runs.  One walk
+  down the sorted order then does the rest: each candidate gets its rank, a
+  value's last position, taken over from the neighbour above when the two
+  are equal, and a candidate cheaper than every better one becomes one of
+  the row's breakpoints.  That `!=` test stops at the first differing
+  digit, and no numerator is hashed.  Only the row being built and the row
+  below it hold numerators; a finished row keeps the rank reached at each
+  breakpoint (an `array`) and its candidate rank map (a 2-D memoryview over
+  an `array`), and the sweep keeps the top row's numerators alone.  Exactly
+  equal products share one rank, so the witness tests value equality as rank
+  equality, with no big-integer product.  No float is computed anywhere in
+  the sweep.
 """
 
 from __future__ import annotations
@@ -214,30 +214,16 @@ def budget_sweep(inst: CbcctInstance) -> BudgetSweep:
         candidates += len(nums) * width
         if candidates > CANDIDATE_CAP:
             raise CapExceededError(f"the DP rows form over {CANDIDATE_CAP} candidates")
-        # Candidate (entry j, next-row rank r) is numerator nums[j] * prev_vals[r]
-        # over D_i; all share that denominator, so sorting numerators ranks values.
-        # Each entry's run ascends with prev_vals, so the sort merges len(nums) runs.
-        cands = [num * val for num in nums for val in prev_vals]
-        order = sorted(range(len(cands)), key=cands.__getitem__)
-        # A value's rank is its last position in `order`: walking down from the
-        # top, a value equal to the one above it takes that one's rank.
-        rank = [0] * len(cands)
-        top, above = len(cands), None
-        for pos in range(len(cands) - 1, -1, -1):
-            i = order[pos]
-            if cands[i] != above:
-                top, above = pos, cands[i]
-            rank[i] = top
-        # Column 0 is no fitting plan: the kernel skips it and no row rank equals
-        # it; perfbench counts rmap.shape[1] - 1 candidates.
-        flat = array("i")
-        for j in range(len(nums)):
-            flat.append(-1)
-            flat.extend(rank[j * width : (j + 1) * width])
-        rmap = memoryview(flat).cast("B").cast("i", (len(nums), width + 1))
-        starts, used = _dpkernel_py.transition_compact(prev_starts, costs, rmap, budget)
-        rows[t] = _Row(starts, array("i", used), rmap)
-        prev_starts, prev_vals = starts, [cands[order[r]] for r in used]
+        # Candidate (entry j, next-row breakpoint r) is numerator nums[j] * prev_vals[r]
+        # over D_i; all share that denominator, so comparing numerators ranks
+        # values.  The kernel fills the rank map; perfbench counts
+        # rmap.shape[1] - 1 candidates per entry.
+        shape = (len(nums), width + 1)
+        rmap = memoryview(array("i", [0]) * (shape[0] * shape[1])).cast("B").cast("i", shape)
+        prev_starts, used, prev_vals = _dpkernel_py.transition_compact(
+            prev_starts, costs, rmap, budget, nums, prev_vals
+        )
+        rows[t] = _Row(prev_starts, array("i", used), rmap)
 
     top_values = [factor * val for val in prev_vals]
     return BudgetSweep(inst, [i for i, _, _ in chall], rows, fixed_cost, top_values, denominator)

@@ -56,11 +56,21 @@ from .solvers import (
 
 @dataclass
 class SuiteReport:
+    """A suite's outcome.  `failures` holds every failure line, and `failed`
+    the keys of the instances they name: one instance may fail several ways,
+    so it is `failed` that `pass_count` subtracts."""
+
     name: str
     total: int = 0
     failures: list[str] = field(default_factory=list)
+    failed: set = field(default_factory=set)
     elapsed: float = 0.0
     details: dict = field(default_factory=dict)
+
+    def fail(self, key, message: str) -> None:
+        """Record one failure line against the instance `key`."""
+        self.failures.append(message)
+        self.failed.add(key)
 
     @property
     def passed(self) -> bool:
@@ -68,7 +78,7 @@ class SuiteReport:
 
     @property
     def pass_count(self) -> int:
-        return self.total - len(self.failures)
+        return self.total - len(self.failed)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -87,14 +97,16 @@ def _timed(fn):
 
 
 def _check_witness(report, label, inst, result) -> None:
+    """Check `result`'s witness against `inst`; failures count against `label`."""
     if result.witness is None:
         return
     cost, prob = evaluate_plan(inst, result.witness)
+    route = f"{label} {result.algorithm}"
     if cost > inst.budget:
-        report.failures.append(f"{label}: witness cost {cost} exceeds budget {inst.budget}")
+        report.fail(label, f"{route}: witness cost {cost} exceeds budget {inst.budget}")
     if result.best_probability is not None and prob != result.best_probability:
-        report.failures.append(
-            f"{label}: witness evaluates to {prob}, result claims {result.best_probability}"
+        report.fail(
+            label, f"{route}: witness evaluates to {prob}, result claims {result.best_probability}"
         )
 
 
@@ -122,17 +134,18 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
         results = [brute, solve_dp(inst), solve_fpt_bribe_values(inst)]
         for r in results:
             if r.best_probability != brute.best_probability or r.decision != brute.decision:
-                report.failures.append(
+                report.fail(
+                    label,
                     f"{label}: {r.algorithm} returned {r.best_probability}/{r.decision}, "
                     f"brute force returned {brute.best_probability}/{brute.decision}"
                 )
-            _check_witness(report, f"{label} {r.algorithm}", inst, r)
+            _check_witness(report, label, inst, r)
         probs = solve_fpt_prob_values(inst)
         if probs.decision != brute.decision:
-            report.failures.append(
-                f"{label}: fpt-probs decision {probs.decision} != brute {brute.decision}"
+            report.fail(
+                label, f"{label}: fpt-probs decision {probs.decision} != brute {brute.decision}"
             )
-        _check_witness(report, f"{label} fpt-probs", inst, probs)
+        _check_witness(report, label, inst, probs)
         yes += brute.decision
     report.details["yes_rate"] = yes / count if count else 0.0
     report.details["zero_pool_instances"] = count // 5
@@ -154,14 +167,15 @@ def suite_normalization(count: int = 200, seed: int = 1) -> SuiteReport:
         inst = generators.gen_cbcct(seed, n, 3, budget, normalize=False, index=idx)
         inst = generators.make_nonmonotone(inst)
         if all(v.monotone for v in inst.bribe_vectors):
-            report.failures.append(f"instance {idx}: not actually non-monotone")
+            report.fail(idx, f"instance {idx}: not actually non-monotone")
             continue
         before = budget_sweep(inst).frontier()
         after = budget_sweep(normalize_instance(inst)).frontier()
         if before != after:
             # Below the first differing breakpoint the sweeps agree; at its budget they differ.
             i = next(i for i, (a, b) in enumerate(zip_longest(before, after)) if a != b)
-            report.failures.append(
+            report.fail(
+                idx,
                 f"instance {idx}: sweep changed under normalization (first diff at budget "
                 f"{min(cost for cost, _ in before[i : i + 1] + after[i : i + 1])})"
             )
@@ -188,16 +202,16 @@ def suite_dp_scale(
     best = sweep.best_at()
     witness = sweep.witness()
     if best is None or witness is None:
-        report.failures.append("scale instance unexpectedly infeasible")
+        report.fail(0, "scale instance unexpectedly infeasible")
         return report
     cost, prob = evaluate_plan(inst, witness)
     if prob != best:
-        report.failures.append(f"witness probability {prob} != reported {best}")
+        report.fail(0, f"witness probability {prob} != reported {best}")
     if cost > budget:
-        report.failures.append(f"witness cost {cost} exceeds budget {budget}")
+        report.fail(0, f"witness cost {cost} exceeds budget {budget}")
     smaller = sweep.best_at(budget // 2)
     if smaller is not None and smaller > best:
-        report.failures.append("sweep is not monotone in the budget")
+        report.fail(0, "sweep is not monotone in the budget")
     report.details["digits"] = len(str(best.numerator))
     return report
 
@@ -231,6 +245,14 @@ def _value_instances(count: int, seed: int):
         )
         inst = CbcctInstance(inst.bribe_vectors, rng.randint(0, 200 * n), inst.threshold)
         yield f"prime-pool instance {k} (n={n}, B={inst.budget})", inst, False
+    rng = generators.split_rng(seed, "value-primes-large")
+    for k in range(count // 8):
+        n = rng.randint(100, 150)
+        inst = generators.gen_cbcct(
+            seed, n, 4, 1000 * n, SCALE_VALUE_POOL, PRIME_PROB_POOL, canonical=True,
+            index=-1 - count // 4 - k,
+        )
+        yield f"large prime-pool instance {k} (n={n}, B={inst.budget})", inst, True
 
 
 @_timed
@@ -240,22 +262,28 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
     `count` scale-pool instances.  Every fourth one has n in 100..150 and
     B = 50n; the rest have n in 20..40, a threshold drawn at B = 1000n and a
     budget cut to a random B <= 200n, so both decisions occur.  Then count // 4
-    more small instances, from a stream of their own, take their probabilities
-    from PRIME_PROB_POOL.  On every instance the fpt-bribes optimum must equal
-    `best_at(B)`.  On the small ones the fpt-probs witness must cost exactly
-    `min_cost_for(threshold)`, the least b with best_at(b) >= threshold, and on
-    a "no" no b <= B may reach it.
+    more small instances and count // 8 large ones (n in 100..150, B = 1000n),
+    each from a stream of their own, take their probabilities from
+    PRIME_PROB_POOL; the large ones load the DP with big numerators.  On every
+    instance the fpt-bribes optimum must equal `best_at(B)`.  On the small ones
+    the fpt-probs witness must cost exactly `min_cost_for(threshold)`, the
+    least b with best_at(b) >= threshold, and on a "no" no b <= B may reach it.
+    `details` reports the widest DP row (breakpoints) and the largest top-row
+    numerator (bits) met.
     """
-    report = SuiteReport("value-agreement", total=count + count // 4)
-    yes = no = 0
+    report = SuiteReport("value-agreement", total=count + count // 4 + count // 8)
+    yes = no = width = bits = 0
     for label, inst, large in _value_instances(count, seed):
         sweep = budget_sweep(inst)
+        width = max(width, *(len(row.starts) for row in sweep._rows[1:]))
+        bits = max(bits, sweep._top[-1].bit_length() if sweep._top else 0)
         bribes = solve_fpt_bribe_values(inst)
         if bribes.best_probability != sweep.best_at():
-            report.failures.append(
+            report.fail(
+                label,
                 f"{label}: fpt-bribes optimum {bribes.best_probability} != dp {sweep.best_at()}"
             )
-        _check_witness(report, f"{label} fpt-bribes", inst, bribes)
+        _check_witness(report, label, inst, bribes)
         if large:
             continue
         need = sweep.min_cost_for(inst.threshold)
@@ -263,30 +291,34 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
         yes += probs.decision
         no += not probs.decision
         if probs.decision != (need is not None):
-            report.failures.append(
-                f"{label}: fpt-probs decision {probs.decision}, dp minimum budget {need}"
+            report.fail(
+                label, f"{label}: fpt-probs decision {probs.decision}, dp minimum budget {need}"
             )
         elif probs.decision:
             cost = evaluate_plan(inst, probs.witness).cost
             if cost != need:
-                report.failures.append(f"{label}: fpt-probs witness costs {cost}, dp needs {need}")
-        _check_witness(report, f"{label} fpt-probs", inst, probs)
+                report.fail(label, f"{label}: fpt-probs witness costs {cost}, dp needs {need}")
+        _check_witness(report, label, inst, probs)
     report.details["yes"] = yes
     report.details["no"] = no
-    report.details["prime_pool_instances"] = count // 4
+    report.details["prime_pool_instances"] = count // 4 + count // 8
+    report.details["dp_row_width_max"] = width
+    report.details["dp_numerator_bits_max"] = bits
     return report
 
 
 @_timed
 def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
-    """The two FPT routes as each other's oracle, past the DP's reach.
+    """The two FPT routes as each other's oracle, at n in the thousands.
 
     Scale-pool instances with n in 3000..10**4 and two budgets B and B'
     drawn up to 100n.  The threshold t is the fpt-bribes optimum at B', a
     value on the frontier, so the fpt-probs decision at B falls on either
     side of it.  At B, fpt-probs must say yes exactly when the fpt-bribes
     optimum is at least t, its witness probability must not exceed that
-    optimum, and the witnesses of both routes must check.  No DP is run.
+    optimum, and the witnesses of both routes must check.  No DP is run,
+    though it would fit: at seed 9 `budget_sweep` solves each of the ten
+    draws in 0.1-3.7 s, under its candidate cap.
     """
     report = SuiteReport("fpt-scale", total=count)
     rng = generators.split_rng(seed, "fpt-scale-params")
@@ -304,17 +336,19 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
         probs = solve_fpt_prob_values(inst)
         best = bribes.best_probability
         if probs.decision != (best >= inst.threshold):
-            report.failures.append(
+            report.fail(
+                label,
                 f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
                 f"against threshold {inst.threshold}"
             )
         elif probs.decision and probs.best_probability > best:
-            report.failures.append(
+            report.fail(
+                label,
                 f"{label}: fpt-probs witness probability {probs.best_probability} "
                 f"exceeds the fpt-bribes optimum {best}"
             )
-        _check_witness(report, f"{label} fpt-bribes", inst, bribes)
-        _check_witness(report, f"{label} fpt-probs", inst, probs)
+        _check_witness(report, label, inst, bribes)
+        _check_witness(report, label, inst, probs)
         yes += probs.decision
     report.details["yes"] = yes
     report.details["no"] = count - yes
@@ -365,18 +399,19 @@ def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) ->
             if sub and len(sub) <= tu_cap and len(sub[0]) <= tu_cap:
                 tu_checked += 1
                 if not is_totally_unimodular(sub, cap=tu_cap):
-                    report.failures.append(f"{label}: fractional submatrix is not TU")
+                    report.fail(label, f"{label}: fractional submatrix is not TU")
             mixed = solve_milp(model)
             if mixed.status != OPTIMAL:
-                report.failures.append(f"{label}: solve_milp returned {mixed.status}")
+                report.fail(label, f"{label}: solve_milp returned {mixed.status}")
                 continue
             if any(x.denominator != 1 for x in mixed.assignment):
-                report.failures.append(f"{label}: solve_milp's optimum is not integral")
+                report.fail(label, f"{label}: solve_milp's optimum is not integral")
             integral = integralize_solution(model, mixed)
             if integral.assignment != mixed.assignment:
-                report.failures.append(f"{label}: integralize_solution changed an integral optimum")
+                report.fail(label, f"{label}: integralize_solution changed an integral optimum")
             if integral.objective_value != mixed.objective_value:
-                report.failures.append(
+                report.fail(
+                    label,
                     f"{label}: integralized objective {integral.objective_value} "
                     f"!= mixed optimum {mixed.objective_value}"
                 )
@@ -413,19 +448,20 @@ def suite_ksum_chain(n_max: int = 6, magnitude: int = 3) -> SuiteReport:
                 src = solve_small_ksum_bruteforce(source)
                 mid = solve_small_ksum_bruteforce(shifted)
                 if src.decision != mid.decision:
-                    report.failures.append(f"{label}: shift changed the decision")
+                    report.fail(label, f"{label}: shift changed the decision")
                     continue
                 knapsack = ksum_to_pkp(shifted)
                 pkp = solve_pkp_bruteforce(knapsack)
                 if pkp.decision != mid.decision:
                     note = f"{label}: k-sum says {mid.decision}, knapsack says {pkp.decision}"
                     if chain_preconditions_met(shifted):
-                        report.failures.append(note)
+                        report.fail(label, note)
                     else:
                         precondition_mismatches.append(note)
                 mpk = solve_mpk_bruteforce(pkp_to_mpk(knapsack))
                 if (mpk.decision, mpk.best_product) != (pkp.decision, pkp.best_product):
-                    report.failures.append(
+                    report.fail(
+                        label,
                         f"{label}: knapsack says {pkp.decision} at {pkp.best_product}, "
                         f"multicolored knapsack says {mpk.decision} at {mpk.best_product}"
                     )
@@ -446,7 +482,8 @@ def suite_mpk_chain(count: int = 200, seed: int = 4) -> SuiteReport:
         mpk = solve_mpk_bruteforce(inst)
         cbc = solve_bruteforce(mpk_to_cbcct(inst))
         if (mpk.decision, mpk.best_product) != (cbc.decision, cbc.best_probability):
-            report.failures.append(
+            report.fail(
+                idx,
                 f"instance {idx} (classes {sizes}): knapsack says {mpk.decision} at "
                 f"{mpk.best_product}, tournament says {cbc.decision} at {cbc.best_probability}"
             )
@@ -470,7 +507,8 @@ def suite_cup_chain(count: int = 100, seed: int = 5) -> SuiteReport:
         src = solve_bruteforce(inst)
         tgt = solve_cup_bruteforce(image)
         if (src.decision, src.best_probability) != (tgt.decision, tgt.best_probability):
-            report.failures.append(
+            report.fail(
+                idx,
                 f"instance {idx} (n={n}): tournament says {src.decision} at "
                 f"{src.best_probability}, cup says {tgt.decision} at {tgt.best_probability}"
             )
@@ -480,7 +518,8 @@ def suite_cup_chain(count: int = 100, seed: int = 5) -> SuiteReport:
                 direct = evaluate_plan(inst, plan).win_probability
                 via_cup = cup_win_probability(image, cup_choices_from_plan(plan))
                 if direct != via_cup:
-                    report.failures.append(
+                    report.fail(
+                        idx,
                         f"instance {idx} plan {choices}: direct {direct} != cup {via_cup}"
                     )
                     break
@@ -538,7 +577,7 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
     def check(label: str, ok: bool) -> None:
         report.total += 1
         if not ok:
-            report.failures.append(label)
+            report.fail(label, label)
 
     # max x1+x2 s.t. x1<=2, x2<=3 -> 5 at (2, 3)
     m1 = MilpModel(
@@ -623,8 +662,7 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
 
     # Formal-log comparison law against direct rational product comparison.
     rng = generators.split_rng(seed, "logs")
-    bad = 0
-    for _ in range(draws):
+    for draw in range(draws):
         base_count = rng.randint(1, 4)
         bases = [
             Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(base_count)
@@ -641,10 +679,8 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
             p1 *= q**a
             p2 *= q**b
         if (lhs.compare(rhs) >= 0) != (p1 >= p2):
-            bad += 1
+            report.fail(draw, f"formal-log law failed on draw {draw}: {bases} to {k1} and {k2}")
     report.total += draws
-    if bad:
-        report.failures.append(f"formal-log law failed on {bad}/{draws} draws")
     return report
 
 
@@ -662,7 +698,7 @@ def suite_bracket_normalization(count: int = 100, seed: int = 7) -> SuiteReport:
         dist = bracket_distribution(inst, choices)
         total = sum(dist.values(), Fraction(0))
         if total != 1:
-            report.failures.append(f"instance {idx}: probabilities sum to {total}")
+            report.fail(idx, f"instance {idx}: probabilities sum to {total}")
     return report
 
 

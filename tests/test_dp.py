@@ -339,15 +339,23 @@ class TestFoldedChallengers:
         kernel = _dpkernel_py.transition_compact
 
         def counted(*args):
-            calls.append(args)
-            return kernel(*args)
+            result = kernel(*args)
+            calls.append((args, result))
+            return result
 
         monkeypatch.setattr(_dpkernel_py, "transition_compact", counted)
         for idx, inst in enumerate(folding_instances()):
             calls.clear()
-            budget_sweep(inst)
+            sweep = budget_sweep(inst)
             rows = [v for v in inst.bribe_vectors if len(v) > 1 or not v.entries[0].losing_probability]
             assert len(calls) == len(rows), idx
+            # perfbench's tracer counts dp.candidates from args[2].shape and
+            # dp.row_values_max from len(result[1]).  Rows are built bottom up.
+            for t, (args, result) in enumerate(reversed(calls), start=1):
+                prev_starts, costs, rmap = args[:3]
+                assert rmap.shape == (len(costs), len(prev_starts) + 1), (idx, t)
+                assert [ranks[0] for ranks in rmap.tolist()] == [-1] * len(costs), (idx, t)
+                assert list(result[1]) == sweep._rows[t].ranks.tolist(), (idx, t)
 
 
 class TestScaleSmoke:

@@ -337,3 +337,6 @@ class TestChainSuites:
         report = verify.suite_cup_chain()
         assert not report.passed
         assert any(" plan (" in f for f in report.failures)
+        # 78 instances fail, some on two lines each: the count is by instance.
+        assert len(report.failures) > len(report.failed) == 78
+        assert report.summary().startswith("cup-chain: 22/100 pass [FAIL]")
