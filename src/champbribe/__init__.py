@@ -4,7 +4,8 @@ The package covers constructive bribery in challenge-the-champ tournaments
 (exhaustive, pseudo-polynomial DP, and two MILP-based fixed-parameter
 solvers), the product-knapsack family it reduces from, cup-tournament
 bribery it reduces to, and a fully exact rational LP/MILP engine with
-formal-logarithm objectives and total-unimodularity machinery.
+formal-logarithm objectives and a linear-time check that fixing a model's
+integer columns leaves only integral vertices.
 """
 
 from .core import (
@@ -47,7 +48,7 @@ from .milp import (
     MilpSolution,
     MilpVariable,
     integralize_solution,
-    is_totally_unimodular,
+    integrality_defect,
     solve_lp_exact,
     solve_milp,
 )

@@ -44,12 +44,10 @@ bounds the pivots of one solve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import CapExceededError, ModelError, SolverError
 
@@ -929,63 +927,62 @@ def _branch_and_bound(model, rows, log_rows, bits: int, pivots: _Pivots):
     return (INFEASIBLE, None, None) if incumbent is None else (OPTIMAL, incumbent, incumbent_val)
 
 
-# -- total unimodularity -------------------------------------------------------
+# -- integrality of the continuous block ---------------------------------------
 
 
-def is_totally_unimodular(matrix: Sequence[Sequence], cap: int = 12) -> bool:
-    """True iff every square submatrix has determinant in {-1, 0, 1}.
+def _integral(x) -> bool:
+    return _rational(x) and x.denominator == 1
 
-    Decided via the Ghouila-Houri row-signing criterion, which is equivalent
-    to the subdeterminant definition; the dimension cap keeps the exponential
-    sweep at desk scale.
+
+def integrality_defect(model: MilpModel) -> str | None:
+    """None if fixing the integer columns at integers leaves only integral
+    vertices, else one line saying why that is not shown.
+
+    Exact on its class, in time linear in the nonzeros: every entry on the
+    continuous columns is 1 or -1, at most two per column, and the rows
+    that touch them take a 2-colouring that splits the two rows of a column
+    when their signs are equal and joins them when they differ, which makes
+    the block totally unimodular (Heller and Tompkins, 1956; Schrijver,
+    1986, ch. 19).  Those rows need integral right-hand sides and integral
+    coefficients on the integer columns (a formal log is not), and every
+    continuous upper bound must be integral or absent.
     """
-    rows = [list(r) for r in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m > cap or n > cap:
-        raise CapExceededError(f"matrix {m}x{n} exceeds the {cap}x{cap} cap")
-    if any(len(r) != n for r in rows):
-        raise ModelError("ragged matrix")
-    entries = [[int(x) if Fraction(x) in (-1, 0, 1) else None for x in r] for r in rows]
-    if any(x is None for r in entries for x in r):
-        return False
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(m), size):
-            if not _has_equitable_signing([entries[i] for i in subset], n):
-                return False
-    return True
-
-
-def _has_equitable_signing(rows: list[list[int]], n: int) -> bool:
-    """Is there a +/-1 signing of `rows` with all column sums in {-1, 0, 1}?"""
-    m = len(rows)
-    suffix = [[0] * n for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        for j in range(n):
-            suffix[i][j] = suffix[i + 1][j] + abs(rows[i][j])
-
-    cur = [0] * n
-
-    def feasible(i: int) -> bool:
-        if i == m:
-            return all(-1 <= s <= 1 for s in cur)
-        for sign in (1, -1) if i else (1,):  # first row sign fixed by symmetry
-            ok = True
-            for j in range(n):
-                if rows[i][j]:
-                    cur[j] += sign * rows[i][j]
-                    if abs(cur[j]) > 1 + suffix[i + 1][j]:
-                        ok = False
-            if ok and feasible(i + 1):
-                return True
-            for j in range(n):
-                if rows[i][j]:
-                    cur[j] -= sign * rows[i][j]
-            if not ok:
-                continue
-        return False
-
-    return feasible(0)
+    cont = set(model.fractional_columns())
+    hits: dict[int, list] = {j: [] for j in cont}  # column -> [(row, sign)]
+    for i, row in enumerate(model.rows):
+        if row.coeffs.keys().isdisjoint(cont):
+            continue
+        if not _integral(row.rhs):
+            return f"row {i} has rhs {row.rhs!r}, not an integer"
+        for j, c in row.coeffs.items():
+            if j in cont and c in (1, -1):
+                hits[j].append((i, c))
+            elif j in cont or not _integral(c):
+                kind = "continuous" if j in cont else "integer"
+                return f"row {i} has coefficient {c!r} on {kind} column {j}"
+    adjacent: dict[int, list] = {}  # row -> [(row, must the colours differ)]
+    for j, rows in hits.items():
+        upper = model.variables[j].upper
+        if upper is not None and not _integral(upper):
+            return f"continuous column {j} has upper bound {upper}, not an integer"
+        if len(rows) > 2:
+            return f"continuous column {j} has {len(rows)} nonzeros, more than two"
+        if len(rows) == 2:
+            (a, s), (b, t) = rows
+            adjacent.setdefault(a, []).append((b, s == t))
+            adjacent.setdefault(b, []).append((a, s == t))
+    colour: dict[int, bool] = {}
+    for root in adjacent:
+        queue = [] if root in colour else [root]
+        colour.setdefault(root, False)
+        for a in queue:  # breadth first over the rows joined to root
+            for b, differ in adjacent[a]:
+                if b not in colour:
+                    colour[b] = colour[a] ^ differ
+                    queue.append(b)
+                elif colour[b] != colour[a] ^ differ:
+                    return f"rows {a} and {b} close a cycle that no signed 2-colouring fits"
+    return None
 
 
 # -- integral rounding (all-integer optimum from a mixed one) -------------------
@@ -995,15 +992,15 @@ def integralize_solution(model: MilpModel, mixed: MilpSolution) -> MilpSolution:
     """Round a mixed optimum to an all-integer one of equal objective value.
 
     Requires integral values on the integer columns (a `SolverError`
-    otherwise), a totally unimodular fractional-column submatrix
-    (caller-asserted), integral residual right-hand sides, and the row
-    convention that all rows touching fractional columns form the tail
-    block of the model.  An optimum whose
-    every column is already integral is returned as it is; this is always
-    the case for a vertex, such as the incumbent of `solve_milp`, under these
-    preconditions.  Only a mixed optimum that is not a vertex is rounded: the
-    restricted LP over the fractional columns is re-solved to a vertex, which
-    is then integral, and spliced back in.
+    otherwise), a model that passes `integrality_defect` (not checked here:
+    the `milp-integrality` and `fpt-scale` suites run it on the FPT models),
+    and the row convention that all rows touching fractional columns form
+    the tail block of the model.  An optimum whose every column is already
+    integral is returned as it is; this is always the case for a vertex,
+    such as the incumbent of `solve_milp`, under these preconditions.  Only
+    a mixed optimum that is not a vertex is rounded: the restricted LP over
+    the fractional columns is re-solved to a vertex, which is then
+    integral, and spliced back in.
     """
     if mixed.status != OPTIMAL or mixed.assignment is None:
         raise SolverError("integralize_solution requires an optimal mixed solution")

@@ -39,7 +39,9 @@ totally unimodular, with an integral right-hand side (the fixed integer
 counts on the linking rows, the group sizes on the others).  So that
 vertex, and with it the whole incumbent, is integral, and
 `milp.integralize_solution` hands it back unchanged; it re-solves an LP
-only for a mixed optimum that is not a vertex.
+only for a mixed optimum that is not a vertex.  `milp.integrality_defect`
+checks this structure in linear time, on every model that the
+`milp-integrality` and `fpt-scale` suites build, never on the solve path.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .milp import (
     MilpVariable,
     OPTIMAL,
     integralize_solution,
-    is_totally_unimodular,
+    integrality_defect,
     solve_lp_exact,
     solve_milp,
 )
@@ -108,6 +108,15 @@ def _check_witness(report, label, inst, result) -> None:
         report.fail(
             label, f"{route}: witness evaluates to {prob}, result claims {result.best_probability}"
         )
+
+
+def _check_integrality(report, key, label, model) -> None:
+    """Run `integrality_defect` on `model`, counted in `details`; a defect
+    fails the instance `key`."""
+    report.details["integrality_checked"] = report.details.get("integrality_checked", 0) + 1
+    defect = integrality_defect(model)
+    if defect is not None:
+        report.fail(key, f"{label}: {defect}")
 
 
 # Every fifth agreement instance draws raw vectors from this pool, so the
@@ -316,9 +325,10 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
     value on the frontier, so the fpt-probs decision at B falls on either
     side of it.  At B, fpt-probs must say yes exactly when the fpt-bribes
     optimum is at least t, its witness probability must not exceed that
-    optimum, and the witnesses of both routes must check.  No DP is run,
-    though it would fit: at seed 9 `budget_sweep` solves each of the ten
-    draws in 0.1-3.7 s, under its candidate cap.
+    optimum, and the witnesses of both routes must check.  Both models of
+    each draw must pass `integrality_defect`.  No DP is run, though it would
+    fit: at seed 9 `budget_sweep` solves each of the ten draws in 0.1-3.7 s,
+    under its candidate cap.
     """
     report = SuiteReport("fpt-scale", total=count)
     rng = generators.split_rng(seed, "fpt-scale-params")
@@ -332,6 +342,9 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
         label = f"instance {idx} (n={n}, B={budget}, B'={other})"
         at_other = solve_fpt_bribe_values(CbcctInstance(drawn.bribe_vectors, other, Fraction(0)))
         inst = CbcctInstance(drawn.bribe_vectors, budget, at_other.best_probability)
+        normalized = normalize_instance(inst)
+        for build in (build_bribe_value_milp, build_prob_value_milp):
+            _check_integrality(report, label, f"{label} {build.__name__}", build(normalized)[0])
         bribes = solve_fpt_bribe_values(inst)
         probs = solve_fpt_prob_values(inst)
         best = bribes.best_probability
@@ -355,27 +368,17 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
     return report
 
 
-def _fractional_submatrix(model: MilpModel) -> list[list]:
-    """The rows touching the fractional columns, dense over those columns."""
-    frac = model.fractional_columns()
-    return [
-        [row.coeffs.get(j, 0) for j in frac]
-        for row in model.rows
-        if not row.coeffs.keys().isdisjoint(frac)
-    ]
-
-
 @_timed
-def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) -> SuiteReport:
-    """TU structure and integral optima on FPT model builds.
+def suite_milp_integrality(count: int = 100, seed: int = 3) -> SuiteReport:
+    """The integrality check and integral optima on FPT model builds.
 
-    `solve_milp`'s optimum must be all-integral as returned, and
-    `integralize_solution` must hand it back unchanged at equal objective.
+    Every build must pass `integrality_defect`, `solve_milp`'s optimum must
+    be all-integral as returned, and `integralize_solution` must hand it
+    back unchanged at equal objective.
     """
     report = SuiteReport("milp-integrality", total=count)
     rng = generators.split_rng(seed, "milp-params")
     built = 0
-    tu_checked = 0
     idx = 0
     while built < count:
         idx += 1
@@ -395,11 +398,7 @@ def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) ->
             built += 1
             label = f"build {built} ({build.__name__}, n={n})"
             model, _ = build(normalize_instance(inst))
-            sub = _fractional_submatrix(model)
-            if sub and len(sub) <= tu_cap and len(sub[0]) <= tu_cap:
-                tu_checked += 1
-                if not is_totally_unimodular(sub, cap=tu_cap):
-                    report.fail(label, f"{label}: fractional submatrix is not TU")
+            _check_integrality(report, label, label, model)
             mixed = solve_milp(model)
             if mixed.status != OPTIMAL:
                 report.fail(label, f"{label}: solve_milp returned {mixed.status}")
@@ -416,7 +415,6 @@ def suite_milp_integrality(count: int = 100, seed: int = 3, tu_cap: int = 12) ->
                     f"!= mixed optimum {mixed.objective_value}"
                 )
     report.total = built
-    report.details["tu_checked"] = tu_checked
     return report
 
 

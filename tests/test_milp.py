@@ -1,4 +1,5 @@
-"""Exact LP/MILP engine: simplex, branch and bound, formal logs, TU, rounding."""
+"""Exact LP/MILP engine: simplex, branch and bound, formal logs, the
+integrality check, rounding."""
 
 import dataclasses
 import itertools
@@ -19,7 +20,7 @@ from champbribe import (
     ModelError,
     SolverError,
     integralize_solution,
-    is_totally_unimodular,
+    integrality_defect,
     solve_lp_exact,
     solve_milp,
     verify,
@@ -1036,7 +1037,7 @@ class TestFormalLog:
             assert rhs <= ln_bounds(t, bits)[0]
 
 
-# -- total unimodularity -------------------------------------------------------
+# -- the integrality check -----------------------------------------------------
 
 
 def _tu_by_subdeterminants(matrix):
@@ -1069,36 +1070,88 @@ def _det(mat):
     return det
 
 
-class TestTotallyUnimodular:
+def _block(matrix, rhs=1):
+    """The rows `matrix` <= rhs over continuous columns only."""
+    return rational_model([(row, LE, rhs) for row in matrix], [0] * len(matrix[0]), len(matrix[0]))
+
+
+def _two_per_column(rng, m, n):
+    """A random 0/+-1 m x n matrix with at most two nonzeros per column."""
+    mat = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), rng.randint(0, min(2, m))):
+            mat[i][j] = rng.choice((-1, 1))
+    return mat
+
+
+class TestIntegralityDefect:
     def test_identity(self):
-        assert is_totally_unimodular([[1, 0], [0, 1]])
+        assert integrality_defect(_block([[1, 0], [0, 1]])) is None
 
     def test_determinant_two(self):
-        assert not is_totally_unimodular([[1, 1], [-1, 1]])
+        assert "2-colouring" in integrality_defect(_block([[1, 1], [-1, 1]]))
 
     def test_three_by_two_interval_matrix(self):
-        assert is_totally_unimodular([[1, 0], [1, 1], [0, 1]])
+        assert integrality_defect(_block([[1, 0], [1, 1], [0, 1]])) is None
 
     def test_entry_outside_pm_one(self):
-        assert not is_totally_unimodular([[2]])
-        assert not is_totally_unimodular([[Fraction(1, 2)]])
+        assert "on continuous column 0" in integrality_defect(_block([[2]]))
+        assert "on continuous column 0" in integrality_defect(_block([[F(1, 2)]]))
 
-    def test_dimension_cap(self):
-        with pytest.raises(CapExceededError):
-            is_totally_unimodular([[1] * 13], cap=12)
+    def test_odd_cycle(self):
+        # Three rows, each pair sharing a column with two +1s: no 2-colouring.
+        triangle = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
+        assert "2-colouring" in integrality_defect(_block(triangle))
+        assert not _tu_by_subdeterminants(triangle)
 
-    def test_matches_subdeterminant_oracle_on_random_matrices(self):
+    def test_three_nonzeros_in_a_column(self):
+        # This column is TU on its own, but it lies outside the class the
+        # check decides, so it is refused.
+        assert "more than two" in integrality_defect(_block([[1], [-1], [1]]))
+
+    def test_fractional_rhs_on_a_touching_row(self):
+        assert "rhs" in integrality_defect(_block([[1, 0], [1, 1]], rhs=F(1, 2)))
+        m = model([("x", True, 3), ("y", False, None)], [([F(1, 2), 0], LE, F(1, 2))], [1, 1])
+        assert integrality_defect(m) is None  # the row touches no continuous column
+
+    def test_integer_column_coefficients_on_a_touching_row(self):
+        int_and_cont = [("x", True, 3), ("y", False, None)]
+        assert integrality_defect(model(int_and_cont, [([3, 1], EQ, 4)], [1, 1])) is None
+        m = model(int_and_cont, [([F(1, 2), 1], EQ, 1)], [1, 1])
+        assert "integer column 0" in integrality_defect(m)
+        m = model(int_and_cont, [([FormalLog(2), 1], GE, 1)], [1, 1])
+        assert "integer column 0" in integrality_defect(m)
+
+    def test_continuous_upper_bounds(self):
+        for upper, ok in ((None, True), (2, True), (F(4, 2), True), (F(1, 2), False)):
+            m = model([("y", False, upper)], [([1], LE, 1)], [1])
+            assert (integrality_defect(m) is None) == ok, upper
+
+    def test_matches_subdeterminant_oracle_with_two_nonzeros_per_column(self):
         import random
 
         rng = random.Random(5)
-        agree = 0
-        for _ in range(60):
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            mat = [[rng.choice((-1, 0, 0, 1, 1)) for _ in range(n)] for _ in range(m)]
-            assert is_totally_unimodular(mat) == _tu_by_subdeterminants(mat)
-            agree += 1
-        assert agree == 60
+        verdicts = set()
+        for _ in range(400):
+            mat = _two_per_column(rng, rng.randint(1, 5), rng.randint(1, 5))
+            accepted = integrality_defect(_block(mat)) is None
+            assert accepted == _tu_by_subdeterminants(mat), mat
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
+    def test_sound_on_unrestricted_matrices(self):
+        import random
+
+        rng = random.Random(6)
+        verdicts = set()
+        for _ in range(400):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            mat = [[rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(n)] for _ in range(m)]
+            accepted = integrality_defect(_block(mat)) is None
+            if accepted:
+                assert _tu_by_subdeterminants(mat), mat
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
 
 # -- integral rounding ----------------------------------------------------------

@@ -16,6 +16,7 @@ from champbribe import (
     build_prob_value_milp,
     evaluate_plan,
     integralize_solution,
+    integrality_defect,
     solve_bruteforce,
     solve_dp,
     solve_fpt_bribe_values,
@@ -296,7 +297,8 @@ class TestBribeValueModel:
 
     def test_fractional_submatrix_has_two_ones_per_column(self):
         # The linking and group-size row families each hit every per-group
-        # column exactly once with a +1: the structure behind unimodularity.
+        # column exactly once with a +1: the structure behind unimodularity,
+        # which `integrality_defect` checks as a whole.
         rng = split_rng(37, "two-ones")
         for idx in range(20):
             inst = gen_cbcct(37, rng.randint(1, 6), 3, 10, index=idx)
@@ -310,6 +312,7 @@ class TestBribeValueModel:
                     group_hits = [r.coeffs[col] for r in group if r.coeffs.get(col, 0) != 0]
                     assert link_hits == [F(1)]
                     assert group_hits == [F(1)]
+                assert integrality_defect(model) is None
 
     def test_builders_emit_plain_ints(self):
         # Every rational coefficient and rhs reaches the tableau as an int,
