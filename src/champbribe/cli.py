@@ -210,6 +210,12 @@ def _cmd_verify(args) -> int:
         flags = {"count": args.count, "seed": args.seed}
         report = suite(**{k: v for k, v in flags.items() if v is not None and k in params})
         print(report.summary())
+        if report.details:
+            shown = (
+                f"{key}={len(value) if isinstance(value, list) else value}"
+                for key, value in report.details.items()
+            )
+            print("  details: " + ", ".join(shown))
         for failure in report.failures[:10]:
             print(f"  {failure}")
         if len(report.failures) > 10:

@@ -26,6 +26,7 @@ Pair = tuple[int, int]
 # or `reductions.cbcct_to_cup`.  C(2**rounds, 2) grows as 4**rounds; 2**16
 # allows a full cup of up to 8 rounds (256 players, 32 640 pairs).
 CUP_PAIRS_CAP = 1 << 16
+CUP_COMBO_CAP = 10**6  # most bribe combinations `solve_cup_bruteforce` enumerates
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,9 @@ def choices_cost(inst: CupInstance, choices: Mapping[Pair, int] | None = None) -
     return total
 
 
-def solve_cup_bruteforce(inst: CupInstance, combo_cap: int = 10**6) -> CupSolveResult:
-    """Maximize the favorite's win probability over affordable bribe choices.
+def solve_cup_bruteforce(inst: CupInstance) -> CupSolveResult:
+    """Maximize the favorite's win probability over at most `CUP_COMBO_CAP`
+    affordable bribe choices.
 
     Ties go to the lexicographically smallest choice vector over the stored
     pairs in canonical order; no affordable combination at all is a no with
@@ -163,8 +165,8 @@ def solve_cup_bruteforce(inst: CupInstance, combo_cap: int = 10**6) -> CupSolveR
     count = 1
     for pair in pairs:
         count *= len(inst.pairwise[pair])
-    if count > combo_cap:
-        raise CapExceededError(f"{count} bribe combinations exceed the cap of {combo_cap}")
+    if count > CUP_COMBO_CAP:
+        raise CapExceededError(f"{count} bribe combinations exceed the cap of {CUP_COMBO_CAP}")
     best: Fraction | None = None
     best_choices: dict[Pair, int] | None = None
     for combo in iter_product(*(range(1, len(inst.pairwise[p]) + 1) for p in pairs)):

@@ -216,7 +216,9 @@ def gen_ksum(
     return SmallKSumInstance(tuple(numbers), k)
 
 
-DEFAULT_PROFIT_POOL: tuple[Fraction, ...] = (
+# Pools of `gen_mpk`, `gen_pkp` and `gen_cup`; weight and value pools are distinct, ascending.
+MPK_WEIGHT_POOL: tuple[int, ...] = (0, 1, 2, 3, 5)
+MPK_PROFIT_POOL: tuple[Fraction, ...] = (
     Fraction(1, 4),
     Fraction(1, 3),
     Fraction(1, 2),
@@ -224,18 +226,20 @@ DEFAULT_PROFIT_POOL: tuple[Fraction, ...] = (
     Fraction(3, 4),
     Fraction(1),
 )
+PKP_MAX_WEIGHT = 8
+PKP_PROFIT_POOL = (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(4, 3), Fraction(2))
+CUP_VALUE_POOL: tuple[int, ...] = (0, 1, 2)
 
 
 def gen_mpk(
     seed: int,
     class_sizes: Sequence[int],
-    weight_pool: Sequence[int] = (0, 1, 2, 3, 5),
-    profit_pool: Sequence[Fraction] = DEFAULT_PROFIT_POOL,
     *,
     planted: bool = False,
     index: int = 0,
 ) -> MpkInstance:
-    """Random multicolored product knapsack with profits in (0, 1].
+    """Random multicolored product knapsack: weights from MPK_WEIGHT_POOL,
+    profits from MPK_PROFIT_POOL.
 
     Weights within a class are drawn without replacement, so the
     challenge-the-champ image keeps one entry per item.
@@ -244,19 +248,16 @@ def gen_mpk(
         raise InstanceError("need at least one color class")
     for size in class_sizes:
         check_field(size, "class size", 1)
-    if max(class_sizes) > len(set(weight_pool)):
+    if max(class_sizes) > len(MPK_WEIGHT_POOL):
         raise InstanceError("class size exceeds distinct weight pool values")
-    profits = [Fraction(p) for p in profit_pool]
-    if any(not 0 < p <= 1 for p in profits):
-        raise InstanceError("profit pool values must lie in (0, 1]")
     rng = split_rng(seed, "mpk", index)
     items: list[PkpItem] = []
     classes: list[tuple[int, ...]] = []
     for size in class_sizes:
-        weights = sorted(rng.sample(sorted(set(weight_pool)), size))
+        weights = sorted(rng.sample(MPK_WEIGHT_POOL, size))
         start = len(items)
         for w in weights:
-            items.append(PkpItem(w, rng.choice(profits)))
+            items.append(PkpItem(w, rng.choice(MPK_PROFIT_POOL)))
         classes.append(tuple(range(start, len(items))))
     selection = [rng.choice(cls) for cls in classes]
     sel_weight = sum(items[i].weight for i in selection)
@@ -271,26 +272,13 @@ def gen_mpk(
     return MpkInstance(tuple(items), tuple(classes), max(capacity, 1), target)
 
 
-def gen_pkp(
-    seed: int,
-    n: int,
-    weight_range: tuple[int, int] = (0, 8),
-    profit_pool: Sequence[Fraction] = (
-        Fraction(1, 2),
-        Fraction(3, 4),
-        Fraction(1),
-        Fraction(4, 3),
-        Fraction(2),
-    ),
-    *,
-    index: int = 0,
-) -> PkpInstance:
-    """Random product knapsack; profits may exceed 1."""
+def gen_pkp(seed: int, n: int, *, index: int = 0) -> PkpInstance:
+    """Random product knapsack: weights in 0..PKP_MAX_WEIGHT, profits from
+    PKP_PROFIT_POOL, some above 1."""
     check_field(n, "n")
     rng = split_rng(seed, "pkp", index)
     items = tuple(
-        PkpItem(rng.randint(*weight_range), rng.choice(list(profit_pool)))
-        for _ in range(n)
+        PkpItem(rng.randint(0, PKP_MAX_WEIGHT), rng.choice(PKP_PROFIT_POOL)) for _ in range(n)
     )
     taken = [i for i in range(n) if rng.random() < 0.5]
     capacity = max(1, sum(items[i].weight for i in taken) + rng.randint(0, 2))
@@ -303,16 +291,9 @@ def gen_pkp(
     return PkpInstance(items, capacity, target)
 
 
-def gen_cup(
-    seed: int,
-    rounds: int,
-    lmax: int = 2,
-    value_pool: Sequence[int] = (0, 1, 2),
-    prob_pool: Sequence[Fraction] = DEFAULT_PROB_POOL,
-    *,
-    index: int = 0,
-) -> CupInstance:
-    """Random cup instance on 2**rounds players with full pairwise vectors.
+def gen_cup(seed: int, rounds: int, lmax: int = 2, *, index: int = 0) -> CupInstance:
+    """Random cup instance on 2**rounds players with full pairwise vectors
+    of up to `lmax` entries from CUP_VALUE_POOL and DEFAULT_PROB_POOL.
 
     More than `CUP_PAIRS_CAP` pairwise vectors raises `CapExceededError`
     before anything is drawn.
@@ -324,20 +305,21 @@ def gen_cup(
         raise CapExceededError(
             f"a cup of {rounds} rounds needs more than {CUP_PAIRS_CAP} pairwise vectors"
         )
-    if lmax > len(set(value_pool)):
+    if lmax > len(CUP_VALUE_POOL):
         raise InstanceError("lmax exceeds distinct value pool size")
     rng = split_rng(seed, "cup", index)
     n = 1 << rounds
-    pool = sorted(set(value_pool))
-    probs = [Fraction(p) for p in prob_pool]
     drawn: dict = {}
     pairwise = {
-        (i, j): _draw_vector(rng, lmax, pool, probs, normalize=True, canonical=False, drawn=drawn)
+        (i, j): _draw_vector(
+            rng, lmax, CUP_VALUE_POOL, DEFAULT_PROB_POOL, normalize=True, canonical=False,
+            drawn=drawn,
+        )
         for i in range(n)
         for j in range(i + 1, n)
     }
     seeding = list(range(n))
     rng.shuffle(seeding)
     budget = rng.randint(0, max(1, len(pairwise)))
-    threshold = rng.choice(probs)
+    threshold = rng.choice(DEFAULT_PROB_POOL)
     return CupInstance(n, rng.randrange(n), tuple(seeding), pairwise, budget, threshold)

@@ -143,11 +143,17 @@ class KsumResult(NamedTuple):
     witness: tuple[int, ...] | None
 
 
-def solve_pkp_bruteforce(inst: PkpInstance, max_items: int = 24) -> PkpResult:
-    """Enumerate all subsets; ties go to the earliest (smallest bitmask) subset."""
+# Brute-force size caps, checked before any enumeration.
+PKP_ITEMS_CAP = 24
+MPK_SELECTION_CAP = 10**7
+KSUM_COMBO_CAP = 10**6
+
+
+def solve_pkp_bruteforce(inst: PkpInstance) -> PkpResult:
+    """Enumerate all subsets of at most `PKP_ITEMS_CAP` items; the smallest bitmask wins ties."""
     n = len(inst.items)
-    if n > max_items:
-        raise CapExceededError(f"{n} items exceed the brute-force cap of {max_items}")
+    if n > PKP_ITEMS_CAP:
+        raise CapExceededError(f"{n} items exceed the brute-force cap of {PKP_ITEMS_CAP}")
     best = Fraction(1)  # empty subset
     best_subset: tuple[int, ...] = ()
     for mask in range(1, 1 << n):
@@ -195,16 +201,16 @@ def solve_pkp_dp(inst: PkpInstance) -> PkpResult:
     return PkpResult(product, witness, product >= inst.target)
 
 
-def solve_mpk_bruteforce(inst: MpkInstance, selection_cap: int = 10**7) -> MpkResult:
-    """Enumerate one-item-per-class selections.
+def solve_mpk_bruteforce(inst: MpkInstance) -> MpkResult:
+    """Enumerate one-item-per-class selections, at most `MPK_SELECTION_CAP`.
 
     All-selections-overweight is reported as a no with no witness.
     """
     count = 1
     for cls in inst.classes:
         count *= len(cls)
-    if count > selection_cap:
-        raise CapExceededError(f"{count} selections exceed the cap of {selection_cap}")
+    if count > MPK_SELECTION_CAP:
+        raise CapExceededError(f"{count} selections exceed the cap of {MPK_SELECTION_CAP}")
     best: Fraction | None = None
     best_sel: tuple[int, ...] | None = None
     for sel in itertools.product(*inst.classes):
@@ -222,14 +228,14 @@ def solve_mpk_bruteforce(inst: MpkInstance, selection_cap: int = 10**7) -> MpkRe
     return MpkResult(best, best_sel, best >= inst.target)
 
 
-def solve_small_ksum_bruteforce(inst: SmallKSumInstance, combo_cap: int = 10**6) -> KsumResult:
-    """Check all size-k index subsets against the target sum."""
+def solve_small_ksum_bruteforce(inst: SmallKSumInstance) -> KsumResult:
+    """Check all size-k index subsets, at most `KSUM_COMBO_CAP`, against the target sum."""
     n = len(inst.numbers)
     count = 1
     for i in range(inst.k):
         count = count * (n - i) // (i + 1)
-    if count > combo_cap:
-        raise CapExceededError(f"C({n},{inst.k}) = {count} exceeds the cap of {combo_cap}")
+    if count > KSUM_COMBO_CAP:
+        raise CapExceededError(f"C({n},{inst.k}) = {count} exceeds the cap of {KSUM_COMBO_CAP}")
     for combo in itertools.combinations(range(n), inst.k):
         if sum(inst.numbers[i] for i in combo) == inst.target:
             return KsumResult(True, combo)

@@ -750,15 +750,6 @@ def _simplex(tab: _Tableau, objective: MilpObjective):
     return OPTIMAL, tuple(values)
 
 
-def _model_lp_rows(model: MilpModel, rows) -> list:
-    """`rows` plus the model's upper-bound rows, as (coeffs, relation, rhs) for the simplex."""
-    if any(_is_log(r.rhs) or any(map(_is_log, r.coeffs.values())) for r in rows):
-        raise ModelError("constraint rows with formal-log coefficients are not LP-solvable")
-    variables = enumerate(model.variables)
-    bounds = [({j: 1}, LE, v.upper) for j, v in variables if v.upper is not None]
-    return [(r.coeffs, r.relation, r.rhs) for r in rows] + bounds
-
-
 def _log_objective(objective: MilpObjective) -> bool:
     """Are the coefficients of `objective` formal logs?  A mix of formal-log
     and rational coefficients raises `ModelError`."""
@@ -768,34 +759,12 @@ def _log_objective(objective: MilpObjective) -> bool:
     return logs > 0
 
 
-def _reported(model: MilpModel, z):
-    """The model's objective value for the maximized value `z`."""
-    return -z if model.objective.sense == "min" else z
-
-
-def solve_lp_exact(model: MilpModel) -> MilpSolution:
-    """Optimal vertex of the LP relaxation (integrality flags ignored).
-
-    Exact simplex with Bland's anti-cycling rules (dual simplex to a
-    feasible basis, then primal), within `PIVOT_CAP` pivots.  Objectives
-    may carry formal-log coefficients (not mixed with rational ones);
-    constraint rows must be rational.  The objective value is read from the
-    final tableau.
-    """
-    _log_objective(model.objective)
-    tab = _Tableau(_model_lp_rows(model, model.rows), model.num_variables, _Pivots(PIVOT_CAP))
-    status, assignment = _simplex(tab, model.objective)
-    if status != OPTIMAL:
-        return MilpSolution(status)
-    return MilpSolution(OPTIMAL, assignment, _reported(model, tab.z))
-
-
 # -- branch and bound ----------------------------------------------------------
 
 # Bits of the first log-row approximation, doubled per restart, and the most
-# restarts before `solve_milp` gives up.  One `solve_milp` (or
-# `solve_lp_exact`) call spends at most `PIVOT_CAP` simplex pivots over all
-# its rounds and nodes, then raises `CapExceededError`.
+# restarts before `solve_milp` gives up.  One `solve_milp` call spends at
+# most `PIVOT_CAP` simplex pivots over all its rounds and nodes, then raises
+# `CapExceededError`.
 LOG_START_BITS = 128
 LOG_MAX_ROUNDS = 24
 PIVOT_CAP = 10**5
@@ -859,10 +828,11 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     the lowest fractional integer column when no group sum is fractional.
     The objective value is read from the incumbent node's final tableau.
     An unbounded relaxation is reported as unbounded.  More than `PIVOT_CAP`
-    pivots in all raise `CapExceededError`.  A mixed objective (as in
-    `solve_lp_exact`) raises `ModelError`, and so does a formal-log one
-    with a formal-log row: the row's dyadic coefficients would enter the
-    formal-log reduced costs as exponents too large to compare.
+    pivots in all raise `CapExceededError`.  An objective that mixes
+    rational and formal-log coefficients raises `ModelError`, and so does a
+    formal-log one with a formal-log row: the row's dyadic coefficients
+    would enter the formal-log reduced costs as exponents too large to
+    compare.
     """
     for v in model.variables:
         if v.is_integer and v.upper is None:
@@ -870,7 +840,8 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     plain, log_rows = _split_log_rows(model)
     if _log_objective(model.objective) and log_rows:
         raise ModelError("a formal-log objective cannot be combined with formal-log rows")
-    rows = _model_lp_rows(model, plain)
+    bounds = [({j: 1}, LE, v.upper) for j, v in enumerate(model.variables) if v.upper is not None]
+    rows = [(r.coeffs, r.relation, r.rhs) for r in plain] + bounds
     bits = LOG_START_BITS
     pivots = _Pivots(PIVOT_CAP)
     for _ in range(LOG_MAX_ROUNDS):
@@ -879,8 +850,26 @@ def solve_milp(model: MilpModel) -> MilpSolution:
         except _NeedsMorePrecision:
             bits *= 2
             continue
-        return MilpSolution(status, incumbent, None if z is None else _reported(model, z))
+        if z is not None and model.objective.sense == "min":
+            z = -z
+        return MilpSolution(status, incumbent, z)
     raise SolverError("log-row approximation failed to converge")
+
+
+def solve_lp_exact(model: MilpModel) -> MilpSolution:
+    """Optimal vertex of the LP relaxation: `solve_milp` on a copy of the
+    model whose columns are all continuous, with the same rows and
+    objective and no branch groups.
+
+    With no integer column, branch and bound is its root alone: exact
+    simplex with Bland's anti-cycling rules (dual simplex to a feasible
+    basis, then primal), within `PIVOT_CAP` pivots.  Objectives may carry
+    formal-log coefficients (not mixed with rational ones); a constraint
+    row with a formal log is refused, since `solve_milp` takes those on
+    integer columns only.
+    """
+    relaxed = tuple(MilpVariable(v.name, False, v.upper) for v in model.variables)
+    return solve_milp(MilpModel(relaxed, model.rows, model.objective))
 
 
 def _branch_and_bound(model, rows, log_rows, bits: int, pivots: _Pivots):

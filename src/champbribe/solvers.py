@@ -96,13 +96,16 @@ def _result(inst: CbcctInstance, plan: BribePlan, algorithm: str) -> SolveResult
     return SolveResult(prob, plan, prob >= inst.threshold, algorithm)
 
 
-def solve_bruteforce(inst: CbcctInstance, plan_cap: int = 10**7) -> SolveResult:
-    """Enumerate every plan; ties go to the lexicographically smallest one."""
+PLAN_CAP = 10**7  # most plans `solve_bruteforce` enumerates
+
+
+def solve_bruteforce(inst: CbcctInstance) -> SolveResult:
+    """Enumerate at most `PLAN_CAP` plans; ties go to the lexicographically smallest one."""
     total = 1
     for v in inst.bribe_vectors:
         total *= len(v)
-    if total > plan_cap:
-        raise CapExceededError(f"{total} plans exceed the brute-force cap of {plan_cap}")
+    if total > PLAN_CAP:
+        raise CapExceededError(f"{total} plans exceed the brute-force cap of {PLAN_CAP}")
     best: Fraction | None = None
     best_plan: BribePlan | None = None
     for choices in iter_product(*(range(1, len(v) + 1) for v in inst.bribe_vectors)):

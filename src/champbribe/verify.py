@@ -2,13 +2,16 @@
 
 Each suite runs a seeded batch, returns a `SuiteReport`, and is shared
 verbatim by the command-line `verify` subcommand and the acceptance tests.
-Failures carry human-readable descriptions of the offending instance.
+Failures carry human-readable descriptions of the offending instance.  Each
+instance runs under `SuiteReport.instance`, so an error it raises, such as
+a cap refusal, is that instance's failure and the suite goes on.
 """
 
 from __future__ import annotations
 
 import functools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, zip_longest
@@ -17,6 +20,7 @@ from . import generators
 from .core import BribePlan, CbcctInstance, evaluate_plan, normalize_instance
 from .cup import bracket_distribution, cup_win_probability, solve_cup_bruteforce
 from .dp import budget_sweep
+from .errors import ChampBribeError
 from .knapsack import (
     SmallKSumInstance,
     solve_mpk_bruteforce,
@@ -71,6 +75,16 @@ class SuiteReport:
         """Record one failure line against the instance `key`."""
         self.failures.append(message)
         self.failed.add(key)
+
+    @contextmanager
+    def instance(self, label: str):
+        """Run the checks of the instance `label`: a `ChampBribeError` they
+        raise, such as a cap refusal, fails that instance and the suite
+        goes on to the next."""
+        try:
+            yield
+        except ChampBribeError as exc:
+            self.fail(label, f"{label}: {type(exc).__name__}: {exc}")
 
     @property
     def passed(self) -> bool:
@@ -134,28 +148,30 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
         n = rng.randint(0, 6)
         budget = rng.randint(0, 20)
         raw = idx % 5 == 4
-        inst = generators.gen_cbcct(
-            seed, n, 3, budget, generators.DEFAULT_VALUE_POOL,
-            ZERO_PROB_POOL if raw else generators.DEFAULT_PROB_POOL, normalize=not raw, index=idx,
-        )
         label = f"instance {idx} (n={n}, B={budget})"
-        brute = solve_bruteforce(inst)
-        results = [brute, solve_dp(inst), solve_fpt_bribe_values(inst)]
-        for r in results:
-            if r.best_probability != brute.best_probability or r.decision != brute.decision:
-                report.fail(
-                    label,
-                    f"{label}: {r.algorithm} returned {r.best_probability}/{r.decision}, "
-                    f"brute force returned {brute.best_probability}/{brute.decision}"
-                )
-            _check_witness(report, label, inst, r)
-        probs = solve_fpt_prob_values(inst)
-        if probs.decision != brute.decision:
-            report.fail(
-                label, f"{label}: fpt-probs decision {probs.decision} != brute {brute.decision}"
+        with report.instance(label):
+            inst = generators.gen_cbcct(
+                seed, n, 3, budget, generators.DEFAULT_VALUE_POOL,
+                ZERO_PROB_POOL if raw else generators.DEFAULT_PROB_POOL, normalize=not raw,
+                index=idx,
             )
-        _check_witness(report, label, inst, probs)
-        yes += brute.decision
+            brute = solve_bruteforce(inst)
+            results = [brute, solve_dp(inst), solve_fpt_bribe_values(inst)]
+            for r in results:
+                if r.best_probability != brute.best_probability or r.decision != brute.decision:
+                    report.fail(
+                        label,
+                        f"{label}: {r.algorithm} returned {r.best_probability}/{r.decision}, "
+                        f"brute force returned {brute.best_probability}/{brute.decision}"
+                    )
+                _check_witness(report, label, inst, r)
+            probs = solve_fpt_prob_values(inst)
+            if probs.decision != brute.decision:
+                report.fail(
+                    label, f"{label}: fpt-probs decision {probs.decision} != brute {brute.decision}"
+                )
+            _check_witness(report, label, inst, probs)
+            yes += brute.decision
     report.details["yes_rate"] = yes / count if count else 0.0
     report.details["zero_pool_instances"] = count // 5
     return report
@@ -173,21 +189,23 @@ def suite_normalization(count: int = 200, seed: int = 1) -> SuiteReport:
     for idx in range(count):
         n = rng.randint(1, 6)
         budget = rng.randint(0, 20)
-        inst = generators.gen_cbcct(seed, n, 3, budget, normalize=False, index=idx)
-        inst = generators.make_nonmonotone(inst)
-        if all(v.monotone for v in inst.bribe_vectors):
-            report.fail(idx, f"instance {idx}: not actually non-monotone")
-            continue
-        before = budget_sweep(inst).frontier()
-        after = budget_sweep(normalize_instance(inst)).frontier()
-        if before != after:
-            # Below the first differing breakpoint the sweeps agree; at its budget they differ.
-            i = next(i for i, (a, b) in enumerate(zip_longest(before, after)) if a != b)
-            report.fail(
-                idx,
-                f"instance {idx}: sweep changed under normalization (first diff at budget "
-                f"{min(cost for cost, _ in before[i : i + 1] + after[i : i + 1])})"
-            )
+        label = f"instance {idx}"
+        with report.instance(label):
+            inst = generators.gen_cbcct(seed, n, 3, budget, normalize=False, index=idx)
+            inst = generators.make_nonmonotone(inst)
+            if all(v.monotone for v in inst.bribe_vectors):
+                report.fail(label, f"{label}: not actually non-monotone")
+                continue
+            before = budget_sweep(inst).frontier()
+            after = budget_sweep(normalize_instance(inst)).frontier()
+            if before != after:
+                # Below the first differing breakpoint the sweeps agree; at its budget they differ.
+                i = next(i for i, (a, b) in enumerate(zip_longest(before, after)) if a != b)
+                report.fail(
+                    label,
+                    f"{label}: sweep changed under normalization (first diff at budget "
+                    f"{min(cost for cost, _ in before[i : i + 1] + after[i : i + 1])})"
+                )
     return report
 
 
@@ -204,24 +222,26 @@ def suite_dp_scale(
 ) -> SuiteReport:
     """One large DP solve; exactness spot-checked through the witness."""
     report = SuiteReport("dp-scale", total=1)
-    inst = generators.gen_cbcct(
-        seed, n, lmax, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True
-    )
-    sweep = budget_sweep(inst)
-    best = sweep.best_at()
-    witness = sweep.witness()
-    if best is None or witness is None:
-        report.fail(0, "scale instance unexpectedly infeasible")
-        return report
-    cost, prob = evaluate_plan(inst, witness)
-    if prob != best:
-        report.fail(0, f"witness probability {prob} != reported {best}")
-    if cost > budget:
-        report.fail(0, f"witness cost {cost} exceeds budget {budget}")
-    smaller = sweep.best_at(budget // 2)
-    if smaller is not None and smaller > best:
-        report.fail(0, "sweep is not monotone in the budget")
-    report.details["digits"] = len(str(best.numerator))
+    label = "scale instance"
+    with report.instance(label):
+        inst = generators.gen_cbcct(
+            seed, n, lmax, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True
+        )
+        sweep = budget_sweep(inst)
+        best = sweep.best_at()
+        witness = sweep.witness()
+        if best is None or witness is None:
+            report.fail(label, f"{label} unexpectedly infeasible")
+            return report
+        cost, prob = evaluate_plan(inst, witness)
+        if prob != best:
+            report.fail(label, f"witness probability {prob} != reported {best}")
+        if cost > budget:
+            report.fail(label, f"witness cost {cost} exceeds budget {budget}")
+        smaller = sweep.best_at(budget // 2)
+        if smaller is not None and smaller > best:
+            report.fail(label, "sweep is not monotone in the budget")
+        report.details["digits"] = len(str(best.numerator))
     return report
 
 
@@ -283,31 +303,32 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
     report = SuiteReport("value-agreement", total=count + count // 4 + count // 8)
     yes = no = width = bits = 0
     for label, inst, large in _value_instances(count, seed):
-        sweep = budget_sweep(inst)
-        width = max(width, *(len(row.starts) for row in sweep._rows[1:]))
-        bits = max(bits, sweep._top[-1].bit_length() if sweep._top else 0)
-        bribes = solve_fpt_bribe_values(inst)
-        if bribes.best_probability != sweep.best_at():
-            report.fail(
-                label,
-                f"{label}: fpt-bribes optimum {bribes.best_probability} != dp {sweep.best_at()}"
-            )
-        _check_witness(report, label, inst, bribes)
-        if large:
-            continue
-        need = sweep.min_cost_for(inst.threshold)
-        probs = solve_fpt_prob_values(inst)
-        yes += probs.decision
-        no += not probs.decision
-        if probs.decision != (need is not None):
-            report.fail(
-                label, f"{label}: fpt-probs decision {probs.decision}, dp minimum budget {need}"
-            )
-        elif probs.decision:
-            cost = evaluate_plan(inst, probs.witness).cost
-            if cost != need:
-                report.fail(label, f"{label}: fpt-probs witness costs {cost}, dp needs {need}")
-        _check_witness(report, label, inst, probs)
+        with report.instance(label):
+            sweep = budget_sweep(inst)
+            width = max(width, *(len(row.starts) for row in sweep._rows[1:]))
+            bits = max(bits, sweep._top[-1].bit_length() if sweep._top else 0)
+            bribes = solve_fpt_bribe_values(inst)
+            if bribes.best_probability != sweep.best_at():
+                report.fail(
+                    label,
+                    f"{label}: fpt-bribes optimum {bribes.best_probability} != dp {sweep.best_at()}"
+                )
+            _check_witness(report, label, inst, bribes)
+            if large:
+                continue
+            need = sweep.min_cost_for(inst.threshold)
+            probs = solve_fpt_prob_values(inst)
+            yes += probs.decision
+            no += not probs.decision
+            if probs.decision != (need is not None):
+                report.fail(
+                    label, f"{label}: fpt-probs decision {probs.decision}, dp minimum budget {need}"
+                )
+            elif probs.decision:
+                cost = evaluate_plan(inst, probs.witness).cost
+                if cost != need:
+                    report.fail(label, f"{label}: fpt-probs witness costs {cost}, dp needs {need}")
+            _check_witness(report, label, inst, probs)
     report.details["yes"] = yes
     report.details["no"] = no
     report.details["prime_pool_instances"] = count // 4 + count // 8
@@ -332,39 +353,43 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
     """
     report = SuiteReport("fpt-scale", total=count)
     rng = generators.split_rng(seed, "fpt-scale-params")
-    yes = 0
+    yes = no = 0
     for idx in range(count):
         n = rng.randint(3000, 10**4)
         budget, other = rng.randint(0, 100 * n), rng.randint(0, 100 * n)
-        drawn = generators.gen_cbcct(
-            seed, n, 4, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True, index=idx
-        )
         label = f"instance {idx} (n={n}, B={budget}, B'={other})"
-        at_other = solve_fpt_bribe_values(CbcctInstance(drawn.bribe_vectors, other, Fraction(0)))
-        inst = CbcctInstance(drawn.bribe_vectors, budget, at_other.best_probability)
-        normalized = normalize_instance(inst)
-        for build in (build_bribe_value_milp, build_prob_value_milp):
-            _check_integrality(report, label, f"{label} {build.__name__}", build(normalized)[0])
-        bribes = solve_fpt_bribe_values(inst)
-        probs = solve_fpt_prob_values(inst)
-        best = bribes.best_probability
-        if probs.decision != (best >= inst.threshold):
-            report.fail(
-                label,
-                f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
-                f"against threshold {inst.threshold}"
+        with report.instance(label):
+            drawn = generators.gen_cbcct(
+                seed, n, 4, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True, index=idx
             )
-        elif probs.decision and probs.best_probability > best:
-            report.fail(
-                label,
-                f"{label}: fpt-probs witness probability {probs.best_probability} "
-                f"exceeds the fpt-bribes optimum {best}"
-            )
-        _check_witness(report, label, inst, bribes)
-        _check_witness(report, label, inst, probs)
-        yes += probs.decision
+            vectors = drawn.bribe_vectors
+            at_other = solve_fpt_bribe_values(CbcctInstance(vectors, other, Fraction(0)))
+            inst = CbcctInstance(vectors, budget, at_other.best_probability)
+            normalized = normalize_instance(inst)
+            for build in (build_bribe_value_milp, build_prob_value_milp):
+                model = build(normalized)[0]
+                _check_integrality(report, label, f"{label} {build.__name__}", model)
+            bribes = solve_fpt_bribe_values(inst)
+            probs = solve_fpt_prob_values(inst)
+            best = bribes.best_probability
+            if probs.decision != (best >= inst.threshold):
+                report.fail(
+                    label,
+                    f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
+                    f"against threshold {inst.threshold}"
+                )
+            elif probs.decision and probs.best_probability > best:
+                report.fail(
+                    label,
+                    f"{label}: fpt-probs witness probability {probs.best_probability} "
+                    f"exceeds the fpt-bribes optimum {best}"
+                )
+            _check_witness(report, label, inst, bribes)
+            _check_witness(report, label, inst, probs)
+            yes += probs.decision
+            no += not probs.decision
     report.details["yes"] = yes
-    report.details["no"] = count - yes
+    report.details["no"] = no
     return report
 
 
@@ -397,23 +422,24 @@ def suite_milp_integrality(count: int = 100, seed: int = 3) -> SuiteReport:
                 break
             built += 1
             label = f"build {built} ({build.__name__}, n={n})"
-            model, _ = build(normalize_instance(inst))
-            _check_integrality(report, label, label, model)
-            mixed = solve_milp(model)
-            if mixed.status != OPTIMAL:
-                report.fail(label, f"{label}: solve_milp returned {mixed.status}")
-                continue
-            if any(x.denominator != 1 for x in mixed.assignment):
-                report.fail(label, f"{label}: solve_milp's optimum is not integral")
-            integral = integralize_solution(model, mixed)
-            if integral.assignment != mixed.assignment:
-                report.fail(label, f"{label}: integralize_solution changed an integral optimum")
-            if integral.objective_value != mixed.objective_value:
-                report.fail(
-                    label,
-                    f"{label}: integralized objective {integral.objective_value} "
-                    f"!= mixed optimum {mixed.objective_value}"
-                )
+            with report.instance(label):
+                model, _ = build(normalize_instance(inst))
+                _check_integrality(report, label, label, model)
+                mixed = solve_milp(model)
+                if mixed.status != OPTIMAL:
+                    report.fail(label, f"{label}: solve_milp returned {mixed.status}")
+                    continue
+                if any(x.denominator != 1 for x in mixed.assignment):
+                    report.fail(label, f"{label}: solve_milp's optimum is not integral")
+                integral = integralize_solution(model, mixed)
+                if integral.assignment != mixed.assignment:
+                    report.fail(label, f"{label}: integralize_solution changed an integral optimum")
+                if integral.objective_value != mixed.objective_value:
+                    report.fail(
+                        label,
+                        f"{label}: integralized objective {integral.objective_value} "
+                        f"!= mixed optimum {mixed.objective_value}"
+                    )
     report.total = built
     return report
 
@@ -441,28 +467,29 @@ def suite_ksum_chain(n_max: int = 6, magnitude: int = 3) -> SuiteReport:
             for combo in combinations_with_replacement(values, n):
                 report.total += 1
                 label = f"S={list(combo)}, k={k}"
-                source = SmallKSumInstance(tuple(combo), k)
-                shifted = shift_ksum(source)
-                src = solve_small_ksum_bruteforce(source)
-                mid = solve_small_ksum_bruteforce(shifted)
-                if src.decision != mid.decision:
-                    report.fail(label, f"{label}: shift changed the decision")
-                    continue
-                knapsack = ksum_to_pkp(shifted)
-                pkp = solve_pkp_bruteforce(knapsack)
-                if pkp.decision != mid.decision:
-                    note = f"{label}: k-sum says {mid.decision}, knapsack says {pkp.decision}"
-                    if chain_preconditions_met(shifted):
-                        report.fail(label, note)
-                    else:
-                        precondition_mismatches.append(note)
-                mpk = solve_mpk_bruteforce(pkp_to_mpk(knapsack))
-                if (mpk.decision, mpk.best_product) != (pkp.decision, pkp.best_product):
-                    report.fail(
-                        label,
-                        f"{label}: knapsack says {pkp.decision} at {pkp.best_product}, "
-                        f"multicolored knapsack says {mpk.decision} at {mpk.best_product}"
-                    )
+                with report.instance(label):
+                    source = SmallKSumInstance(tuple(combo), k)
+                    shifted = shift_ksum(source)
+                    src = solve_small_ksum_bruteforce(source)
+                    mid = solve_small_ksum_bruteforce(shifted)
+                    if src.decision != mid.decision:
+                        report.fail(label, f"{label}: shift changed the decision")
+                        continue
+                    knapsack = ksum_to_pkp(shifted)
+                    pkp = solve_pkp_bruteforce(knapsack)
+                    if pkp.decision != mid.decision:
+                        note = f"{label}: k-sum says {mid.decision}, knapsack says {pkp.decision}"
+                        if chain_preconditions_met(shifted):
+                            report.fail(label, note)
+                        else:
+                            precondition_mismatches.append(note)
+                    mpk = solve_mpk_bruteforce(pkp_to_mpk(knapsack))
+                    if (mpk.decision, mpk.best_product) != (pkp.decision, pkp.best_product):
+                        report.fail(
+                            label,
+                            f"{label}: knapsack says {pkp.decision} at {pkp.best_product}, "
+                            f"multicolored knapsack says {mpk.decision} at {mpk.best_product}"
+                        )
     report.details["precondition_mismatches"] = precondition_mismatches
     return report
 
@@ -476,15 +503,17 @@ def suite_mpk_chain(count: int = 200, seed: int = 4) -> SuiteReport:
     for idx in range(count):
         k = rng.randint(1, 4)
         sizes = [rng.randint(1, 3) for _ in range(k)]
-        inst = generators.gen_mpk(seed, sizes, index=idx)
-        mpk = solve_mpk_bruteforce(inst)
-        cbc = solve_bruteforce(mpk_to_cbcct(inst))
-        if (mpk.decision, mpk.best_product) != (cbc.decision, cbc.best_probability):
-            report.fail(
-                idx,
-                f"instance {idx} (classes {sizes}): knapsack says {mpk.decision} at "
-                f"{mpk.best_product}, tournament says {cbc.decision} at {cbc.best_probability}"
-            )
+        label = f"instance {idx} (classes {sizes})"
+        with report.instance(label):
+            inst = generators.gen_mpk(seed, sizes, index=idx)
+            mpk = solve_mpk_bruteforce(inst)
+            cbc = solve_bruteforce(mpk_to_cbcct(inst))
+            if (mpk.decision, mpk.best_product) != (cbc.decision, cbc.best_probability):
+                report.fail(
+                    label,
+                    f"{label}: knapsack says {mpk.decision} at {mpk.best_product}, "
+                    f"tournament says {cbc.decision} at {cbc.best_probability}"
+                )
     return report
 
 
@@ -500,27 +529,30 @@ def suite_cup_chain(count: int = 100, seed: int = 5) -> SuiteReport:
     rng = generators.split_rng(seed, "cup-params")
     for idx in range(count):
         n = rng.randint(1, 3)
-        inst = generators.gen_cbcct(seed, n, 3, rng.randint(0, 10), index=idx)
-        image = cbcct_to_cup(inst)
-        src = solve_bruteforce(inst)
-        tgt = solve_cup_bruteforce(image)
-        if (src.decision, src.best_probability) != (tgt.decision, tgt.best_probability):
-            report.fail(
-                idx,
-                f"instance {idx} (n={n}): tournament says {src.decision} at "
-                f"{src.best_probability}, cup says {tgt.decision} at {tgt.best_probability}"
-            )
-        if idx < PLAN_EQUALITY_INSTANCES:
-            for choices in product(*(range(1, len(v) + 1) for v in inst.bribe_vectors)):
-                plan = BribePlan(choices)
-                direct = evaluate_plan(inst, plan).win_probability
-                via_cup = cup_win_probability(image, cup_choices_from_plan(plan))
-                if direct != via_cup:
-                    report.fail(
-                        idx,
-                        f"instance {idx} plan {choices}: direct {direct} != cup {via_cup}"
-                    )
-                    break
+        budget = rng.randint(0, 10)
+        label = f"instance {idx} (n={n})"
+        with report.instance(label):
+            inst = generators.gen_cbcct(seed, n, 3, budget, index=idx)
+            image = cbcct_to_cup(inst)
+            src = solve_bruteforce(inst)
+            tgt = solve_cup_bruteforce(image)
+            if (src.decision, src.best_probability) != (tgt.decision, tgt.best_probability):
+                report.fail(
+                    label,
+                    f"{label}: tournament says {src.decision} at {src.best_probability}, "
+                    f"cup says {tgt.decision} at {tgt.best_probability}"
+                )
+            if idx < PLAN_EQUALITY_INSTANCES:
+                for choices in product(*(range(1, len(v) + 1) for v in inst.bribe_vectors)):
+                    plan = BribePlan(choices)
+                    direct = evaluate_plan(inst, plan).win_probability
+                    via_cup = cup_win_probability(image, cup_choices_from_plan(plan))
+                    if direct != via_cup:
+                        report.fail(
+                            label,
+                            f"instance {idx} plan {choices}: direct {direct} != cup {via_cup}"
+                        )
+                        break
     return report
 
 
@@ -570,12 +602,7 @@ def _lattice_optimum(model: MilpModel) -> Fraction | None:
 def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
     """Worked LP/MILP examples, seeded bounded integer models against lattice
     enumeration, and the formal-log comparison law."""
-    report = SuiteReport("lp-unit", total=0)
-
-    def check(label: str, ok: bool) -> None:
-        report.total += 1
-        if not ok:
-            report.fail(label, label)
+    report = SuiteReport("lp-unit")
 
     # max x1+x2 s.t. x1<=2, x2<=3 -> 5 at (2, 3)
     m1 = MilpModel(
@@ -583,8 +610,6 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
         (MilpRow({0: 1}, "<=", 2), MilpRow({1: 1}, "<=", 3)),
         MilpObjective({0: 1, 1: 1}, "max"),
     )
-    s1 = solve_lp_exact(m1)
-    check("box LP", s1.status == OPTIMAL and s1.objective_value == 5 and s1.assignment == (2, 3))
 
     # max 2x1+x2 s.t. x1+x2<=4, x1<=3 -> 7 at (3, 1)
     m2 = MilpModel(
@@ -592,8 +617,6 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
         (MilpRow({0: 1, 1: 1}, "<=", 4), MilpRow({0: 1}, "<=", 3)),
         MilpObjective({0: 2, 1: 1}, "max"),
     )
-    s2 = solve_lp_exact(m2)
-    check("vertex LP", s2.status == OPTIMAL and s2.objective_value == 7 and s2.assignment == (3, 1))
 
     # max x1 s.t. x1 <= -1 -> infeasible with x >= 0
     m3 = MilpModel(
@@ -601,7 +624,6 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
         (MilpRow({0: 1}, "<=", -1),),
         MilpObjective({0: 1}, "max"),
     )
-    check("infeasible LP", solve_lp_exact(m3).status == "infeasible")
 
     # max x s.t. 2x <= 3, x integer -> 1
     m4 = MilpModel(
@@ -609,21 +631,12 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
         (MilpRow({0: 2}, "<=", 3),),
         MilpObjective({0: 1}, "max"),
     )
-    s4 = solve_milp(m4)
-    check("floor MILP", s4.status == OPTIMAL and s4.assignment == (1,) and s4.objective_value == 1)
 
     # max x+y s.t. x+2y <= 4, x <= 1, x integer -> x=1, y=3/2
     m5 = MilpModel(
         (MilpVariable("x", is_integer=True, upper=10), MilpVariable("y")),
         (MilpRow({0: 1, 1: 2}, "<=", 4), MilpRow({0: 1}, "<=", 1)),
         MilpObjective({0: 1, 1: 1}, "max"),
-    )
-    s5 = solve_milp(m5)
-    check(
-        "mixed MILP",
-        s5.status == OPTIMAL
-        and s5.assignment == (1, Fraction(3, 2))
-        and s5.objective_value == Fraction(5, 2),
     )
 
     # x >= 1/3, x <= 2/3, x integer -> infeasible
@@ -632,7 +645,20 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
         (MilpRow({0: 1}, ">=", Fraction(1, 3)), MilpRow({0: 1}, "<=", Fraction(2, 3))),
         MilpObjective({0: 1}, "max"),
     )
-    check("integer-slice MILP", solve_milp(m6).status == "infeasible")
+    worked = [  # (label, solver, model, (status, assignment, objective value))
+        ("box LP", solve_lp_exact, m1, (OPTIMAL, (2, 3), 5)),
+        ("vertex LP", solve_lp_exact, m2, (OPTIMAL, (3, 1), 7)),
+        ("infeasible LP", solve_lp_exact, m3, ("infeasible", None, None)),
+        ("floor MILP", solve_milp, m4, (OPTIMAL, (1,), 1)),
+        ("mixed MILP", solve_milp, m5, (OPTIMAL, (1, Fraction(3, 2)), Fraction(5, 2))),
+        ("integer-slice MILP", solve_milp, m6, ("infeasible", None, None)),
+    ]
+    report.total = len(worked) + LP_UNIT_MODELS + draws
+    for label, solve, model, expected in worked:
+        with report.instance(label):
+            s = solve(model)
+            if (s.status, s.assignment, s.objective_value) != expected:
+                report.fail(label, label)
 
     # Seeded bounded integer models: the status and optimum must match
     # enumeration, and the reported point must be a feasible lattice point.
@@ -640,22 +666,25 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
     statuses: dict[str, int] = {}
     for idx in range(LP_UNIT_MODELS):
         model = _draw_bounded_milp(rng)
-        best = _lattice_optimum(model)
-        sol = solve_milp(model)
-        statuses[sol.status] = statuses.get(sol.status, 0) + 1
-        if best is None:
-            ok = sol.status == "infeasible"
-        else:
-            ok = (
-                sol.status == OPTIMAL
-                and sol.objective_value == best
-                and _lattice_point_value(model, sol.assignment) == best
-            )
-        check(
-            f"seeded model {idx}: {sol.status} {sol.objective_value} at {sol.assignment}, "
-            f"enumeration {best}",
-            ok,
-        )
+        label = f"seeded model {idx}"
+        with report.instance(label):
+            best = _lattice_optimum(model)
+            sol = solve_milp(model)
+            statuses[sol.status] = statuses.get(sol.status, 0) + 1
+            if best is None:
+                ok = sol.status == "infeasible"
+            else:
+                ok = (
+                    sol.status == OPTIMAL
+                    and sol.objective_value == best
+                    and _lattice_point_value(model, sol.assignment) == best
+                )
+            if not ok:
+                report.fail(
+                    label,
+                    f"{label}: {sol.status} {sol.objective_value} at {sol.assignment}, "
+                    f"enumeration {best}",
+                )
     report.details["seeded_models"] = statuses
 
     # Formal-log comparison law against direct rational product comparison.
@@ -678,7 +707,6 @@ def suite_lp_unit(draws: int = 1000, seed: int = 6) -> SuiteReport:
             p2 *= q**b
         if (lhs.compare(rhs) >= 0) != (p1 >= p2):
             report.fail(draw, f"formal-log law failed on draw {draw}: {bases} to {k1} and {k2}")
-    report.total += draws
     return report
 
 
@@ -689,14 +717,16 @@ def suite_bracket_normalization(count: int = 100, seed: int = 7) -> SuiteReport:
     rng = generators.split_rng(seed, "bracket-params")
     for idx in range(count):
         rounds = rng.randint(1, 3)
-        inst = generators.gen_cup(seed, rounds, index=idx)
-        choices = {
-            pair: rng.randint(1, len(vec)) for pair, vec in sorted(inst.pairwise.items())
-        }
-        dist = bracket_distribution(inst, choices)
-        total = sum(dist.values(), Fraction(0))
-        if total != 1:
-            report.fail(idx, f"instance {idx}: probabilities sum to {total}")
+        label = f"instance {idx}"
+        with report.instance(label):
+            inst = generators.gen_cup(seed, rounds, index=idx)
+            choices = {
+                pair: rng.randint(1, len(vec)) for pair, vec in sorted(inst.pairwise.items())
+            }
+            dist = bracket_distribution(inst, choices)
+            total = sum(dist.values(), Fraction(0))
+            if total != 1:
+                report.fail(label, f"{label}: probabilities sum to {total}")
     return report
 
 

@@ -408,6 +408,48 @@ class TestVerify:
         assert main(["verify", "--count", "3", "--seed", "9"]) == 0
         assert seen == {"seeded": (3, 9), "exhaustive": 2}
 
+    def test_details_line(self, monkeypatch, capsys):
+        @verify._timed
+        def counted():
+            report = verify.SuiteReport("counted", total=2)
+            report.details.update(yes=1, statuses={"optimal": 2}, notes=["a", "b", "c"])
+            report.fail(1, "instance 1: wrong")
+            return report
+
+        monkeypatch.setattr(verify, "SUITES", {"counted": counted})
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("counted: 1/2 pass [FAIL]")
+        assert lines[1:] == [
+            "  details: yes=1, statuses={'optimal': 2}, notes=3",
+            "  instance 1: wrong",
+        ]
+
+    def test_cap_error_fails_its_instance(self, monkeypatch, capsys):
+        # A refusal inside one instance is that instance's failure line; the
+        # suite goes on and returns its report.
+        monkeypatch.setattr(milp, "PIVOT_CAP", 5)
+        reports = [
+            verify.suite_solver_agreement(count=10),
+            verify.suite_value_agreement(count=2),
+            verify.suite_milp_integrality(count=10),
+            verify.suite_lp_unit(draws=0),
+        ]
+        for report in reports:
+            capped = [f for f in report.failures if "CapExceededError" in f]
+            assert capped and not report.passed, report.name
+            for line in capped:
+                label, kind, message = line.split(": ")
+                assert label.startswith(("instance ", "build ", "seeded model "))
+                assert kind == "CapExceededError"
+                assert message == "the exact solve needs more than 5 simplex pivots"
+            assert report.pass_count == report.total - len(report.failed)
+        assert [r.pass_count for r in reports] == [4, 0, 3, 191]
+        assert main(["verify", "--suite", "solver-agreement", "--count", "10"]) == 1
+        out = capsys.readouterr().out
+        assert "solver-agreement: 4/10 pass [FAIL]" in out
+        assert "  instance 0 (n=2, B=6): CapExceededError: " in out
+
 
 class TestBench:
     def test_csv_schema(self, capsys):

@@ -12,7 +12,13 @@ from champbribe import (
     solve_cup_bruteforce,
 )
 from champbribe.core import vector
-from champbribe.cup import bracket_distribution, choices_cost, cup_from_dict, cup_to_dict
+from champbribe.cup import (
+    CUP_COMBO_CAP,
+    bracket_distribution,
+    choices_cost,
+    cup_from_dict,
+    cup_to_dict,
+)
 from champbribe.generators import gen_cup, split_rng
 
 
@@ -121,13 +127,13 @@ class TestSolveCup:
         assert r.best_probability is None and r.witness is None and not r.decision
 
     def test_cap(self):
-        pw = {(i, 0): vector([(0, "1/2"), (1, "1")]) for i in range(1, 4)}
-        pw[(1, 2)] = single("1/2")
-        pw[(1, 3)] = single("1/2")
-        pw[(2, 3)] = single("1/2")
-        inst = CupInstance(4, 0, (0, 1, 2, 3), pw, 3, F(1))
-        with pytest.raises(CapExceededError):
-            solve_cup_bruteforce(inst, combo_cap=4)
+        # 8 players, 28 pairs of two entries: 2**28 combinations, over
+        # CUP_COMBO_CAP = 10**6.
+        pw = {(i, j): vector([(0, "1/2"), (1, "1")]) for i in range(8) for j in range(i + 1, 8)}
+        inst = CupInstance(8, 0, tuple(range(8)), pw, 3, F(1))
+        message = f"{2**28} bribe combinations exceed the cap of {CUP_COMBO_CAP}"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            solve_cup_bruteforce(inst)
 
     def test_choices_cost_counts_all_pairs(self):
         pw = {(1, 0): vector([(0, "1/2"), (2, "1")]), (2, 3): vector([(1, "1/2")])}

@@ -1,5 +1,7 @@
 """Product knapsack, multicolored variant, and small k-sum oracles."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,9 @@ from champbribe import (
     solve_small_ksum_bruteforce,
 )
 from champbribe.knapsack import (
+    KSUM_COMBO_CAP,
+    MPK_SELECTION_CAP,
+    PKP_ITEMS_CAP,
     ksum_from_dict,
     ksum_to_dict,
     mpk_from_dict,
@@ -51,9 +56,10 @@ class TestPkpBruteforce:
         assert r.best_product == 1 and r.witness == () and r.decision
 
     def test_cap(self):
-        inst = pkp([(1, 2)] * 5, 3, 1)
-        with pytest.raises(CapExceededError):
-            solve_pkp_bruteforce(inst, max_items=4)
+        inst = pkp([(1, 2)] * (PKP_ITEMS_CAP + 1), 3, 1)
+        message = f"{PKP_ITEMS_CAP + 1} items exceed the brute-force cap of {PKP_ITEMS_CAP}"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            solve_pkp_bruteforce(inst)
 
 
 class TestPkpDp:
@@ -119,6 +125,15 @@ class TestMpk:
         )
         return MpkInstance(items, ((0, 1), (2, 3)), 3, F(target))
 
+    def test_cap(self):
+        # 24 classes of 2 items: 2**24 selections, over MPK_SELECTION_CAP = 10**7.
+        k = MPK_SELECTION_CAP.bit_length()
+        items = tuple(PkpItem(w, F(1, 2)) for _ in range(k) for w in (0, 1))
+        inst = MpkInstance(items, tuple((2 * i, 2 * i + 1) for i in range(k)), 3, F(1, 8))
+        message = f"{2**k} selections exceed the cap of {MPK_SELECTION_CAP}"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            solve_mpk_bruteforce(inst)
+
     def test_worked_example_yes(self):
         r = solve_mpk_bruteforce(self._example("1/3"))
         assert r.best_product == F(1, 3) and r.witness == (0, 3) and r.decision
@@ -183,9 +198,11 @@ class TestSmallKSum:
             SmallKSumInstance((0, 1), True)
 
     def test_cap(self):
+        # C(30, 15) = 155117520 subsets, over KSUM_COMBO_CAP = 10**6.
         inst = SmallKSumInstance(tuple([0] * 30), 15)
-        with pytest.raises(CapExceededError):
-            solve_small_ksum_bruteforce(inst, combo_cap=10**4)
+        message = f"C(30,15) = {math.comb(30, 15)} exceeds the cap of {KSUM_COMBO_CAP}"
+        with pytest.raises(CapExceededError, match=rf"^{re.escape(message)}$"):
+            solve_small_ksum_bruteforce(inst)
 
 
 class TestJson:

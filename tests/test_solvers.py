@@ -30,7 +30,7 @@ from champbribe.core import BribeVector, normalize_bribe_vector, normalize_insta
 from champbribe.dp import budget_sweep
 from champbribe.generators import gen_cbcct, split_rng
 from champbribe.core import instance_from_dict, instance_to_dict
-from champbribe.solvers import _grouping, _plan_from_assignment
+from champbribe.solvers import PLAN_CAP, _grouping, _plan_from_assignment
 
 ALL_SOLVERS = (solve_bruteforce, solve_dp, solve_fpt_bribe_values, solve_fpt_prob_values)
 
@@ -69,11 +69,14 @@ class TestBruteforce:
         assert r.best_probability is None and r.witness is None and not r.decision
 
     def test_cap(self):
+        # 2**24 plans, over PLAN_CAP = 10**7: refused before the first plan.
+        n = PLAN_CAP.bit_length()
         inst = CbcctInstance(
-            tuple(vector([(0, "1/2"), (1, "3/4")]) for _ in range(8)), 4, F(1, 2)
+            tuple(vector([(0, "1/2"), (1, "3/4")]) for _ in range(n)), 4, F(1, 2)
         )
-        with pytest.raises(CapExceededError):
-            solve_bruteforce(inst, plan_cap=200)
+        message = f"{2**n} plans exceed the brute-force cap of {PLAN_CAP}"
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            solve_bruteforce(inst)
 
 
 class TestDp:
