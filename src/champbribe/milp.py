@@ -774,21 +774,31 @@ class _NeedsMorePrecision(Exception):
     pass
 
 
-def _split_log_rows(model: MilpModel):
-    """The model's plain rational rows and its structured formal-log rows."""
+def _split_log_rows(model: MilpModel, int_cols: set):
+    """The model's rational rows as (coeffs, relation, rhs), each row over
+    integer columns `int_cols` with int coefficients divided by their gcd
+    (`solve_milp`), and its structured formal-log rows."""
     log_rows = []
     plain = []
-    int_cols = set(model.integer_columns())
     for row in model.rows:
-        logs = sum(map(_is_log, row.coeffs.values()))
-        if not logs and not _is_log(row.rhs):
-            plain.append(row)
+        coeffs, rel, rhs = row.coeffs, row.relation, row.rhs
+        logs = sum(map(_is_log, coeffs.values()))
+        if not logs and not _is_log(rhs):
+            if (coeffs and int_cols.issuperset(coeffs)
+                    and all(type(c) is int for c in coeffs.values())):
+                g = math.gcd(*coeffs.values())
+                if rel == EQ and rhs % g:
+                    coeffs, rhs = {}, 1  # 0 == 1: no integer point satisfies the row
+                elif g > 1 or type(rhs) is not int:
+                    coeffs = {j: c // g for j, c in coeffs.items()}
+                    rhs = -(-rhs // g) if rel == GE else rhs // g
+            plain.append((coeffs, rel, rhs))
             continue
-        if row.relation != GE or not _is_log(row.rhs):
+        if rel != GE or not _is_log(rhs):
             raise ModelError("formal-log rows must be '>=' with a formal-log right-hand side")
-        if logs < len(row.coeffs):
+        if logs < len(coeffs):
             raise ModelError("formal-log rows cannot mix rational coefficients")
-        if not int_cols.issuperset(row.coeffs):
+        if not int_cols.issuperset(coeffs):
             raise ModelError("formal-log rows may involve integer columns only")
         log_rows.append(row)
     return plain, log_rows
@@ -833,20 +843,43 @@ def solve_milp(model: MilpModel) -> MilpSolution:
     formal-log one with a formal-log row: the row's dyadic coefficients
     would enter the formal-log reduced costs as exponents too large to
     compare.
+
+    Two exact presolve rules (Achterberg, Bixby, Gu, Rothberg and
+    Weninger, "Presolve reductions in mixed integer programming", 2020)
+    tighten the relaxations without changing the integer points or the
+    optimum.  Row gcd: a rational row whose columns are all integer and
+    whose coefficients are all `int` is divided by their gcd g, the rhs of
+    a ``<=`` row rounded down and that of a ``>=`` row up, and an ``==``
+    row whose rhs g does not divide makes the model infeasible.  Every
+    other row, one with a `Fraction` coefficient or a continuous column
+    among them, is left as it is.  Objective grid: when every objective
+    coefficient is an `int`, with gcd g, and `integrality_defect(model)` is
+    None, every integral vertex has its objective value on gZ, so a node
+    whose bound is below incumbent + g cannot improve on the incumbent and
+    is pruned.  The check runs at most once per solve, when a bound first
+    falls within that window.
     """
-    for v in model.variables:
-        if v.is_integer and v.upper is None:
-            raise ModelError(f"integer variable {v.name} needs a finite upper bound")
-    plain, log_rows = _split_log_rows(model)
+    int_cols, bounds = [], []
+    for j, v in enumerate(model.variables):
+        if v.is_integer:
+            if v.upper is None:
+                raise ModelError(f"integer variable {v.name} needs a finite upper bound")
+            int_cols.append(j)
+        if v.upper is not None:
+            bounds.append(({j: 1}, LE, v.upper))
+    plain, log_rows = _split_log_rows(model, set(int_cols))
     if _log_objective(model.objective) and log_rows:
         raise ModelError("a formal-log objective cannot be combined with formal-log rows")
-    bounds = [({j: 1}, LE, v.upper) for j, v in enumerate(model.variables) if v.upper is not None]
-    rows = [(r.coeffs, r.relation, r.rhs) for r in plain] + bounds
+    obj = model.objective.coeffs.values()
+    grid = [math.gcd(*obj) if all(type(c) is int for c in obj) else 0, model]
+    rows = plain + bounds
     bits = LOG_START_BITS
     pivots = _Pivots(PIVOT_CAP)
     for _ in range(LOG_MAX_ROUNDS):
         try:
-            status, incumbent, z = _branch_and_bound(model, rows, log_rows, bits, pivots)
+            status, incumbent, z = _branch_and_bound(
+                model, rows, log_rows, int_cols, bits, pivots, grid
+            )
         except _NeedsMorePrecision:
             bits *= 2
             continue
@@ -872,15 +905,26 @@ def solve_lp_exact(model: MilpModel) -> MilpSolution:
     return solve_milp(MilpModel(relaxed, model.rows, model.objective))
 
 
-def _branch_and_bound(model, rows, log_rows, bits: int, pivots: _Pivots):
+def _on_grid(grid: list) -> bool:
+    """Whether the objective grid [g, model] of `solve_milp` holds.  The
+    first call runs `integrality_defect` on the model and keeps the answer
+    in place, as g or 0."""
+    if grid[1] is not None:
+        grid[:] = grid[0] * (integrality_defect(grid[1]) is None), None
+    return grid[0] > 0
+
+
+def _branch_and_bound(model, rows, log_rows, int_cols, bits: int, pivots: _Pivots, grid):
     """One precision round: a cold root, then children re-optimised warm.
 
-    `rows` are the model's rational LP rows and `log_rows` its formal-log
-    rows; returns (status, incumbent or None, the incumbent node's
-    maximized objective value `z` or None).
+    `rows` are the model's rational LP rows, `log_rows` its formal-log rows
+    and `int_cols` its integer columns in order.  A node whose bound is
+    below incumbent + g, for `grid` = [g, ...], is pruned when `_on_grid`
+    (g is 0 without a grid).  Returns (status, incumbent or None, the
+    incumbent node's maximized objective value `z` or None).
     """
     approx = [_approx_log_row(row, bits) for row in log_rows]
-    int_cols = model.integer_columns()
+    step = grid[0]
 
     incumbent = None
     incumbent_val = None
@@ -892,8 +936,10 @@ def _branch_and_bound(model, rows, log_rows, bits: int, pivots: _Pivots):
             continue
         if status == UNBOUNDED:
             return UNBOUNDED, None, None
-        if incumbent_val is not None and not tab.z > incumbent_val:
-            continue
+        if incumbent_val is not None:
+            z = tab.z
+            if not z > incumbent_val or step and z < incumbent_val + step and _on_grid(grid):
+                continue
         frac_col = next((j for j in int_cols if assignment[j].denominator != 1), None)
         if frac_col is not None:
             # Split the first branch group with a fractional sum, else the

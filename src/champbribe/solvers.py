@@ -41,7 +41,17 @@ vertex, and with it the whole incumbent, is integral, and
 `milp.integralize_solution` hands it back unchanged; it re-solves an LP
 only for a mixed optimum that is not a vertex.  `milp.integrality_defect`
 checks this structure in linear time, on every model that the
-`milp-integrality` and `fpt-scale` suites build, never on the solve path.
+`milp-integrality` and `fpt-scale` suites build.
+
+Two presolve rules of `solve_milp` act on these models.  The budget row of
+the bribe-value model lies on integer columns with int coefficients, so it
+is divided by the gcd of the bribe values and its rhs rounded down (by 500
+on the scale pool).  The probability-value model minimizes an int cost,
+and the structure above passes `integrality_defect`, so every integral
+vertex costs a multiple of the prices' gcd and branch and bound prunes a
+node that cannot beat the incumbent by that step; there the check runs on
+the solve path, at most once per solve.  The formal-log objective of the
+bribe-value model never has a grid.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
     """Brute force, DP, and both MILP routes agree on seeded random instances."""
     report = SuiteReport("solver-agreement", total=count)
     rng = generators.split_rng(seed, "agree-params")
-    yes = 0
+    yes = decided = 0
     for idx in range(count):
         n = rng.randint(0, 6)
         budget = rng.randint(0, 20)
@@ -172,7 +172,10 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
                 )
             _check_witness(report, label, inst, probs)
             yes += brute.decision
-    report.details["yes_rate"] = yes / count if count else 0.0
+            decided += 1
+    # An instance that raised has no decision, so the rate is over the others.
+    report.details["yes_rate"] = yes / decided if decided else 0.0
+    report.details["errored"] = count - decided
     report.details["zero_pool_instances"] = count // 5
     return report
 
@@ -211,6 +214,8 @@ def suite_normalization(count: int = 200, seed: int = 1) -> SuiteReport:
 
 SCALE_VALUE_POOL = (0, 500, 1000, 2500, 6000)
 SCALE_PROB_POOL = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+# The scale values moved off their common factor 500, so their gcd is 1.
+GCD1_VALUE_POOL = (0, 499, 1000, 2501, 6007)
 
 
 @_timed
@@ -341,53 +346,57 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
 def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
     """The two FPT routes as each other's oracle, at n in the thousands.
 
-    Scale-pool instances with n in 3000..10**4 and two budgets B and B'
-    drawn up to 100n.  The threshold t is the fpt-bribes optimum at B', a
-    value on the frontier, so the fpt-probs decision at B falls on either
-    side of it.  At B, fpt-probs must say yes exactly when the fpt-bribes
-    optimum is at least t, its witness probability must not exceed that
-    optimum, and the witnesses of both routes must check.  Both models of
-    each draw must pass `integrality_defect`.  No DP is run, though it would
-    fit: at seed 9 `budget_sweep` solves each of the ten draws in 0.1-3.7 s,
-    under its candidate cap.
+    Instances with n in 3000..10**4 and two budgets B and B' drawn up to
+    100n, `count` over the scale pools and the same draws again over the
+    gcd-1 value pool, on which the row gcd rule of `solve_milp` cannot
+    shrink the budget row and fpt-bribes still branches deep.  The
+    threshold t is the fpt-bribes optimum at B', a value on the frontier,
+    so the fpt-probs decision at B falls on either side of it.  At B,
+    fpt-probs must say yes exactly when the fpt-bribes optimum is at least
+    t, its witness probability must not exceed that optimum, and the
+    witnesses of both routes must check.  Both models of each draw must
+    pass `integrality_defect`, the bribe-value one before any solve.  No
+    DP is run, though it would fit: at seed 9 `budget_sweep` solves each of
+    the ten scale-pool draws in 0.1-3.7 s, under its candidate cap.
     """
-    report = SuiteReport("fpt-scale", total=count)
-    rng = generators.split_rng(seed, "fpt-scale-params")
+    report = SuiteReport("fpt-scale", total=2 * count)
     yes = no = 0
-    for idx in range(count):
-        n = rng.randint(3000, 10**4)
-        budget, other = rng.randint(0, 100 * n), rng.randint(0, 100 * n)
-        label = f"instance {idx} (n={n}, B={budget}, B'={other})"
-        with report.instance(label):
-            drawn = generators.gen_cbcct(
-                seed, n, 4, budget, SCALE_VALUE_POOL, SCALE_PROB_POOL, canonical=True, index=idx
-            )
-            vectors = drawn.bribe_vectors
-            at_other = solve_fpt_bribe_values(CbcctInstance(vectors, other, Fraction(0)))
-            inst = CbcctInstance(vectors, budget, at_other.best_probability)
-            normalized = normalize_instance(inst)
-            for build in (build_bribe_value_milp, build_prob_value_milp):
-                model = build(normalized)[0]
-                _check_integrality(report, label, f"{label} {build.__name__}", model)
-            bribes = solve_fpt_bribe_values(inst)
-            probs = solve_fpt_prob_values(inst)
-            best = bribes.best_probability
-            if probs.decision != (best >= inst.threshold):
-                report.fail(
-                    label,
-                    f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
-                    f"against threshold {inst.threshold}"
+    for pool_name, values in (("scale", SCALE_VALUE_POOL), ("gcd-1", GCD1_VALUE_POOL)):
+        rng = generators.split_rng(seed, "fpt-scale-params")
+        for idx in range(count):
+            n = rng.randint(3000, 10**4)
+            budget, other = rng.randint(0, 100 * n), rng.randint(0, 100 * n)
+            label = f"{pool_name} instance {idx} (n={n}, B={budget}, B'={other})"
+            with report.instance(label):
+                drawn = generators.gen_cbcct(
+                    seed, n, 4, budget, values, SCALE_PROB_POOL, canonical=True, index=idx
                 )
-            elif probs.decision and probs.best_probability > best:
-                report.fail(
-                    label,
-                    f"{label}: fpt-probs witness probability {probs.best_probability} "
-                    f"exceeds the fpt-bribes optimum {best}"
-                )
-            _check_witness(report, label, inst, bribes)
-            _check_witness(report, label, inst, probs)
-            yes += probs.decision
-            no += not probs.decision
+                vectors = drawn.bribe_vectors
+                model = build_bribe_value_milp(normalize_instance(drawn))[0]
+                _check_integrality(report, label, f"{label} build_bribe_value_milp", model)
+                at_other = solve_fpt_bribe_values(CbcctInstance(vectors, other, Fraction(0)))
+                inst = CbcctInstance(vectors, budget, at_other.best_probability)
+                model = build_prob_value_milp(normalize_instance(inst))[0]
+                _check_integrality(report, label, f"{label} build_prob_value_milp", model)
+                bribes = solve_fpt_bribe_values(inst)
+                probs = solve_fpt_prob_values(inst)
+                best = bribes.best_probability
+                if probs.decision != (best >= inst.threshold):
+                    report.fail(
+                        label,
+                        f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
+                        f"against threshold {inst.threshold}"
+                    )
+                elif probs.decision and probs.best_probability > best:
+                    report.fail(
+                        label,
+                        f"{label}: fpt-probs witness probability {probs.best_probability} "
+                        f"exceeds the fpt-bribes optimum {best}"
+                    )
+                _check_witness(report, label, inst, bribes)
+                _check_witness(report, label, inst, probs)
+                yes += probs.decision
+                no += not probs.decision
     report.details["yes"] = yes
     report.details["no"] = no
     return report

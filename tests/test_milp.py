@@ -531,6 +531,63 @@ class TestSolveMilp:
             assert all(x.denominator == 1 for x in got.assignment[:n_int])
         assert seen == {"optimal", "infeasible"}
 
+    def test_row_gcd_floors_a_le_row(self, monkeypatch):
+        # 2x + 2y <= 5 over integer columns is x + y <= 2, whose root LP is
+        # integral: one LP, where the untightened row puts x = 5/2 and branches.
+        lps = _count_lps(monkeypatch)
+        m = model([("x", True, 5), ("y", True, 5)], [((2, 2), LE, 5)], (1, 1))
+        assert milp._split_log_rows(m, {0, 1})[0] == [({0: 1, 1: 1}, LE, 2)]
+        s = solve_milp(m)
+        assert s.objective_value == 2 and lps == [1]
+
+    def test_row_gcd_ceils_a_ge_row(self, monkeypatch):
+        lps = _count_lps(monkeypatch)
+        m = model([("x", True, 5), ("y", True, 5)], [((3, 3), GE, F(4))], (1, 1), "min")
+        assert milp._split_log_rows(m, {0, 1})[0] == [({0: 1, 1: 1}, GE, 2)]
+        s = solve_milp(m)
+        assert s.objective_value == 2 and lps == [1]
+
+    def test_row_gcd_eq_row_off_the_gcd_is_infeasible(self, monkeypatch):
+        # The LP relaxation of 2x + 4y == 3 is feasible (x = 3/2); the gcd
+        # shows at once that no integer point is.
+        lps = _count_lps(monkeypatch)
+        m = model([("x", True, 5), ("y", True, 5)], [((2, 4), EQ, 3)], (1, 1))
+        assert solve_milp(m).status == "infeasible" and lps == [1]
+        for rhs, status in ((F(1, 2), "infeasible"), (6, "optimal")):
+            m = model([("x", True, 5), ("y", True, 5)], [((2, 4), EQ, rhs)], (1, 1))
+            assert solve_milp(m).status == status
+
+    def test_row_gcd_leaves_other_rows_as_they_are(self):
+        # A continuous column, or a Fraction coefficient, keeps the row whole:
+        # max x + y with 2x + 2y <= 5 and y continuous is 5/2, not 2.
+        m = model([("x", True, 5), ("y", False, 5)], [((2, 2), LE, 5)], (1, 1))
+        assert milp._split_log_rows(m, {0})[0] == [({0: 2, 1: 2}, LE, 5)]
+        assert solve_milp(m).objective_value == F(5, 2)
+        m = model([("x", True, 5), ("y", True, 5)], [((F(2), 2), LE, 5)], (1, 1))
+        assert milp._split_log_rows(m, {0, 1})[0] == [({0: 2, 1: 2}, LE, 5)]
+        assert solve_milp(m).objective_value == 2
+
+    def test_objective_grid_cuts_the_lp_count(self, monkeypatch):
+        # Every objective value of an integer point is a multiple of 3, so
+        # once x1 = 3 scores 9, no node with a bound below 12 can improve on
+        # it.  With the integrality check made to fail, the grid is off.
+        m = model([("x0", True, 3), ("x1", True, 3)], [((5, 4), LE, 16)], (3, 3))
+        checks = []
+
+        def check(model):
+            checks.append(model)
+            return real(model)
+
+        real = milp.integrality_defect
+        monkeypatch.setattr(milp, "integrality_defect", check)
+        lps = _count_lps(monkeypatch)
+        on = solve_milp(m)
+        assert (on.objective_value, lps, len(checks)) == (9, [3], 1)
+        monkeypatch.setattr(milp, "integrality_defect", lambda model: "off")
+        lps[0] = 0
+        off = solve_milp(m)
+        assert (off.objective_value, off.assignment, lps) == (9, on.assignment, [13])
+
     def test_branch_groups_are_validated(self):
         m = model([("x", True, 3), ("y", True, 3), ("z", False, None)], [], (F(1), F(1), F(1)))
         assert m.branch_groups == ()
@@ -680,6 +737,19 @@ class TestFormalLogObjectives:
             value = _objective_value(m.objective, got.assignment)
             assert got.objective_value == value == LogSum.of(best)
         assert optimal >= 20
+
+
+def _count_lps(monkeypatch) -> list:
+    """A one-element list counting the LP solves of `solve_milp` from now on."""
+    lps = [0]
+    simplex = milp._simplex
+
+    def counted(tab, objective):
+        lps[0] += 1
+        return simplex(tab, objective)
+
+    monkeypatch.setattr(milp, "_simplex", counted)
+    return lps
 
 
 def _draw_mixed_model(rng):

@@ -645,7 +645,9 @@ class TestBranchingTail:
 def test_lp_and_pivot_totals_are_pinned(monkeypatch):
     # Bland's rule makes every pivot a function of the exact tableau, so a
     # change to how the tableau is stored must leave these totals as they
-    # are.  Scale-pool draws, n in 10..40, budgets between 20n and 300n.
+    # are.  Scale-pool draws, n in 10..40, budgets between 20n and 300n, and
+    # the same draws over the gcd-1 value pool, where the row gcd rule leaves
+    # the budget row as it is and the fpt-bribes trees stay deep.
     counts = {"lp": 0, "pivots": 0}
     simplex, spend = milp._simplex, milp._Pivots.spend
 
@@ -659,21 +661,27 @@ def test_lp_and_pivot_totals_are_pinned(monkeypatch):
 
     monkeypatch.setattr(milp, "_simplex", counted_simplex)
     monkeypatch.setattr(milp._Pivots, "spend", counted_spend)
-    rng = split_rng(23, "pinned-counts")
-    draws = []
-    for idx in range(10):
-        n = rng.randint(10, 40)
-        draws.append(gen_cbcct(
-            23, n, 4, rng.randint(20 * n, 300 * n), verify.SCALE_VALUE_POOL,
-            verify.SCALE_PROB_POOL, canonical=True, index=idx,
-        ))
     totals = {}
-    for solve in (solve_fpt_bribe_values, solve_fpt_prob_values):
-        counts.update(lp=0, pivots=0)
-        for inst in draws:
-            solve(inst)
-        totals[solve.__name__] = (counts["lp"], counts["pivots"])
-    assert totals == {"solve_fpt_bribe_values": (152, 577), "solve_fpt_prob_values": (62, 416)}
+    for values in (verify.SCALE_VALUE_POOL, verify.GCD1_VALUE_POOL):
+        rng = split_rng(23, "pinned-counts")
+        draws = []
+        for idx in range(10):
+            n = rng.randint(10, 40)
+            draws.append(gen_cbcct(
+                23, n, 4, rng.randint(20 * n, 300 * n), values, verify.SCALE_PROB_POOL,
+                canonical=True, index=idx,
+            ))
+        for solve in (solve_fpt_bribe_values, solve_fpt_prob_values):
+            counts.update(lp=0, pivots=0)
+            for inst in draws:
+                solve(inst)
+            totals[values[1], solve.__name__] = (counts["lp"], counts["pivots"])
+    assert totals == {
+        (500, "solve_fpt_bribe_values"): (26, 314),
+        (500, "solve_fpt_prob_values"): (56, 401),
+        (499, "solve_fpt_bribe_values"): (152, 576),
+        (499, "solve_fpt_prob_values"): (58, 407),
+    }
 
 
 class TestIntegralOptimum:
