@@ -10,33 +10,25 @@ an optimum too long to write as text.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import io
 import sys
 import time
 import traceback
 
-from . import generators, jsonio, verify
+from . import jsonio
 from .core import instance_from_dict, instance_to_dict
-from .cup import cup_from_dict, cup_to_dict, solve_cup_bruteforce
 from .errors import CapExceededError, ChampBribeError
-from .knapsack import (
-    ksum_from_dict,
-    ksum_to_dict,
-    mpk_from_dict,
-    mpk_to_dict,
-    pkp_from_dict,
-    pkp_to_dict,
-)
 from .rational import check_field, format_rational, parse_rational
-from .reductions import cbcct_to_cup, ksum_to_pkp, mpk_to_cbcct, pkp_to_mpk, shift_ksum
 from .solvers import (
     solve_bruteforce,
     solve_dp,
     solve_fpt_bribe_values,
     solve_fpt_prob_values,
 )
+
+# The commands import verify, generators, cup, knapsack and reductions where
+# they use them, so `solve` on a challenge-the-champ file never loads them.
 
 _CBCCT_ALGOS = {
     "brute": solve_bruteforce,
@@ -63,6 +55,8 @@ def _cmd_solve(args) -> int:
     data = jsonio.load_json(args.file)
     start = time.perf_counter()
     if args.algo == "cup-brute":
+        from .cup import cup_from_dict, solve_cup_bruteforce
+
         inst = cup_from_dict(data)
         result = solve_cup_bruteforce(inst)
         witness = (
@@ -88,29 +82,18 @@ def _cmd_solve(args) -> int:
 
 _CHAIN = ["ksum", "pkp", "mpk", "cbcct", "cup"]
 
-# The step out of each kind but the last, with its provenance line.
-_STEPS = {
-    "ksum": (ksum_to_pkp, "ksum->pkp: weight s'_i, profit (1 - s'_i/T^2)^-1, C=T"),
-    "pkp": (pkp_to_mpk, "pkp->mpk: singleton classes, each padded with a (0, 1) skip item"),
-    "mpk": (mpk_to_cbcct, "mpk->cbcct: entries (w_j, v_j) per class, B=C, t=V"),
-    "cbcct": (cbcct_to_cup, "cbcct->cup: favorite at position 1, main player i at 2^(i-1)+1"),
-}
 
-_LOADERS = {
-    "ksum": ksum_from_dict,
-    "pkp": pkp_from_dict,
-    "mpk": mpk_from_dict,
-    "cbcct": instance_from_dict,
-    "cup": cup_from_dict,
-}
+def _codecs() -> dict:
+    """Each kind of the chain: (loader, dumper)."""
+    from . import cup, knapsack
 
-_DUMPERS = {
-    "ksum": ksum_to_dict,
-    "pkp": pkp_to_dict,
-    "mpk": mpk_to_dict,
-    "cbcct": instance_to_dict,
-    "cup": cup_to_dict,
-}
+    return {
+        "ksum": (knapsack.ksum_from_dict, knapsack.ksum_to_dict),
+        "pkp": (knapsack.pkp_from_dict, knapsack.pkp_to_dict),
+        "mpk": (knapsack.mpk_from_dict, knapsack.mpk_to_dict),
+        "cbcct": (instance_from_dict, instance_to_dict),
+        "cup": (cup.cup_from_dict, cup.cup_to_dict),
+    }
 
 
 def _cmd_reduce(args) -> int:
@@ -120,16 +103,26 @@ def _cmd_reduce(args) -> int:
     si, di = _CHAIN.index(src_kind), _CHAIN.index(dst_kind)
     if si >= di:
         raise ChampBribeError(f"no reduction from {src_kind} to {dst_kind}")
-    inst = _LOADERS[src_kind](jsonio.load_json(args.file))
+    from . import reductions
+
+    # The step out of each kind but the last, with its provenance line.
+    steps = {
+        "ksum": (reductions.ksum_to_pkp, "ksum->pkp: weight s'_i, profit (1 - s'_i/T^2)^-1, C=T"),
+        "pkp": (reductions.pkp_to_mpk, "pkp->mpk: singleton classes, each padded with a (0, 1) skip item"),
+        "mpk": (reductions.mpk_to_cbcct, "mpk->cbcct: entries (w_j, v_j) per class, B=C, t=V"),
+        "cbcct": (reductions.cbcct_to_cup, "cbcct->cup: favorite at position 1, main player i at 2^(i-1)+1"),
+    }
+    codecs = _codecs()
+    inst = codecs[src_kind][0](jsonio.load_json(args.file))
     provenance = [f"reduced from {src_kind} via champbribe"]
     if src_kind == "ksum" and not inst.shifted:
-        inst = shift_ksum(inst)
+        inst = reductions.shift_ksum(inst)
         provenance.append("shift: s'_i = s_i + 2n^2k + n^(k^2), target T = k*shift")
     for kind in _CHAIN[si:di]:
-        step, note = _STEPS[kind]
+        step, note = steps[kind]
         inst = step(inst)
         provenance.append(note)
-    payload = _DUMPERS[dst_kind](inst)
+    payload = codecs[dst_kind][1](inst)
     if args.output:
         jsonio.save_json(args.output, payload, provenance)
     else:
@@ -160,6 +153,8 @@ def _algo_list(text: str) -> tuple[str, ...]:
 
 
 def _cmd_gen(args) -> int:
+    from . import generators
+
     if args.family == "cbcct":
         inst = generators.gen_cbcct(
             args.seed,
@@ -170,23 +165,19 @@ def _cmd_gen(args) -> int:
             _parse_pool(args.prob_pool),
             index=args.index,
         )
-        payload = instance_to_dict(inst)
     elif args.family == "ksum":
         inst = generators.gen_ksum(
             args.seed, args.n, args.k, args.magnitude, planted=args.planted, index=args.index
         )
-        payload = ksum_to_dict(inst)
     elif args.family == "mpk":
         inst = generators.gen_mpk(
             args.seed, args.class_sizes, planted=args.planted, index=args.index
         )
-        payload = mpk_to_dict(inst)
     elif args.family == "pkp":
         inst = generators.gen_pkp(args.seed, args.n, index=args.index)
-        payload = pkp_to_dict(inst)
     else:
         inst = generators.gen_cup(args.seed, args.rounds, args.lmax, index=args.index)
-        payload = cup_to_dict(inst)
+    payload = _codecs()[args.family][1](inst)
     provenance = [f"generated family={args.family} seed={args.seed} index={args.index}"]
     if args.output:
         jsonio.save_json(args.output, payload, provenance)
@@ -196,6 +187,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     if args.count is not None:
         check_field(args.count, "--count")
     names = args.suite.split(",") if args.suite != "all" else list(verify.SUITES)
@@ -234,6 +227,10 @@ def _distinct_counts(inst) -> tuple[int, int]:
 
 
 def _cmd_bench(args) -> int:
+    import csv
+
+    from . import generators, verify
+
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["algo", "n", "B", "v_#", "p_#", "wall_ms", "decision"])
