@@ -49,6 +49,7 @@ from .reductions import (
     shift_ksum,
 )
 from .solvers import (
+    SolveResult,
     build_bribe_value_milp,
     build_prob_value_milp,
     solve_bruteforce,
@@ -110,18 +111,64 @@ def _timed(fn):
     return wrapper
 
 
-def _check_witness(report, label, inst, result) -> None:
-    """Check `result`'s witness against `inst`; failures count against `label`."""
-    if result.witness is None:
-        return
-    cost, prob = evaluate_plan(inst, result.witness)
+def _check_witness(report, label, inst, result) -> int | None:
+    """Check that `result` has a witness exactly when it reports a
+    probability, and that the witness fits `inst`'s budget and is worth that
+    probability.  Returns the witness's cost, None without one; failures
+    count against `label`."""
     route = f"{label} {result.algorithm}"
+    if result.witness is None:
+        if result.best_probability is not None:
+            report.fail(label, f"{route}: reports {result.best_probability} without a witness")
+        return None
+    cost, prob = evaluate_plan(inst, result.witness)
     if cost > inst.budget:
         report.fail(label, f"{route}: witness cost {cost} exceeds budget {inst.budget}")
-    if result.best_probability is not None and prob != result.best_probability:
+    if prob != result.best_probability:
         report.fail(
             label, f"{route}: witness evaluates to {prob}, result claims {result.best_probability}"
         )
+    return cost
+
+
+# `_check_route`'s `need` when no DP ran: fpt-probs' least budget is unknown.
+_NO_DP = object()
+
+
+def _check_route(report, label, inst, result, best, need=_NO_DP) -> None:
+    """Check one route's `result` on `inst` against the oracle optimum `best`
+    at B (None when no plan fits); failures count against `label`.
+
+    Every route but fpt-probs must report `best` and decide by it.  fpt-probs
+    reports its cheapest plan that reaches the threshold, so it must decide
+    as `best` does and, on a yes, report at most `best`.  Where the DP gives
+    `need = min_cost_for(threshold)`, fpt-probs must also say yes exactly
+    when `need` is not None, with a witness that costs exactly `need`.  Then
+    the witness is checked.
+    """
+    route = f"{label} {result.algorithm}"
+    prob, yes = result.best_probability, result.decision
+    decision = best is not None and best >= inst.threshold
+    if result.algorithm != "fpt-probs":
+        wrong = (prob, yes) != (best, decision)
+    else:
+        wrong = yes != decision or yes and (prob is None or prob > best)
+    if wrong:
+        report.fail(
+            label,
+            f"{route}: says {yes} at {prob}, oracle optimum {best}, threshold {inst.threshold}",
+        )
+    cost = _check_witness(report, label, inst, result)
+    if need is not _NO_DP and (yes != (need is not None) or yes and cost != need):
+        report.fail(label, f"{route}: says {yes} at witness cost {cost}, dp minimum budget {need}")
+
+
+def _check_same(report, label, source, image) -> None:
+    """Compare two (name, decision, optimum) triples, such as a reduction's
+    source and image: decisions and optima must be equal."""
+    if source[1:] != image[1:]:
+        (a, a_says, a_best), (b, b_says, b_best) = source, image
+        report.fail(label, f"{label}: {a} says {a_says} at {a_best}, {b} says {b_says} at {b_best}")
 
 
 def _check_integrality(report, key, label, model) -> None:
@@ -156,21 +203,9 @@ def suite_solver_agreement(count: int = 500, seed: int = 0) -> SuiteReport:
                 index=idx,
             )
             brute = solve_bruteforce(inst)
-            results = [brute, solve_dp(inst), solve_fpt_bribe_values(inst)]
-            for r in results:
-                if r.best_probability != brute.best_probability or r.decision != brute.decision:
-                    report.fail(
-                        label,
-                        f"{label}: {r.algorithm} returned {r.best_probability}/{r.decision}, "
-                        f"brute force returned {brute.best_probability}/{brute.decision}"
-                    )
-                _check_witness(report, label, inst, r)
-            probs = solve_fpt_prob_values(inst)
-            if probs.decision != brute.decision:
-                report.fail(
-                    label, f"{label}: fpt-probs decision {probs.decision} != brute {brute.decision}"
-                )
-            _check_witness(report, label, inst, probs)
+            for route in (solve_dp, solve_fpt_bribe_values, solve_fpt_prob_values):
+                _check_route(report, label, inst, route(inst), brute.best_probability)
+            _check_route(report, label, inst, brute, brute.best_probability)
             yes += brute.decision
             decided += 1
     # An instance that raised has no decision, so the rate is over the others.
@@ -234,15 +269,11 @@ def suite_dp_scale(
         )
         sweep = budget_sweep(inst)
         best = sweep.best_at()
-        witness = sweep.witness()
-        if best is None or witness is None:
+        if best is None:
             report.fail(label, f"{label} unexpectedly infeasible")
             return report
-        cost, prob = evaluate_plan(inst, witness)
-        if prob != best:
-            report.fail(label, f"witness probability {prob} != reported {best}")
-        if cost > budget:
-            report.fail(label, f"witness cost {cost} exceeds budget {budget}")
+        dp = SolveResult(best, sweep.witness(), best >= inst.threshold, "dp")
+        _check_witness(report, label, inst, dp)
         smaller = sweep.best_at(budget // 2)
         if smaller is not None and smaller > best:
             report.fail(label, "sweep is not monotone in the budget")
@@ -312,28 +343,14 @@ def suite_value_agreement(count: int = 8, seed: int = 8) -> SuiteReport:
             sweep = budget_sweep(inst)
             width = max(width, *(len(row.starts) for row in sweep._rows[1:]))
             bits = max(bits, sweep._top[-1].bit_length() if sweep._top else 0)
-            bribes = solve_fpt_bribe_values(inst)
-            if bribes.best_probability != sweep.best_at():
-                report.fail(
-                    label,
-                    f"{label}: fpt-bribes optimum {bribes.best_probability} != dp {sweep.best_at()}"
-                )
-            _check_witness(report, label, inst, bribes)
+            best = sweep.best_at()
+            _check_route(report, label, inst, solve_fpt_bribe_values(inst), best)
             if large:
                 continue
-            need = sweep.min_cost_for(inst.threshold)
             probs = solve_fpt_prob_values(inst)
             yes += probs.decision
             no += not probs.decision
-            if probs.decision != (need is not None):
-                report.fail(
-                    label, f"{label}: fpt-probs decision {probs.decision}, dp minimum budget {need}"
-                )
-            elif probs.decision:
-                cost = evaluate_plan(inst, probs.witness).cost
-                if cost != need:
-                    report.fail(label, f"{label}: fpt-probs witness costs {cost}, dp needs {need}")
-            _check_witness(report, label, inst, probs)
+            _check_route(report, label, inst, probs, best, sweep.min_cost_for(inst.threshold))
     report.details["yes"] = yes
     report.details["no"] = no
     report.details["prime_pool_instances"] = count // 4 + count // 8
@@ -351,13 +368,12 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
     gcd-1 value pool, on which the row gcd rule of `solve_milp` cannot
     shrink the budget row and fpt-bribes still branches deep.  The
     threshold t is the fpt-bribes optimum at B', a value on the frontier,
-    so the fpt-probs decision at B falls on either side of it.  At B,
-    fpt-probs must say yes exactly when the fpt-bribes optimum is at least
-    t, its witness probability must not exceed that optimum, and the
-    witnesses of both routes must check.  Both models of each draw must
-    pass `integrality_defect`, the bribe-value one before any solve.  No
-    DP is run, though it would fit: at seed 9 `budget_sweep` solves each of
-    the ten scale-pool draws in 0.1-3.7 s, under its candidate cap.
+    so the fpt-probs decision at B falls on either side of it.  At B, both
+    routes are checked by `_check_route` with the fpt-bribes optimum as the
+    oracle.  Both models of each draw must pass `integrality_defect`, the
+    bribe-value one before any solve.  No DP is run: at seed 9
+    `budget_sweep` solves the ten scale-pool draws and six of the gcd-1
+    ones, but refuses gcd-1 draws 1, 3, 6 and 9 at `CANDIDATE_CAP`.
     """
     report = SuiteReport("fpt-scale", total=2 * count)
     yes = no = 0
@@ -380,21 +396,8 @@ def suite_fpt_scale(count: int = 10, seed: int = 9) -> SuiteReport:
                 _check_integrality(report, label, f"{label} build_prob_value_milp", model)
                 bribes = solve_fpt_bribe_values(inst)
                 probs = solve_fpt_prob_values(inst)
-                best = bribes.best_probability
-                if probs.decision != (best >= inst.threshold):
-                    report.fail(
-                        label,
-                        f"{label}: fpt-probs decision {probs.decision}, fpt-bribes optimum {best} "
-                        f"against threshold {inst.threshold}"
-                    )
-                elif probs.decision and probs.best_probability > best:
-                    report.fail(
-                        label,
-                        f"{label}: fpt-probs witness probability {probs.best_probability} "
-                        f"exceeds the fpt-bribes optimum {best}"
-                    )
-                _check_witness(report, label, inst, bribes)
-                _check_witness(report, label, inst, probs)
+                for result in (bribes, probs):
+                    _check_route(report, label, inst, result, bribes.best_probability)
                 yes += probs.decision
                 no += not probs.decision
     report.details["yes"] = yes
@@ -493,12 +496,10 @@ def suite_ksum_chain(n_max: int = 6, magnitude: int = 3) -> SuiteReport:
                         else:
                             precondition_mismatches.append(note)
                     mpk = solve_mpk_bruteforce(pkp_to_mpk(knapsack))
-                    if (mpk.decision, mpk.best_product) != (pkp.decision, pkp.best_product):
-                        report.fail(
-                            label,
-                            f"{label}: knapsack says {pkp.decision} at {pkp.best_product}, "
-                            f"multicolored knapsack says {mpk.decision} at {mpk.best_product}"
-                        )
+                    _check_same(
+                        report, label, ("knapsack", pkp.decision, pkp.best_product),
+                        ("multicolored knapsack", mpk.decision, mpk.best_product),
+                    )
     report.details["precondition_mismatches"] = precondition_mismatches
     return report
 
@@ -517,12 +518,10 @@ def suite_mpk_chain(count: int = 200, seed: int = 4) -> SuiteReport:
             inst = generators.gen_mpk(seed, sizes, index=idx)
             mpk = solve_mpk_bruteforce(inst)
             cbc = solve_bruteforce(mpk_to_cbcct(inst))
-            if (mpk.decision, mpk.best_product) != (cbc.decision, cbc.best_probability):
-                report.fail(
-                    label,
-                    f"{label}: knapsack says {mpk.decision} at {mpk.best_product}, "
-                    f"tournament says {cbc.decision} at {cbc.best_probability}"
-                )
+            _check_same(
+                report, label, ("knapsack", mpk.decision, mpk.best_product),
+                ("tournament", cbc.decision, cbc.best_probability),
+            )
     return report
 
 
@@ -545,12 +544,10 @@ def suite_cup_chain(count: int = 100, seed: int = 5) -> SuiteReport:
             image = cbcct_to_cup(inst)
             src = solve_bruteforce(inst)
             tgt = solve_cup_bruteforce(image)
-            if (src.decision, src.best_probability) != (tgt.decision, tgt.best_probability):
-                report.fail(
-                    label,
-                    f"{label}: tournament says {src.decision} at {src.best_probability}, "
-                    f"cup says {tgt.decision} at {tgt.best_probability}"
-                )
+            _check_same(
+                report, label, ("tournament", src.decision, src.best_probability),
+                ("cup", tgt.decision, tgt.best_probability),
+            )
             if idx < PLAN_EQUALITY_INSTANCES:
                 for choices in product(*(range(1, len(v) + 1) for v in inst.bribe_vectors)):
                     plan = BribePlan(choices)

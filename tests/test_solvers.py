@@ -1,6 +1,8 @@
 """The four solver routes and the FPT model builders."""
 
+import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -728,3 +730,45 @@ class TestIntegralOptimum:
             assignment[low], assignment[high] = counts
             with pytest.raises(SolverError):
                 _plan_from_assignment(inst, vmap, assignment)
+
+
+class TestRouteSuites:
+    """The route suites report a corrupted route, and name it."""
+
+    @staticmethod
+    def corrupt(monkeypatch, name, change):
+        """Replace the route `name` in `verify` by one whose results pass through `change`."""
+        route = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda inst: change(inst, route(inst)))
+
+    def test_solver_agreement_catches_a_dropped_dp_witness(self, monkeypatch):
+        self.corrupt(monkeypatch, "solve_dp", lambda inst, r: dataclasses.replace(r, witness=None))
+        report = verify.suite_solver_agreement(count=50)
+        assert not report.passed
+        assert all(re.search(r"\) dp: reports \S+ without a witness$", f) for f in report.failures)
+
+    def test_fpt_scale_catches_a_flipped_fpt_probs_decision(self, monkeypatch):
+        self.corrupt(
+            monkeypatch, "solve_fpt_prob_values",
+            lambda inst, r: dataclasses.replace(r, decision=not r.decision),
+        )
+        report = verify.suite_fpt_scale(count=1)
+        assert len(report.failed) == report.total == 2
+        assert any(re.search(r"\) fpt-probs: says \w+ at ", f) for f in report.failures)
+
+    def test_value_agreement_catches_a_costlier_fpt_probs_witness(self, monkeypatch):
+        def costlier(inst, r):
+            # On a yes, hand back the optimal plan at B: it fits the budget and
+            # reaches the threshold, but need not be the cheapest plan that does.
+            if not r.decision:
+                return r
+            dp = solve_dp(inst)
+            return dataclasses.replace(r, best_probability=dp.best_probability, witness=dp.witness)
+
+        self.corrupt(monkeypatch, "solve_fpt_prob_values", costlier)
+        report = verify.suite_value_agreement()
+        pattern = re.compile(r" fpt-probs: says True at witness cost (\d+), dp minimum budget (\d+)")
+        found = [tuple(map(int, m.groups())) for m in map(pattern.search, report.failures) if m]
+        # The witness cost is the only failure, and it is above the least budget.
+        assert found and len(found) == len(report.failures)
+        assert all(cost > need for cost, need in found)
